@@ -29,23 +29,6 @@ void BM_DesignProbeProcess(benchmark::State& state) {
 }
 BENCHMARK(BM_DesignProbeProcess)->Arg(10'000)->Arg(180'000);
 
-// Skip-ahead variant: one geometric gap draw per experiment instead of one
-// Bernoulli per slot — distributionally identical design, ~1/p fewer draws.
-void BM_DesignProbeProcessSkipAhead(benchmark::State& state) {
-    const auto slots = static_cast<SlotIndex>(state.range(0));
-    ProbeProcessConfig cfg;
-    cfg.p = 0.3;
-    cfg.improved = true;
-    std::uint64_t seed = 1;
-    for (auto _ : state) {
-        Rng rng{seed++};
-        auto design = design_probe_process_skip_ahead(rng, slots, cfg);
-        benchmark::DoNotOptimize(design.experiments.data());
-    }
-    state.SetItemsProcessed(state.iterations() * slots);
-}
-BENCHMARK(BM_DesignProbeProcessSkipAhead)->Arg(10'000)->Arg(180'000);
-
 void BM_ScoreAndEstimate(benchmark::State& state) {
     const auto slots = static_cast<SlotIndex>(state.range(0));
     Rng rng{7};

@@ -7,10 +7,9 @@
 // imperfect reporting (p1 != p2) to show why the improved estimator exists.
 #include <cstdio>
 
-#include "core/estimators.h"
 #include "core/probe_process.h"
+#include "core/streaming.h"
 #include "core/synthetic.h"
-#include "core/validation.h"
 #include "util/rng.h"
 
 int main() {
@@ -35,17 +34,17 @@ int main() {
         observe_with_fidelity(design.experiments, truth_series, FidelityModel{0.9, 0.6}, rng);
 
     // The analysis: exactly what you would run on real receiver logs.
-    EstimatorAccumulator acc;
-    for (const auto& r : reports) acc.add(r);
-
-    const auto freq = acc.frequency();
-    const auto basic = acc.duration_basic();
-    const auto improved = acc.duration_improved();
-    const auto validation = validate(acc.counts());
+    StreamingAnalyzer analyzer;
+    for (const auto& r : reports) analyzer.consume(r);
+    const auto res = analyzer.finalize();
+    const auto& freq = res.frequency;
+    const auto& basic = res.duration_basic;
+    const auto& improved = res.duration_improved;
+    const auto& validation = res.validation;
 
     std::printf("experiments analyzed : %llu basic + %llu extended\n",
-                static_cast<unsigned long long>(acc.counts().basic_total()),
-                static_cast<unsigned long long>(acc.counts().extended_total()));
+                static_cast<unsigned long long>(analyzer.counts().basic_total()),
+                static_cast<unsigned long long>(analyzer.counts().extended_total()));
     std::printf("true frequency       : %.5f\n", truth.frequency);
     std::printf("estimated frequency  : %.5f\n", freq.value);
     std::printf("true duration        : %.2f slots\n", truth.mean_duration_slots);

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/report_sink.h"
 #include "core/types.h"
 #include "util/time.h"
 
@@ -60,33 +59,6 @@ struct DurationEstimate {
 // StdDev(duration) ≈ 1 / sqrt(p * N * L) with L = loss events per slot.
 [[nodiscard]] double duration_stddev_guidance(double p, std::int64_t total_slots,
                                               double episodes_per_slot) noexcept;
-
-// Streaming accumulator: feed experiment reports as they complete, snapshot
-// estimates at any time.  Supports the open-ended/adaptive experimentation
-// style of §5.1 and §7.  As a ReportSink it plugs directly into the
-// streaming pipeline (probe layer, StreamingExperimentScorer).
-class EstimatorAccumulator final : public ReportSink {
-public:
-    explicit EstimatorAccumulator(EstimatorOptions opts = {}) : opts_{opts} {}
-
-    void add(const ExperimentResult& r) noexcept { counts_.add(r); }
-    void consume(const ExperimentResult& r) override { add(r); }
-
-    [[nodiscard]] const StateCounts& counts() const noexcept { return counts_; }
-    [[nodiscard]] FrequencyEstimate frequency() const {
-        return estimate_frequency(counts_, opts_);
-    }
-    [[nodiscard]] DurationEstimate duration_basic() const {
-        return estimate_duration_basic(counts_, opts_);
-    }
-    [[nodiscard]] DurationEstimate duration_improved() const {
-        return estimate_duration_improved(counts_, opts_);
-    }
-
-private:
-    EstimatorOptions opts_;
-    StateCounts counts_;
-};
 
 }  // namespace bb::core
 

@@ -1,7 +1,6 @@
 #include "core/probe_process.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -26,64 +25,13 @@ ProbeDesign design_probe_process(Rng& rng, SlotIndex total_slots,
 
     ProbeDesign design;
     for (SlotIndex i = 0; i < total_slots; ++i) {
-        if (!rng.bernoulli(cfg.p)) continue;
-        const bool extended = cfg.improved && rng.bernoulli(cfg.extended_fraction);
-        const Experiment e{i, extended ? ExperimentKind::extended : ExperimentKind::basic};
+        const std::optional<ExperimentKind> kind = draw_experiment_start(rng, cfg);
+        if (!kind) continue;
+        const Experiment e{i, *kind};
         // Keep every experiment fully inside the measurement window.
         if (i + e.probes() > total_slots) continue;
         design.experiments.push_back(e);
         for (int k = 0; k < e.probes(); ++k) design.probe_slots.push_back(i + k);
-    }
-    std::sort(design.probe_slots.begin(), design.probe_slots.end());
-    design.probe_slots.erase(
-        std::unique(design.probe_slots.begin(), design.probe_slots.end()),
-        design.probe_slots.end());
-    return design;
-}
-
-GeometricSkipAhead::GeometricSkipAhead(double p) : p_{p} {
-    if (p <= 0.0 || p > 1.0) {
-        throw std::invalid_argument{"probe process: p must be in (0, 1]"};
-    }
-    inv_log_q_ = p < 1.0 ? 1.0 / std::log1p(-p) : 0.0;
-}
-
-SlotIndex GeometricSkipAhead::next_gap(Rng& rng) const {
-    if (p_ >= 1.0) return 0;
-    // Inversion of the geometric CDF: P(G >= k+1) = (1-p)^(k+1), with
-    // U ~ Uniform[0,1) so 1-U in (0,1] and the log is finite.
-    const double g = std::floor(std::log1p(-rng.uniform01()) * inv_log_q_);
-    // Clamp before the cast: for tiny p the double can exceed int64 range.
-    constexpr double kMaxGap = 4.0e18;
-    return g < kMaxGap ? static_cast<SlotIndex>(g)
-                       : static_cast<SlotIndex>(kMaxGap);
-}
-
-ProbeDesign design_probe_process_skip_ahead(Rng& rng, SlotIndex total_slots,
-                                            const ProbeProcessConfig& cfg) {
-    validate(cfg);
-    const GeometricSkipAhead gaps{cfg.p};
-
-    ProbeDesign design;
-    // Cheap expected-size reservations: ~p*slots experiments, ~2.4 probes each
-    // shared across overlaps.
-    const auto expected = static_cast<std::size_t>(cfg.p * static_cast<double>(total_slots));
-    design.experiments.reserve(expected + 16);
-    design.probe_slots.reserve(3 * expected + 16);
-
-    SlotIndex i = gaps.next_gap(rng);
-    while (i < total_slots) {
-        const bool extended = cfg.improved && rng.bernoulli(cfg.extended_fraction);
-        const Experiment e{i, extended ? ExperimentKind::extended : ExperimentKind::basic};
-        // Same window rule as the per-slot designer: keep every experiment
-        // fully inside the measurement window (later starts may still fit).
-        if (i + e.probes() <= total_slots) {
-            design.experiments.push_back(e);
-            for (int k = 0; k < e.probes(); ++k) design.probe_slots.push_back(i + k);
-        }
-        const SlotIndex gap = gaps.next_gap(rng);
-        if (gap >= total_slots - i) break;  // overflow-safe: next start is past the window
-        i += 1 + gap;
     }
     std::sort(design.probe_slots.begin(), design.probe_slots.end());
     design.probe_slots.erase(
@@ -99,17 +47,14 @@ StreamingExperimentScorer::StreamingExperimentScorer(Rng rng, const ProbeProcess
 }
 
 void StreamingExperimentScorer::step(bool congested) {
-    // Same per-slot draw order as design_probe_process: the start decision,
-    // then (only if started and improved) the basic-vs-extended decision.
-    if (rng_.bernoulli(cfg_.p)) {
-        const bool extended = cfg_.improved && rng_.bernoulli(cfg_.extended_fraction);
+    // Same per-slot draw as design_probe_process.
+    if (const std::optional<ExperimentKind> kind = draw_experiment_start(rng_, cfg_)) {
         // At most one experiment starts per slot and the longest spans three
         // slots, so the fixed 3-entry buffer can never overflow — unless the
         // completion logic below regresses.
         BB_CHECK_MSG(static_cast<std::size_t>(pending_count_) < pending_.size(),
                      "streaming scorer: pending-experiment buffer overflow");
-        pending_[static_cast<std::size_t>(pending_count_++)] = Pending{
-            slot_, extended ? ExperimentKind::extended : ExperimentKind::basic, 0, 0};
+        pending_[static_cast<std::size_t>(pending_count_++)] = Pending{slot_, *kind, 0, 0};
         ++started_;
     }
 

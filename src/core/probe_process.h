@@ -8,6 +8,8 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/report_sink.h"
@@ -27,39 +29,22 @@ struct ProbeProcessConfig {
     double extended_fraction{0.5};  // P(extended | experiment started)
 };
 
+// The per-slot start draw every designer makes, in this order: Bernoulli(p)
+// for a start, then — only if one started and the design is improved —
+// Bernoulli(extended_fraction) for its kind.  Returns the kind of the
+// experiment starting at this slot, or nullopt.  Keeping the draw in one
+// place is what makes the batch designer, the streaming scorer and the
+// open-ended tool consume the Rng identically.
+[[nodiscard]] inline std::optional<ExperimentKind> draw_experiment_start(
+    Rng& rng, const ProbeProcessConfig& cfg) {
+    if (!rng.bernoulli(cfg.p)) return std::nullopt;
+    return cfg.improved && rng.bernoulli(cfg.extended_fraction) ? ExperimentKind::extended
+                                                                : ExperimentKind::basic;
+}
+
 // Draw a full design for `total_slots` slots.
 [[nodiscard]] ProbeDesign design_probe_process(Rng& rng, SlotIndex total_slots,
                                                const ProbeProcessConfig& cfg);
-
-// Geometric skip-ahead sampler for the per-slot Bernoulli(p) start process:
-// instead of one uniform draw per slot, draws the gap to the next experiment
-// start directly via inversion — G = floor(log(1-U) / log(1-p)) failures
-// before the next success, so the cost is one draw per *experiment*, not per
-// slot (a ~1/p throughput win for the sparse probing rates the paper uses,
-// p ≤ 0.3).  The sampled start process is distributionally identical to the
-// per-slot designer (property-tested), but consumes the RNG differently, so
-// it is NOT draw-for-draw reproducible against design_probe_process — paper
-// artifacts keep using the per-slot path; sweeps and load generators that
-// only need the right distribution should prefer this one.
-class GeometricSkipAhead {
-public:
-    explicit GeometricSkipAhead(double p);
-
-    // Number of non-start slots before the next start (>= 0).
-    [[nodiscard]] SlotIndex next_gap(Rng& rng) const;
-
-private:
-    double p_;
-    double inv_log_q_;  // 1 / log(1-p); 0 when p == 1
-};
-
-// Skip-ahead counterpart of design_probe_process: same configuration, same
-// "keep every experiment fully inside the window" rule, same output
-// invariants (experiments ordered by start slot, probe_slots sorted unique),
-// identical distribution of starts/kinds — but O(experiments) RNG draws
-// instead of O(slots).
-[[nodiscard]] ProbeDesign design_probe_process_skip_ahead(Rng& rng, SlotIndex total_slots,
-                                                          const ProbeProcessConfig& cfg);
 
 // Expected probing load: probes per slot (before slot-sharing between
 // overlapping experiments, which only reduces it).
@@ -67,9 +52,10 @@ private:
 
 // Turn a design plus a per-slot congestion marking into experiment reports,
 // streamed into `sink` in start-slot order.  `congested(slot)` must return
-// the mark for every slot in probe_slots.
+// the mark for every slot in probe_slots.  A one-element span scores a single
+// experiment, for designs that are themselves read as a stream.
 template <typename MarkFn>
-void score_experiments_into(const std::vector<Experiment>& experiments, MarkFn&& congested,
+void score_experiments_into(std::span<const Experiment> experiments, MarkFn&& congested,
                             ReportSink& sink) {
     for (const auto& e : experiments) {
         if (e.kind == ExperimentKind::basic) {

@@ -1,139 +1,39 @@
 #include "core/streaming.h"
 
 #include "obs/metrics.h"
-#include "util/contract.h"
 #include "util/det.h"
 
 namespace bb::core {
 
-void OnlineFrequency::consume(const ExperimentResult& r) {
-    if (r.kind == ExperimentKind::basic) {
-        ++samples_;
-        if ((r.code & 0b10) != 0) ++ones_;
-    } else if (opts_.frequency_from_extended) {
-        ++samples_;
-        if ((r.code & 0b100) != 0) ++ones_;
-    }
-}
-
-FrequencyEstimate OnlineFrequency::finalize() const {
-    FrequencyEstimate est;
-    BB_CHECK_MSG(ones_ <= samples_, "streaming: congested tally exceeds sample count");
-    est.samples = samples_;
-    est.value = samples_ > 0
-                    ? static_cast<double>(ones_) / static_cast<double>(samples_)
-                    : 0.0;
-    return est;
-}
-
-void OnlineDuration::consume(const ExperimentResult& r) {
-    if (r.kind == ExperimentKind::basic) {
-        const std::uint8_t code = r.code & 0x3;
-        if (code != 0b00) ++R_;
-        if (code == 0b01 || code == 0b10) ++S_;
-        return;
-    }
-    const std::uint8_t code = r.code & 0x7;
-    if (code == 0b011 || code == 0b110) ++U_;
-    if (code == 0b001 || code == 0b100) ++V_;
-    if (opts_.pairs_from_extended) {
-        const bool d0 = (code & 0b100) != 0;
-        const bool d1 = (code & 0b010) != 0;
-        if (d0 || d1) ++R_;
-        if (d0 != d1) ++S_;
-    }
-}
-
-DurationEstimate OnlineDuration::finalize_basic() const {
-    DurationEstimate est;
-    BB_CHECK_MSG(R_ >= S_, "streaming: R/S tallies inconsistent (S ⊄ R)");
-    est.R = R_;
-    est.S = S_;
-    if (S_ == 0) return est;
-    est.slots = 2.0 * (static_cast<double>(R_) / static_cast<double>(S_) - 1.0) + 1.0;
-    est.valid = true;
-    return est;
-}
-
-DurationEstimate OnlineDuration::finalize_improved() const {
-    DurationEstimate est;
-    BB_CHECK_MSG(R_ >= S_, "streaming: R/S tallies inconsistent (S ⊄ R)");
-    est.R = R_;
-    est.S = S_;
-    if (S_ == 0 || U_ == 0) return est;
-    est.r_hat = static_cast<double>(U_) / static_cast<double>(V_ == 0 ? 1 : V_);
-    est.slots = (2.0 * static_cast<double>(V_ == 0 ? 1 : V_) / static_cast<double>(U_)) *
-                    (static_cast<double>(R_) / static_cast<double>(S_) - 1.0) +
-                1.0;
-    est.valid = true;
-    return est;
-}
-
 StreamingAnalyzer::StreamingAnalyzer(EstimatorOptions opts)
-    : opts_{opts},
-      frequency_{opts},
-      duration_{opts},
-      reports_ctr_{&obs::counter("core.reports_scored")} {}
+    : opts_{opts}, reports_ctr_{&obs::counter("core.reports_scored")} {}
 
 StreamingAnalyzer::~StreamingAnalyzer() {
     // Per-state tallies are batched here (not per consume) so the streaming
     // hot loop stays within the instrumentation overhead budget.
-    const StateCounts& c = validation_.counts();
-    if (c.basic_total() > 0) {
-        static const char* const kBasicNames[4] = {
-            "core.reports.b00", "core.reports.b01", "core.reports.b10",
-            "core.reports.b11"};
-        for (int i = 0; i < 4; ++i) {
-            if (c.basic[i] > 0) obs::counter(kBasicNames[i]).inc(c.basic[i]);
-        }
+    static const char* const kBasicNames[4] = {"core.reports.b00", "core.reports.b01",
+                                               "core.reports.b10", "core.reports.b11"};
+    for (std::size_t i = 0; i < counts_.basic.size(); ++i) {
+        obs::counter(kBasicNames[i]).inc(counts_.basic[i]);
     }
-    if (c.extended_total() > 0) {
-        obs::counter("core.reports.extended").inc(c.extended_total());
-    }
+    obs::counter("core.reports.extended").inc(counts_.extended_total());
 }
 
 void StreamingAnalyzer::consume(const ExperimentResult& r) {
     det::fold(det::Site::report, 0, static_cast<std::uint64_t>(r.kind),
               static_cast<std::uint64_t>(r.code));
-    frequency_.consume(r);
-    duration_.consume(r);
-    validation_.consume(r);
-    ++reports_;
+    counts_.add(r);
     reports_ctr_->inc();
 }
 
 StreamingAnalyzer::Result StreamingAnalyzer::finalize() const {
     Result res;
-    res.frequency = frequency_.finalize();
-    res.duration_basic = duration_.finalize_basic();
-    res.duration_improved = duration_.finalize_improved();
-    res.validation = validation_.finalize();
-    res.reports = reports_;
-    const StateCounts& c = validation_.counts();
-    BB_DCHECK_MSG(c.basic_total() + c.extended_total() == reports_,
-                  "streaming: per-state tallies do not sum to the report count");
-    BB_AUDIT(check_against_batch(res));
+    res.frequency = estimate_frequency(counts_, opts_);
+    res.duration_basic = estimate_duration_basic(counts_, opts_);
+    res.duration_improved = estimate_duration_improved(counts_, opts_);
+    res.validation = validate(counts_);
+    res.reports = reports();
     return res;
-}
-
-void StreamingAnalyzer::check_against_batch(const Result& res) const {
-    const StateCounts& c = validation_.counts();
-    const FrequencyEstimate bf = estimate_frequency(c, opts_);
-    BB_CHECK_MSG(bf.samples == res.frequency.samples,
-                 "streaming audit: frequency sample count diverged from batch");
-    BB_CHECK_MSG(bf.value == res.frequency.value,
-                 "streaming audit: F̂ diverged from batch (bit-identity broken)");
-    const DurationEstimate basic = estimate_duration_basic(c, opts_);
-    BB_CHECK_MSG(basic.R == res.duration_basic.R && basic.S == res.duration_basic.S,
-                 "streaming audit: R/S tallies diverged from batch");
-    BB_CHECK_MSG(basic.valid == res.duration_basic.valid &&
-                     basic.slots == res.duration_basic.slots,
-                 "streaming audit: basic D̂ diverged from batch (bit-identity broken)");
-    const DurationEstimate improved = estimate_duration_improved(c, opts_);
-    BB_CHECK_MSG(improved.valid == res.duration_improved.valid &&
-                     improved.slots == res.duration_improved.slots &&
-                     improved.r_hat == res.duration_improved.r_hat,
-                 "streaming audit: improved D̂ diverged from batch (bit-identity broken)");
 }
 
 }  // namespace bb::core

@@ -1,13 +1,11 @@
-// Online (one-pass, O(1)-memory) forms of the paper's estimators and
-// validation tests.  Each accumulator is a ReportSink: feed experiment
-// reports as they complete; finalize() is bit-identical to running the batch
-// functions in estimators.h / validation.h over the same report sequence,
-// because both paths reduce to the same integer tallies and evaluate the
-// same floating-point expressions on them.
+// The §5 analysis as one online sink.  Every estimate is a moment estimator
+// over integer tallies, so the analyzer keeps only a StateCounts (O(1)
+// memory) and evaluates the pure functions of estimators.h / validation.h on
+// it at finalize() — the same code the batch callers run on their counts,
+// so there is no second copy of the arithmetic to drift.
 //
-// Unlike the batch path, the EstimatorOptions are fixed when the accumulator
-// is constructed (a streaming observer cannot re-tally the past), so choose
-// them up front when re-analysis under different options is needed.
+// The EstimatorOptions are fixed at construction: finalize() evaluates under
+// them.  Callers that want other options re-evaluate counts() directly.
 #ifndef BB_CORE_STREAMING_H
 #define BB_CORE_STREAMING_H
 
@@ -24,61 +22,10 @@ class Counter;
 
 namespace bb::core {
 
-// F̂ = Σ z_i / M from running tallies of first digits (§5.2.2).
-class OnlineFrequency final : public ReportSink {
-public:
-    explicit OnlineFrequency(EstimatorOptions opts = {}) : opts_{opts} {}
-
-    void consume(const ExperimentResult& r) override;
-
-    [[nodiscard]] FrequencyEstimate finalize() const;
-
-private:
-    EstimatorOptions opts_;
-    std::uint64_t ones_{0};
-    std::uint64_t samples_{0};
-};
-
-// D̂ from running R/S (and U/V for the improved algorithm) tallies
-// (§5.2.2 basic, §5.3 improved).
-class OnlineDuration final : public ReportSink {
-public:
-    explicit OnlineDuration(EstimatorOptions opts = {}) : opts_{opts} {}
-
-    void consume(const ExperimentResult& r) override;
-
-    [[nodiscard]] DurationEstimate finalize_basic() const;
-    [[nodiscard]] DurationEstimate finalize_improved() const;
-
-private:
-    EstimatorOptions opts_;
-    std::uint64_t R_{0};
-    std::uint64_t S_{0};
-    std::uint64_t U_{0};
-    std::uint64_t V_{0};
-};
-
-// §5.4 validation tallies.  The tests need nearly the full report histogram,
-// so the sufficient statistic is StateCounts itself (still O(1)); finalize
-// delegates to validate() for guaranteed agreement with the batch path.
-class OnlineValidation final : public ReportSink {
-public:
-    void consume(const ExperimentResult& r) override { counts_.add(r); }
-
-    [[nodiscard]] ValidationReport finalize() const { return validate(counts_); }
-    [[nodiscard]] StoppingRule::Decision evaluate(const StoppingRule& rule) const {
-        return rule.evaluate(counts_);
-    }
-    [[nodiscard]] const StateCounts& counts() const noexcept { return counts_; }
-
-private:
-    StateCounts counts_;
-};
-
-// The full §5 analysis as one sink: frequency + basic/improved duration +
-// validation, evaluated over whatever has been consumed so far.  This is the
-// streaming replacement for "collect a report vector, then run the batch
-// estimators" and the engine behind the tools' --stream mode.
+// Frequency + basic/improved duration + validation over whatever has been
+// consumed so far: the engine behind BadabingTool::analyze() and the tools'
+// --stream mode.  Each consumed report also folds into the determinism hash
+// chain (DESIGN.md §14); sinks that must not fold use CountsSink instead.
 class StreamingAnalyzer final : public ReportSink {
 public:
     struct Result {
@@ -91,7 +38,8 @@ public:
 
     explicit StreamingAnalyzer(EstimatorOptions opts = {});
     // Publishes the accumulated per-state tallies to the obs registry exactly
-    // once per analyzer lifetime, hence no copies.
+    // once per analyzer lifetime, hence no copies.  Callers that export the
+    // registry must let the analyzer go out of scope first.
     ~StreamingAnalyzer() override;
     StreamingAnalyzer(const StreamingAnalyzer&) = delete;
     StreamingAnalyzer& operator=(const StreamingAnalyzer&) = delete;
@@ -100,24 +48,14 @@ public:
 
     [[nodiscard]] Result finalize() const;
 
-    // BB_AUDIT walker: recompute every estimate from the batch functions over
-    // the accumulated StateCounts and require bit-identical agreement with
-    // the online tallies (the PR-2 design guarantee, now enforced at runtime
-    // in audit builds).  Aborts via BB_CHECK on divergence.
-    void check_against_batch(const Result& res) const;
-
-    [[nodiscard]] const OnlineFrequency& frequency() const noexcept { return frequency_; }
-    [[nodiscard]] const OnlineDuration& duration() const noexcept { return duration_; }
-    [[nodiscard]] const OnlineValidation& validation() const noexcept { return validation_; }
-    [[nodiscard]] const StateCounts& counts() const noexcept { return validation_.counts(); }
-    [[nodiscard]] std::uint64_t reports() const noexcept { return reports_; }
+    [[nodiscard]] const StateCounts& counts() const noexcept { return counts_; }
+    [[nodiscard]] std::uint64_t reports() const noexcept {
+        return counts_.basic_total() + counts_.extended_total();
+    }
 
 private:
     EstimatorOptions opts_;
-    OnlineFrequency frequency_;
-    OnlineDuration duration_;
-    OnlineValidation validation_;
-    std::uint64_t reports_{0};
+    StateCounts counts_;
     // Registry handle cached at construction so the hot consume() path pays
     // one relaxed atomic add, never a registry lookup.
     obs::Counter* reports_ctr_;

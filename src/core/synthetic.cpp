@@ -9,27 +9,13 @@ namespace bb::core {
 
 std::vector<bool> synth_congestion_series(Rng& rng, SlotIndex total_slots,
                                           double mean_on_slots, double mean_off_slots) {
-    if (mean_on_slots < 1.0 || mean_off_slots < 1.0) {
-        throw std::invalid_argument{"synthetic series: sojourn means must be >= 1 slot"};
-    }
+    SyntheticSeriesGen gen{rng, mean_on_slots, mean_off_slots};
     std::vector<bool> series;
     series.reserve(static_cast<std::size_t>(total_slots));
-    // Geometric with mean m: P(len = k) = (1/m)(1 - 1/m)^(k-1), k >= 1.
-    const auto draw = [&rng](double mean) {
-        const double q = 1.0 / mean;
-        const double u = rng.uniform01();
-        return std::max<SlotIndex>(
-            1, static_cast<SlotIndex>(std::ceil(std::log1p(-u) / std::log1p(-q))));
-    };
-    bool on = rng.bernoulli(mean_on_slots / (mean_on_slots + mean_off_slots));
-    while (static_cast<SlotIndex>(series.size()) < total_slots) {
-        const SlotIndex len = draw(on ? mean_on_slots : mean_off_slots);
-        for (SlotIndex k = 0; k < len && static_cast<SlotIndex>(series.size()) < total_slots;
-             ++k) {
-            series.push_back(on);
-        }
-        on = !on;
-    }
+    for (SlotIndex s = 0; s < total_slots; ++s) series.push_back(gen.next());
+    // Hand the advanced engine back: callers draw their probe design from
+    // the same stream right after the series.
+    rng = gen.rng();
     return series;
 }
 
@@ -43,8 +29,7 @@ SyntheticSeriesGen::SyntheticSeriesGen(Rng rng, double mean_on_slots, double mea
 }
 
 SlotIndex SyntheticSeriesGen::draw_sojourn(double mean) {
-    // Geometric with mean m: P(len = k) = (1/m)(1 - 1/m)^(k-1), k >= 1 —
-    // the same inversion as the batch generator.
+    // Geometric with mean m: P(len = k) = (1/m)(1 - 1/m)^(k-1), k >= 1.
     const double q = 1.0 / mean;
     const double u = rng_.uniform01();
     return std::max<SlotIndex>(
@@ -89,29 +74,9 @@ SeriesTruth SeriesTruthAccumulator::finalize() const {
 }
 
 SeriesTruth series_truth(const std::vector<bool>& series) {
-    SeriesTruth t;
-    if (series.empty()) return t;
-    std::size_t congested = 0;
-    std::size_t episodes = 0;
-    std::size_t run = 0;
-    std::size_t run_total = 0;
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        if (series[i]) {
-            ++congested;
-            ++run;
-        }
-        const bool ends_run = run > 0 && (!series[i] || i + 1 == series.size());
-        if (ends_run) {
-            ++episodes;
-            run_total += run;
-            run = 0;
-        }
-    }
-    t.frequency = static_cast<double>(congested) / static_cast<double>(series.size());
-    t.episodes = episodes;
-    t.mean_duration_slots =
-        episodes > 0 ? static_cast<double>(run_total) / static_cast<double>(episodes) : 0.0;
-    return t;
+    SeriesTruthAccumulator acc;
+    for (const bool congested : series) acc.consume(congested);
+    return acc.finalize();
 }
 
 std::vector<ExperimentResult> observe_with_fidelity(const std::vector<Experiment>& experiments,

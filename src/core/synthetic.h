@@ -16,31 +16,18 @@ namespace bb::core {
 // Alternating renewal on/off process in discrete slots with geometric
 // sojourn times: mean episode length `mean_on_slots`, mean gap
 // `mean_off_slots`.  True frequency is on/(on+off); true mean duration is
-// `mean_on_slots`.
-[[nodiscard]] std::vector<bool> synth_congestion_series(Rng& rng, SlotIndex total_slots,
-                                                        double mean_on_slots,
-                                                        double mean_off_slots);
-
-// Exact frequency / mean-duration of a slot series (oracle bookkeeping).
-struct SeriesTruth {
-    double frequency{0.0};
-    double mean_duration_slots{0.0};
-    std::size_t episodes{0};
-};
-[[nodiscard]] SeriesTruth series_truth(const std::vector<bool>& series);
-
-// Streaming form of synth_congestion_series: draws the same alternating
-// geometric sojourns from the same Rng stream, one slot per next() call, in
-// O(1) memory.  Constructed from a copy of the Rng the batch function would
-// receive, the emitted slot sequence is bit-identical to the batch vector
-// (the batch function truncates its final run at total_slots; here the
-// caller simply stops calling next()).
+// `mean_on_slots`.  Emits one slot per next() call in O(1) memory; a sojourn
+// is drawn only when a run starts, so stopping after n slots leaves the Rng
+// exactly where synth_congestion_series(rng, n, ...) leaves it.
 class SyntheticSeriesGen {
 public:
     SyntheticSeriesGen(Rng rng, double mean_on_slots, double mean_off_slots);
 
     // State of the next slot in sequence.
     [[nodiscard]] bool next();
+
+    // The engine, advanced past every draw made so far.
+    [[nodiscard]] const Rng& rng() const noexcept { return rng_; }
 
 private:
     [[nodiscard]] SlotIndex draw_sojourn(double mean);
@@ -52,8 +39,15 @@ private:
     SlotIndex remaining_{0};
 };
 
-// Online fold of a slot series into its oracle truth; finalize() is
-// bit-identical to series_truth over the same slots.
+// Exact frequency / mean-duration of a slot series (oracle bookkeeping).
+struct SeriesTruth {
+    double frequency{0.0};
+    double mean_duration_slots{0.0};
+    std::size_t episodes{0};
+};
+
+// Online fold of a slot series into its oracle truth; finalize() may be
+// called at any point and covers the slots consumed so far.
 class SeriesTruthAccumulator {
 public:
     void consume(bool congested);
@@ -67,6 +61,14 @@ private:
     std::uint64_t run_{0};
     std::uint64_t run_total_{0};
 };
+
+// Batch wrappers: the first `total_slots` slots of a SyntheticSeriesGen
+// drawn from `rng` (which is advanced past them), and the truth of a
+// materialized series.
+[[nodiscard]] std::vector<bool> synth_congestion_series(Rng& rng, SlotIndex total_slots,
+                                                        double mean_on_slots,
+                                                        double mean_off_slots);
+[[nodiscard]] SeriesTruth series_truth(const std::vector<bool>& series);
 
 // Apply the fidelity model to a set of experiments against the true series.
 struct FidelityModel {

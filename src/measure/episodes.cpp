@@ -1,30 +1,64 @@
 #include "measure/episodes.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/contract.h"
 #include "util/stats.h"
 
 namespace bb::measure {
 
+namespace {
+
+// The gap rule (§3), one drop at a time: a drop within `gap` of the open
+// episode's last drop extends it; any other drop hands the open episode to
+// `close` and opens a new one.
+template <typename Close>
+void cluster_drop(std::optional<LossEpisode>& open, TimeNs at, TimeNs gap, Close&& close) {
+    if (open) {
+        // Clustering only works on a time-ordered drop stream; an
+        // out-of-order drop would silently shrink the open episode.
+        BB_DCHECK_MSG(at >= open->end, "episode clustering: drops must arrive in time order");
+        if (at - open->end <= gap) {
+            open->end = at;
+            ++open->drops;
+            return;
+        }
+        close(*open);
+    }
+    open = LossEpisode{at, at, 1};
+}
+
+// Number of whole slots in the window [begin, end); 0 for a degenerate one.
+std::int64_t window_slots(TimeNs slot_width, TimeNs begin, TimeNs end) {
+    if (end <= begin || slot_width.ns() <= 0) return 0;
+    return (end - begin) / slot_width;
+}
+
+// The inclusive slot range of that window an episode overlaps, or nullopt
+// when it misses the window.  The window is half-open: an episode touching
+// `end` exactly must not index one past the last slot.  `first` may equal
+// `total_slots` (an episode starting in a trailing partial slot), giving an
+// empty range.
+std::optional<std::pair<std::int64_t, std::int64_t>> window_span(const LossEpisode& e,
+                                                                 TimeNs slot_width,
+                                                                 TimeNs begin, TimeNs end,
+                                                                 std::int64_t total_slots) {
+    if (total_slots <= 0 || e.end < begin || e.start >= end) return std::nullopt;
+    const TimeNs lo = std::max(e.start, begin);
+    const TimeNs hi = std::min(e.end, end);
+    return std::pair{(lo - begin) / slot_width,
+                     std::min((hi - begin) / slot_width, total_slots - 1)};
+}
+
+}  // namespace
+
 std::vector<LossEpisode> extract_episodes(const std::vector<TimeNs>& drop_times, TimeNs gap) {
     std::vector<LossEpisode> out;
-    if (drop_times.empty()) return out;
-    BB_DCHECK_MSG(std::is_sorted(drop_times.begin(), drop_times.end()),
-                  "episode extraction: drop log must be time-ordered");
-
-    LossEpisode cur{drop_times.front(), drop_times.front(), 1};
-    for (std::size_t i = 1; i < drop_times.size(); ++i) {
-        const TimeNs t = drop_times[i];
-        if (t - cur.end <= gap) {
-            cur.end = t;
-            ++cur.drops;
-        } else {
-            out.push_back(cur);
-            cur = LossEpisode{t, t, 1};
-        }
-    }
-    out.push_back(cur);
+    std::optional<LossEpisode> open;
+    const auto close = [&out](const LossEpisode& e) { out.push_back(e); };
+    for (const TimeNs t : drop_times) cluster_drop(open, t, gap, close);
+    if (open) close(*open);
     return out;
 }
 
@@ -72,83 +106,39 @@ std::vector<LossEpisode> extract_episodes_delay_based(
 
 TruthSummary summarize_truth(const std::vector<LossEpisode>& episodes, TimeNs slot_width,
                              TimeNs window_begin, TimeNs window_end) {
-    TruthSummary s;
-    if (window_end <= window_begin || slot_width.ns() <= 0) return s;
-    const std::int64_t total_slots = (window_end - window_begin) / slot_width;
-    if (total_slots <= 0) return s;
-
-    std::int64_t congested_slots = 0;
-    RunningStats durations;
-    for (const auto& e : episodes) {
-        if (e.end < window_begin || e.start >= window_end) continue;
-        const TimeNs lo = std::max(e.start, window_begin);
-        const TimeNs hi = std::min(e.end, window_end);
-        const std::int64_t first = (lo - window_begin) / slot_width;
-        // The window is half-open: an episode touching window_end exactly
-        // must not index one past the last slot.
-        const std::int64_t last =
-            std::min((hi - window_begin) / slot_width, total_slots - 1);
-        congested_slots += (last - first + 1);
-        durations.add(e.duration().to_seconds());
-        ++s.episodes;
-        s.total_drops += e.drops;
-    }
-    congested_slots = std::min(congested_slots, total_slots);
-    s.frequency = static_cast<double>(congested_slots) / static_cast<double>(total_slots);
-    s.mean_duration_s = durations.mean();
-    s.sd_duration_s = durations.stddev();
-    return s;
+    EpisodeAccumulator acc{{.slot_width = slot_width,
+                            .window_begin = window_begin,
+                            .window_end = window_end}};
+    for (const auto& e : episodes) acc.add_episode(e);
+    return acc.finalize();
 }
 
 std::vector<bool> congestion_slots(const std::vector<LossEpisode>& episodes, TimeNs slot_width,
                                    TimeNs window_begin, TimeNs window_end) {
-    const std::int64_t total_slots =
-        slot_width.ns() > 0 ? (window_end - window_begin) / slot_width : 0;
-    std::vector<bool> slots(static_cast<std::size_t>(std::max<std::int64_t>(total_slots, 0)),
-                            false);
+    const std::int64_t total_slots = window_slots(slot_width, window_begin, window_end);
+    std::vector<bool> slots(static_cast<std::size_t>(total_slots), false);
     for (const auto& e : episodes) {
-        if (e.end < window_begin || e.start >= window_end) continue;
-        const TimeNs lo = std::max(e.start, window_begin);
-        const TimeNs hi = std::min(e.end, window_end);
-        const auto first = static_cast<std::size_t>((lo - window_begin) / slot_width);
-        auto last = static_cast<std::size_t>((hi - window_begin) / slot_width);
-        last = std::min(last, slots.empty() ? 0 : slots.size() - 1);
-        for (std::size_t i = first; i <= last && i < slots.size(); ++i) slots[i] = true;
+        const auto span = window_span(e, slot_width, window_begin, window_end, total_slots);
+        if (!span) continue;
+        for (std::int64_t i = span->first; i <= span->second; ++i) {
+            slots[static_cast<std::size_t>(i)] = true;
+        }
     }
     return slots;
 }
 
 void EpisodeAccumulator::add_drop(TimeNs at) {
     ++drops_seen_;
-    if (!open_) {
-        current_ = LossEpisode{at, at, 1};
-        open_ = true;
-        return;
-    }
-    // The bounded-memory fold only works on a time-ordered drop stream; an
-    // out-of-order drop would silently shrink the open episode.
-    BB_DCHECK_MSG(at >= current_.end, "episode accumulator: drops must arrive in time order");
-    if (at - current_.end <= cfg_.gap) {
-        current_.end = at;
-        ++current_.drops;
-    } else {
-        fold_episode(closed_, current_);
-        current_ = LossEpisode{at, at, 1};
-    }
+    cluster_drop(open_, at, cfg_.gap,
+                 [this](const LossEpisode& e) { fold_episode(closed_, e); });
 }
 
 void EpisodeAccumulator::fold_episode(Fold& fold, const LossEpisode& e) const {
-    // Same window filter and slot clamping as summarize_truth.
-    if (cfg_.window_end <= cfg_.window_begin || cfg_.slot_width.ns() <= 0) return;
-    const std::int64_t total_slots = (cfg_.window_end - cfg_.window_begin) / cfg_.slot_width;
-    if (total_slots <= 0) return;
-    if (e.end < cfg_.window_begin || e.start >= cfg_.window_end) return;
-    const TimeNs lo = std::max(e.start, cfg_.window_begin);
-    const TimeNs hi = std::min(e.end, cfg_.window_end);
-    const std::int64_t first = (lo - cfg_.window_begin) / cfg_.slot_width;
-    const std::int64_t last =
-        std::min((hi - cfg_.window_begin) / cfg_.slot_width, total_slots - 1);
-    fold.congested_slots += (last - first + 1);
+    const auto span = window_span(e, cfg_.slot_width, cfg_.window_begin, cfg_.window_end,
+                                  window_slots(cfg_.slot_width, cfg_.window_begin,
+                                               cfg_.window_end));
+    if (!span) return;
+    fold.congested_slots += span->second - span->first + 1;
     fold.durations.add(e.duration().to_seconds());
     ++fold.episodes;
     fold.drops += e.drops;
@@ -156,12 +146,12 @@ void EpisodeAccumulator::fold_episode(Fold& fold, const LossEpisode& e) const {
 
 TruthSummary EpisodeAccumulator::finalize() const {
     TruthSummary s;
-    if (cfg_.window_end <= cfg_.window_begin || cfg_.slot_width.ns() <= 0) return s;
-    const std::int64_t total_slots = (cfg_.window_end - cfg_.window_begin) / cfg_.slot_width;
+    const std::int64_t total_slots =
+        window_slots(cfg_.slot_width, cfg_.window_begin, cfg_.window_end);
     if (total_slots <= 0) return s;
 
     Fold fold = closed_;
-    if (open_) fold_episode(fold, current_);
+    if (open_) fold_episode(fold, *open_);
 
     const std::int64_t congested = std::min(fold.congested_slots, total_slots);
     s.frequency = static_cast<double>(congested) / static_cast<double>(total_slots);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -72,11 +73,11 @@ struct TruthSummary {
 
 // Online gap-rule episode clustering plus truth summarization over a fixed
 // observation window, in O(1) memory: feed drop timestamps one at a time (in
-// time order) instead of storing the full drop log.  finalize() is
-// bit-identical to extract_episodes + summarize_truth over the same drops —
-// episodes are folded into the summary in the same order with the same
-// window filtering/clamping arithmetic.  (The delay-based web heuristic
-// needs the departure record and stays batch-only.)
+// time order) instead of storing the full drop log.  extract_episodes runs
+// the same clustering step and summarize_truth is a loop over add_episode(),
+// so finalize() equals extract_episodes + summarize_truth over the same
+// drops.  (The delay-based web heuristic needs the departure record; its
+// episodes are summarized through add_episode.)
 class EpisodeAccumulator {
 public:
     struct Config {
@@ -91,6 +92,10 @@ public:
     // Drop timestamps must be non-decreasing (the natural event order).
     void add_drop(TimeNs at);
 
+    // Fold an already-delineated episode (e.g. one from the delay-based
+    // heuristic) into the summary.
+    void add_episode(const LossEpisode& e) { fold_episode(closed_, e); }
+
     [[nodiscard]] TruthSummary finalize() const;
 
     [[nodiscard]] std::uint64_t drops_seen() const noexcept { return drops_seen_; }
@@ -104,11 +109,11 @@ private:
         std::uint64_t drops{0};
     };
 
+    // The window filter and slot clamping of the truth summary.
     void fold_episode(Fold& fold, const LossEpisode& e) const;
 
     Config cfg_;
-    LossEpisode current_{};
-    bool open_{false};
+    std::optional<LossEpisode> open_;
     std::uint64_t drops_seen_{0};
     Fold closed_{};
 };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/probe_process.h"
-
 namespace bb::probes {
 
 AdaptiveBadabingTool::AdaptiveBadabingTool(sim::Scheduler& sched,
@@ -13,6 +11,7 @@ AdaptiveBadabingTool::AdaptiveBadabingTool(sim::Scheduler& sched,
       cfg_{cfg},
       out_{&out},
       rng_{std::move(rng)},
+      design_{cfg.p, cfg.improved, cfg.extended_fraction},
       rule_{cfg.stopping},
       next_id_{sim::flow_id_block(0xAD, cfg.flow)} {
     sched_->schedule_at(cfg_.start, [this] { slot_tick(); });
@@ -28,10 +27,8 @@ void AdaptiveBadabingTool::slot_tick() {
         return;
     }
 
-    if (rng_.bernoulli(cfg_.p)) {
-        const bool extended = cfg_.improved && rng_.bernoulli(cfg_.extended_fraction);
-        const core::Experiment e{current_slot_, extended ? core::ExperimentKind::extended
-                                                         : core::ExperimentKind::basic};
+    if (const auto kind = core::draw_experiment_start(rng_, design_)) {
+        const core::Experiment e{current_slot_, *kind};
         experiments_.push_back(e);
         for (int k = 0; k < e.probes(); ++k) {
             const core::SlotIndex slot = current_slot_ + k;

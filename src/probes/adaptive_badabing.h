@@ -13,6 +13,7 @@
 
 #include "core/estimators.h"
 #include "core/marking.h"
+#include "core/probe_process.h"
 #include "core/types.h"
 #include "core/validation.h"
 #include "probes/badabing.h"
@@ -79,6 +80,7 @@ private:
     AdaptiveBadabingConfig cfg_;
     sim::PacketSink* out_;
     Rng rng_;
+    core::ProbeProcessConfig design_;  // the per-slot start draw's parameters
     core::StoppingRule rule_;
     std::uint64_t next_id_;
 

@@ -225,12 +225,14 @@ TEST(StdDevGuidance, MatchesFormula) {
 }
 
 TEST(Accumulator, StreamsToSameAnswer) {
-    EstimatorAccumulator acc;
+    // Reports folded one at a time into the tally give the estimates of the
+    // whole sequence: D̂ = 2(R/S - 1) + 1 = 5 and F̂ = 50/60.
+    StateCounts acc;
     for (int i = 0; i < 10; ++i) acc.add(basic(0b01));
     for (int i = 0; i < 10; ++i) acc.add(basic(0b10));
     for (int i = 0; i < 40; ++i) acc.add(basic(0b11));
-    EXPECT_DOUBLE_EQ(acc.duration_basic().slots, 5.0);
-    EXPECT_DOUBLE_EQ(acc.frequency().value, 50.0 / 60.0);
+    EXPECT_DOUBLE_EQ(estimate_duration_basic(acc).slots, 5.0);
+    EXPECT_DOUBLE_EQ(estimate_frequency(acc).value, 50.0 / 60.0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 #include <vector>
@@ -106,162 +107,108 @@ TEST(ProbeProcess, ExpectedLoadFormula) {
     EXPECT_DOUBLE_EQ(expected_probe_slot_fraction(cfg), 0.3 * 2.5);
 }
 
-// --- Skip-ahead designer: must match the per-slot designer in distribution
-// (not draw-for-draw) while honoring every structural invariant. ---
-
-std::vector<SlotIndex> start_gaps(const ProbeDesign& d) {
-    std::vector<SlotIndex> gaps;
-    for (std::size_t i = 1; i < d.experiments.size(); ++i) {
-        gaps.push_back(d.experiments[i].start_slot - d.experiments[i - 1].start_slot);
-    }
-    return gaps;
-}
-
-TEST(SkipAhead, RejectsBadParameters) {
-    Rng rng{1};
-    ProbeProcessConfig cfg;
-    cfg.p = 0.0;
-    EXPECT_THROW(design_probe_process_skip_ahead(rng, 100, cfg), std::invalid_argument);
-    cfg.p = 1.5;
-    EXPECT_THROW(design_probe_process_skip_ahead(rng, 100, cfg), std::invalid_argument);
-    cfg.p = 0.5;
-    cfg.extended_fraction = -0.1;
-    EXPECT_THROW(design_probe_process_skip_ahead(rng, 100, cfg), std::invalid_argument);
-}
-
-TEST(SkipAhead, ExperimentRateMatchesP) {
-    Rng rng{21};
-    ProbeProcessConfig cfg;
-    cfg.p = 0.3;
-    const auto d = design_probe_process_skip_ahead(rng, 100'000, cfg);
-    EXPECT_NEAR(static_cast<double>(d.experiments.size()) / 100'000.0, 0.3, 0.01);
-}
-
-TEST(SkipAhead, GapSamplerMeanMatchesGeometric) {
-    // E[G] for the number of failures before a success is (1-p)/p.
-    for (const double p : {0.1, 0.3, 0.9}) {
-        Rng rng{31};
-        GeometricSkipAhead gaps{p};
-        double sum = 0.0;
-        constexpr int kDraws = 200'000;
-        for (int i = 0; i < kDraws; ++i) {
-            sum += static_cast<double>(gaps.next_gap(rng));
-        }
-        const double expected = (1.0 - p) / p;
-        EXPECT_NEAR(sum / kDraws, expected, 0.05 * (expected + 0.1)) << "p=" << p;
-    }
-}
-
-TEST(SkipAhead, GapSamplerAtFullRateIsAlwaysZero) {
-    Rng rng{32};
-    GeometricSkipAhead gaps{1.0};
-    for (int i = 0; i < 1'000; ++i) {
-        EXPECT_EQ(gaps.next_gap(rng), 0);
-    }
-}
-
-TEST(SkipAhead, GapDistributionMatchesPerSlotDesigner) {
-    // Property test of distributional identity: the empirical pmf of
-    // consecutive-start gaps must agree between the per-slot Bernoulli
-    // designer and the skip-ahead designer.  (Gaps between retained starts,
-    // so this also exercises the shared window rule.)
+TEST(ProbeProcess, StartGapsFollowGeometricLaw) {
+    // Consecutive-start gaps of the per-slot Bernoulli(p) designer follow
+    // P(gap = g) = p (1-p)^(g-1), g >= 1.
     ProbeProcessConfig cfg;
     cfg.p = 0.2;
-    constexpr SlotIndex kSlots = 400'000;
-    Rng rng_a{41};
-    Rng rng_b{42};
-    const auto gaps_a = start_gaps(design_probe_process(rng_a, kSlots, cfg));
-    const auto gaps_b = start_gaps(design_probe_process_skip_ahead(rng_b, kSlots, cfg));
-    ASSERT_GT(gaps_a.size(), 10'000u);
-    ASSERT_GT(gaps_b.size(), 10'000u);
+    Rng rng{41};
+    const ProbeDesign d = design_probe_process(rng, 400'000, cfg);
+    ASSERT_GT(d.experiments.size(), 10'000u);
     constexpr SlotIndex kMaxGap = 25;
-    std::vector<double> pmf_a(kMaxGap + 1, 0.0);
-    std::vector<double> pmf_b(kMaxGap + 1, 0.0);
-    for (const auto g : gaps_a) pmf_a[std::min(g, kMaxGap)] += 1.0 / static_cast<double>(gaps_a.size());
-    for (const auto g : gaps_b) pmf_b[std::min(g, kMaxGap)] += 1.0 / static_cast<double>(gaps_b.size());
-    for (SlotIndex g = 0; g <= kMaxGap; ++g) {
-        EXPECT_NEAR(pmf_a[g], pmf_b[g], 0.01) << "gap " << g;
-        // And both match the geometric law P(gap = g) = p (1-p)^(g-1), g >= 1.
-        if (g >= 1 && g < kMaxGap) {
-            const double expected = cfg.p * std::pow(1.0 - cfg.p, g - 1);
-            EXPECT_NEAR(pmf_a[g], expected, 0.01) << "gap " << g;
-            EXPECT_NEAR(pmf_b[g], expected, 0.01) << "gap " << g;
-        }
+    std::vector<double> pmf(kMaxGap + 1, 0.0);
+    const double n = static_cast<double>(d.experiments.size() - 1);
+    for (std::size_t i = 1; i < d.experiments.size(); ++i) {
+        const SlotIndex g = d.experiments[i].start_slot - d.experiments[i - 1].start_slot;
+        pmf[static_cast<std::size_t>(std::min(g, kMaxGap))] += 1.0 / n;
+    }
+    for (SlotIndex g = 1; g < kMaxGap; ++g) {
+        const double expected = cfg.p * std::pow(1.0 - cfg.p, static_cast<double>(g - 1));
+        EXPECT_NEAR(pmf[static_cast<std::size_t>(g)], expected, 0.01) << "gap " << g;
     }
 }
 
-TEST(SkipAhead, ImprovedDesignMixesKindsEvenly) {
-    Rng rng{43};
+TEST(ProbeProcess, DesignerIsALoopOverTheStartDraw) {
+    // design_probe_process makes exactly one draw_experiment_start per slot
+    // and keeps the experiments that fit the window; the Rng ends up in the
+    // same place as a hand-written loop over the shared draw.
     ProbeProcessConfig cfg;
-    cfg.p = 0.5;
+    cfg.p = 0.4;
     cfg.improved = true;
-    const auto d = design_probe_process_skip_ahead(rng, 100'000, cfg);
-    const auto extended =
-        std::count_if(d.experiments.begin(), d.experiments.end(), [](const Experiment& e) {
-            return e.kind == ExperimentKind::extended;
-        });
-    EXPECT_NEAR(static_cast<double>(extended) / static_cast<double>(d.experiments.size()), 0.5,
-                0.02);
-}
-
-TEST(SkipAhead, ProbeSlotsAreSortedUniqueAndCoverExperiments) {
-    Rng rng{44};
-    ProbeProcessConfig cfg;
-    cfg.p = 0.7;
-    cfg.improved = true;
-    const auto d = design_probe_process_skip_ahead(rng, 5'000, cfg);
-    EXPECT_TRUE(std::is_sorted(d.probe_slots.begin(), d.probe_slots.end()));
-    EXPECT_EQ(std::adjacent_find(d.probe_slots.begin(), d.probe_slots.end()),
-              d.probe_slots.end());
-    std::unordered_set<SlotIndex> slots(d.probe_slots.begin(), d.probe_slots.end());
-    for (const auto& e : d.experiments) {
-        for (int k = 0; k < e.probes(); ++k) {
-            EXPECT_TRUE(slots.count(e.start_slot + k)) << "slot " << e.start_slot + k;
-        }
+    constexpr SlotIndex kSlots = 5'000;
+    Rng designer_rng{2005};
+    Rng loop_rng{2005};
+    const ProbeDesign d = design_probe_process(designer_rng, kSlots, cfg);
+    std::vector<Experiment> expected;
+    for (SlotIndex i = 0; i < kSlots; ++i) {
+        const auto kind = draw_experiment_start(loop_rng, cfg);
+        if (kind && i + Experiment{i, *kind}.probes() <= kSlots) expected.push_back({i, *kind});
     }
-    EXPECT_TRUE(std::is_sorted(d.experiments.begin(), d.experiments.end(),
-                               [](const Experiment& a, const Experiment& b) {
-                                   return a.start_slot < b.start_slot;
-                               }));
-}
-
-TEST(SkipAhead, ExperimentsStayInsideWindow) {
-    Rng rng{45};
-    ProbeProcessConfig cfg;
-    cfg.p = 1.0;
-    cfg.improved = true;
-    const SlotIndex n = 100;
-    const auto d = design_probe_process_skip_ahead(rng, n, cfg);
-    for (const auto& e : d.experiments) {
-        EXPECT_LE(e.start_slot + e.probes(), n);
+    ASSERT_EQ(d.experiments.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(d.experiments[i].start_slot, expected[i].start_slot);
+        EXPECT_EQ(d.experiments[i].kind, expected[i].kind);
     }
-    EXPECT_FALSE(d.probe_slots.empty());
-    EXPECT_LT(d.probe_slots.back(), n);
+    EXPECT_EQ(designer_rng.next_u64(), loop_rng.next_u64());
 }
 
-TEST(SkipAhead, FullRateProbesEverySlot) {
-    Rng rng{46};
-    ProbeProcessConfig cfg;
-    cfg.p = 1.0;
-    const SlotIndex n = 50;
-    const auto d = design_probe_process_skip_ahead(rng, n, cfg);
-    EXPECT_EQ(static_cast<SlotIndex>(d.probe_slots.size()), n);
-    EXPECT_EQ(d.experiments.size(), static_cast<std::size_t>(n - 1));
-}
-
-TEST(SkipAhead, DeterministicGivenSeed) {
+TEST(ProbeProcess, DeterministicGivenSeed) {
     ProbeProcessConfig cfg;
     cfg.p = 0.4;
     cfg.improved = true;
     Rng rng1{47};
     Rng rng2{47};
-    const auto d1 = design_probe_process_skip_ahead(rng1, 10'000, cfg);
-    const auto d2 = design_probe_process_skip_ahead(rng2, 10'000, cfg);
+    const auto d1 = design_probe_process(rng1, 10'000, cfg);
+    const auto d2 = design_probe_process(rng2, 10'000, cfg);
     ASSERT_EQ(d1.experiments.size(), d2.experiments.size());
     for (std::size_t i = 0; i < d1.experiments.size(); ++i) {
         EXPECT_EQ(d1.experiments[i].start_slot, d2.experiments[i].start_slot);
         EXPECT_EQ(d1.experiments[i].kind, d2.experiments[i].kind);
     }
+    EXPECT_EQ(d1.probe_slots, d2.probe_slots);
+}
+
+TEST(ProbeProcess, StartDrawOrder) {
+    // One Bernoulli(p) draw per slot; the kind draw follows only a start
+    // under the improved design.  Every caller's Rng position rests on this.
+    for (const bool improved : {false, true}) {
+        ProbeProcessConfig cfg;
+        cfg.p = 0.35;
+        cfg.improved = improved;
+        cfg.extended_fraction = 0.25;
+        Rng shared{90};
+        Rng manual{90};
+        for (int i = 0; i < 2'000; ++i) {
+            const auto kind = draw_experiment_start(shared, cfg);
+            std::optional<ExperimentKind> expected;
+            if (manual.bernoulli(cfg.p)) {
+                expected = improved && manual.bernoulli(cfg.extended_fraction)
+                               ? ExperimentKind::extended
+                               : ExperimentKind::basic;
+            }
+            ASSERT_EQ(kind, expected) << "draw " << i << " improved=" << improved;
+        }
+        EXPECT_EQ(shared.next_u64(), manual.next_u64());
+    }
+}
+
+TEST(ProbeProcess, StartDrawHonoursDegenerateProbabilities) {
+    ProbeProcessConfig cfg;
+    cfg.p = 1.0;
+    cfg.improved = true;
+    Rng rng{91};
+    cfg.extended_fraction = 1.0;
+    for (int i = 0; i < 500; ++i) {
+        EXPECT_EQ(draw_experiment_start(rng, cfg), ExperimentKind::extended);
+    }
+    cfg.extended_fraction = 0.0;
+    for (int i = 0; i < 500; ++i) {
+        EXPECT_EQ(draw_experiment_start(rng, cfg), ExperimentKind::basic);
+    }
+    // At p = 1 a basic design starts at every slot that fits the window.
+    cfg.improved = false;
+    const auto d = design_probe_process(rng, 50, cfg);
+    EXPECT_EQ(d.experiments.size(), 49u);
 }
 
 TEST(ScoreExperiments, EncodesMarksInOrder) {

@@ -21,7 +21,7 @@ TEST(SpecDefaults, EmptyDocumentYieldsPaperDefaults) {
     ASSERT_TRUE(r.ok) << r.error;
     const ScenarioSpec& s = r.spec;
     EXPECT_EQ(s.topology, ScenarioSpec::Topology::dumbbell);
-    EXPECT_DOUBLE_EQ(s.testbed.bottleneck_rate_bps, 30e6);
+    EXPECT_EQ(s.testbed.bottleneck_rate_bps, 30'000'000);
     EXPECT_EQ(s.testbed.prop_delay, milliseconds(50));
     EXPECT_EQ(s.testbed.buffer_time, milliseconds(100));
     EXPECT_EQ(s.testbed.discipline, QueueDiscipline::drop_tail);
@@ -65,7 +65,7 @@ TEST(SpecParse, FullDocumentRoundTrip) {
     })");
     ASSERT_TRUE(r.ok) << r.error;
     const ScenarioSpec& s = r.spec;
-    EXPECT_DOUBLE_EQ(s.testbed.bottleneck_rate_bps, 20e6);
+    EXPECT_EQ(s.testbed.bottleneck_rate_bps, 20'000'000);
     EXPECT_EQ(s.testbed.prop_delay, milliseconds(40));
     EXPECT_EQ(s.testbed.discipline, QueueDiscipline::red);
     EXPECT_DOUBLE_EQ(s.testbed.red.min_threshold, 0.2);
@@ -172,7 +172,7 @@ TEST(SpecFactory, BuildTestbedHonoursSpec) {
     ASSERT_TRUE(r.ok) << r.error;
     const auto tb = build_testbed(r.spec);
     ASSERT_NE(tb, nullptr);
-    EXPECT_DOUBLE_EQ(tb->config().bottleneck_rate_bps, 20e6);
+    EXPECT_EQ(tb->config().bottleneck_rate_bps, 20'000'000);
     EXPECT_EQ(tb->config().discipline, QueueDiscipline::red);
 }
 

@@ -1,11 +1,12 @@
 // Unit tests for the streaming measurement pipeline: sink adapters, the
-// online estimators/validation, the streaming experiment scorer, the
+// streaming analyzer, the streaming experiment scorer, the
 // synthetic series generator, and the online episode/zing accumulators.
 #include "core/streaming.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/estimators.h"
@@ -79,10 +80,10 @@ TEST(OnlineEstimators, FrequencyMatchesBatchExactly) {
     for (const bool from_extended : {false, true}) {
         EstimatorOptions opts;
         opts.frequency_from_extended = from_extended;
-        OnlineFrequency online{opts};
+        StreamingAnalyzer online{opts};
         for (const auto& r : crafted_reports()) online.consume(r);
         const FrequencyEstimate batch = estimate_frequency(tally(crafted_reports()), opts);
-        const FrequencyEstimate stream = online.finalize();
+        const FrequencyEstimate stream = online.finalize().frequency;
         EXPECT_EQ(stream.value, batch.value);
         EXPECT_EQ(stream.samples, batch.samples);
     }
@@ -92,17 +93,18 @@ TEST(OnlineEstimators, DurationMatchesBatchExactly) {
     for (const bool pairs_ext : {false, true}) {
         EstimatorOptions opts;
         opts.pairs_from_extended = pairs_ext;
-        OnlineDuration online{opts};
+        StreamingAnalyzer online{opts};
         for (const auto& r : crafted_reports()) online.consume(r);
+        const auto res = online.finalize();
         const StateCounts counts = tally(crafted_reports());
         const DurationEstimate bb = estimate_duration_basic(counts, opts);
-        const DurationEstimate sb = online.finalize_basic();
+        const DurationEstimate& sb = res.duration_basic;
         EXPECT_EQ(sb.slots, bb.slots);
         EXPECT_EQ(sb.R, bb.R);
         EXPECT_EQ(sb.S, bb.S);
         EXPECT_EQ(sb.valid, bb.valid);
         const DurationEstimate bi = estimate_duration_improved(counts, opts);
-        const DurationEstimate si = online.finalize_improved();
+        const DurationEstimate& si = res.duration_improved;
         EXPECT_EQ(si.slots, bi.slots);
         EXPECT_EQ(si.valid, bi.valid);
         EXPECT_EQ(si.r_hat.has_value(), bi.r_hat.has_value());
@@ -112,38 +114,44 @@ TEST(OnlineEstimators, DurationMatchesBatchExactly) {
     }
 }
 
-TEST(OnlineEstimators, EmptySequenceIsInvalidNotNan) {
-    const OnlineFrequency freq;
-    EXPECT_FALSE(freq.finalize().valid());
-    const OnlineDuration dur;
-    EXPECT_FALSE(dur.finalize_basic().valid);
-    EXPECT_FALSE(dur.finalize_improved().valid);
-    const OnlineValidation val;
-    EXPECT_TRUE(val.finalize().acceptable());
-}
-
-TEST(OnlineEstimators, AllZeroReportsGiveZeroFrequency) {
-    OnlineFrequency freq;
-    OnlineDuration dur;
-    for (int i = 0; i < 100; ++i) {
-        const ExperimentResult r{ExperimentKind::basic, 0b00};
-        freq.consume(r);
-        dur.consume(r);
-    }
-    EXPECT_EQ(freq.finalize().value, 0.0);
-    EXPECT_EQ(freq.finalize().samples, 100u);
-    EXPECT_FALSE(dur.finalize_basic().valid);  // S == 0
-}
-
 TEST(OnlineEstimators, ValidationDelegatesToBatch) {
-    OnlineValidation online;
+    StreamingAnalyzer online;
     for (const auto& r : crafted_reports()) online.consume(r);
     const ValidationReport batch = validate(tally(crafted_reports()));
-    const ValidationReport stream = online.finalize();
+    const ValidationReport stream = online.finalize().validation;
     EXPECT_EQ(stream.pair_asymmetry, batch.pair_asymmetry);
     EXPECT_EQ(stream.transitions, batch.transitions);
     EXPECT_EQ(stream.violations, batch.violations);
     EXPECT_EQ(stream.violation_fraction, batch.violation_fraction);
+}
+
+TEST(OnlineEstimators, AnalyzerIsASink) {
+    StreamingAnalyzer analyzer;
+    ReportSink& sink = analyzer;
+    for (const auto& r : crafted_reports()) sink.consume(r);
+    EXPECT_EQ(analyzer.counts().basic_total(), 4u);
+    EXPECT_EQ(analyzer.reports(), 10u);
+    EXPECT_EQ(analyzer.finalize().frequency.value,
+              estimate_frequency(tally(crafted_reports())).value);
+}
+
+TEST(OnlineEstimators, EmptySequenceIsInvalidNotNan) {
+    const StreamingAnalyzer analyzer;
+    const auto res = analyzer.finalize();
+    EXPECT_FALSE(res.frequency.valid());
+    EXPECT_FALSE(res.duration_basic.valid);
+    EXPECT_FALSE(res.duration_improved.valid);
+    EXPECT_TRUE(res.validation.acceptable());
+    EXPECT_EQ(res.reports, 0u);
+}
+
+TEST(OnlineEstimators, AllZeroReportsGiveZeroFrequency) {
+    StreamingAnalyzer analyzer;
+    for (int i = 0; i < 100; ++i) analyzer.consume({ExperimentKind::basic, 0b00});
+    const auto res = analyzer.finalize();
+    EXPECT_EQ(res.frequency.value, 0.0);
+    EXPECT_EQ(res.frequency.samples, 100u);
+    EXPECT_FALSE(res.duration_basic.valid);  // S == 0
 }
 
 TEST(OnlineEstimators, AnalyzerComposesAllThree) {
@@ -157,14 +165,6 @@ TEST(OnlineEstimators, AnalyzerComposesAllThree) {
     EXPECT_EQ(res.validation.pair_asymmetry, validate(counts).pair_asymmetry);
     EXPECT_EQ(res.reports, 10u);
     EXPECT_EQ(analyzer.counts().basic_total(), counts.basic_total());
-}
-
-TEST(OnlineEstimators, EstimatorAccumulatorIsASink) {
-    EstimatorAccumulator acc;
-    ReportSink& sink = acc;
-    for (const auto& r : crafted_reports()) sink.consume(r);
-    EXPECT_EQ(acc.counts().basic_total(), 4u);
-    EXPECT_EQ(acc.frequency().value, estimate_frequency(tally(crafted_reports())).value);
 }
 
 TEST(StreamingScorer, MatchesBatchDesignAndScoring) {
@@ -232,6 +232,18 @@ TEST(SyntheticStreaming, GeneratorPrefixMatchesBatchSeries) {
     for (SlotIndex s = 0; s < slots; ++s) {
         ASSERT_EQ(gen.next(), batch[static_cast<std::size_t>(s)]) << "slot " << s;
     }
+}
+
+TEST(SyntheticStreaming, GeneratorHandsBackTheAdvancedRng) {
+    // synth_congestion_series leaves the caller's Rng exactly where a
+    // generator stopped after the same slots leaves its own engine.
+    const SlotIndex slots = 2500;
+    Rng batch_rng{77};
+    (void)synth_congestion_series(batch_rng, slots, 6.0, 30.0);
+    SyntheticSeriesGen gen{Rng{77}, 6.0, 30.0};
+    for (SlotIndex s = 0; s < slots; ++s) (void)gen.next();
+    Rng gen_rng = gen.rng();
+    EXPECT_EQ(batch_rng.next_u64(), gen_rng.next_u64());
 }
 
 TEST(SyntheticStreaming, TruthAccumulatorMatchesBatchTruth) {
@@ -315,6 +327,21 @@ TEST(EpisodeAccumulator, MatchesBatchExtractAndSummarize) {
     EXPECT_EQ(stream.sd_duration_s, batch.sd_duration_s);
     EXPECT_EQ(stream.episodes, batch.episodes);
     EXPECT_EQ(stream.total_drops, batch.total_drops);
+}
+
+TEST(EpisodeAccumulator, GapBoundaryIsInclusiveLikeBatch) {
+    // Drops exactly `gap` apart stay one episode and one nanosecond more
+    // splits, in the online fold as in extract_episodes.
+    EpisodeAccumulator::Config cfg{milliseconds(100), milliseconds(5), TimeNs::zero(),
+                                   seconds_i(1)};
+    for (const auto& [second, episodes] :
+         {std::pair{milliseconds(100), 1u}, std::pair{milliseconds(100) + TimeNs{1}, 2u}}) {
+        EpisodeAccumulator acc{cfg};
+        acc.add_drop(TimeNs::zero());
+        acc.add_drop(second);
+        EXPECT_EQ(acc.finalize().episodes, episodes);
+        EXPECT_EQ(extract_episodes({TimeNs::zero(), second}, cfg.gap).size(), episodes);
+    }
 }
 
 TEST(EpisodeAccumulator, DegenerateWindowYieldsEmptySummary) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace bb::core {
 namespace {
@@ -20,6 +21,37 @@ TEST(SyntheticSeries, FrequencyMatchesSojournMeans) {
     const auto t = series_truth(s);
     EXPECT_NEAR(t.frequency, 0.1, 0.01);
     EXPECT_NEAR(t.mean_duration_slots, 10.0, 0.5);
+}
+
+// Seed-pinned golden: the slots drawn for a fixed seed, and where the caller's
+// Rng is left afterwards.  Callers draw their probe design from the same Rng
+// right after the series, so both the series and the number of draws it
+// consumes (including the truncated last sojourn) are part of the contract.
+TEST(SyntheticSeries, GoldenSlotsAndCallerRngPosition) {
+    struct Case {
+        std::uint64_t seed;
+        SlotIndex slots;
+        double mean_on;
+        double mean_off;
+        const char* series;
+        std::uint64_t next_draw;
+    };
+    const Case cases[] = {
+        {2005, 64, 3.0, 5.0,
+         "1000011110010011000000001110011111000001111111000000011111111000",
+         0x5269b025a68a6d25ULL},
+        {7, 40, 12.0, 48.0, "0000000000000000000000000000000000000000",
+         0x1e0edcc1206967ceULL},
+        {11, 0, 4.0, 4.0, "", 0xc5ff3ca60f508135ULL},
+    };
+    for (const Case& c : cases) {
+        Rng rng{c.seed};
+        const auto s = synth_congestion_series(rng, c.slots, c.mean_on, c.mean_off);
+        std::string got;
+        for (const bool b : s) got.push_back(b ? '1' : '0');
+        EXPECT_EQ(got, c.series) << "seed " << c.seed;
+        EXPECT_EQ(rng.next_u64(), c.next_draw) << "seed " << c.seed;
+    }
 }
 
 TEST(SeriesTruth, HandCheckedSmallSeries) {

@@ -131,33 +131,33 @@ TEST(Validation, SingleExperimentOfEachCodeIsFinite) {
     }
 }
 
-TEST(Validation, StreamingOnlineValidationMatchesOnEdgeCases) {
-    // The streaming form must agree exactly with the batch form on the same
-    // degenerate inputs (empty, all-zeros, single report).
+TEST(Validation, StreamingAnalyzerMatchesOnEdgeCases) {
+    // The analyzer's validation must agree exactly with validate() on the
+    // same degenerate inputs (empty, all-zeros, single report).
     {
-        const OnlineValidation empty;
+        const StreamingAnalyzer empty;
         const auto batch = validate(StateCounts{});
-        EXPECT_EQ(empty.finalize().pair_asymmetry, batch.pair_asymmetry);
-        EXPECT_EQ(empty.finalize().transitions, batch.transitions);
+        EXPECT_EQ(empty.finalize().validation.pair_asymmetry, batch.pair_asymmetry);
+        EXPECT_EQ(empty.finalize().validation.transitions, batch.transitions);
     }
     {
-        OnlineValidation online;
+        StreamingAnalyzer online;
         StateCounts counts;
         for (int i = 0; i < 100; ++i) {
             const ExperimentResult r{ExperimentKind::extended, 0b000};
             online.consume(r);
             counts.add(r);
         }
-        EXPECT_EQ(online.finalize().violation_fraction, validate(counts).violation_fraction);
+        EXPECT_EQ(online.finalize().validation.violation_fraction,
+                  validate(counts).violation_fraction);
     }
     {
-        OnlineValidation online;
+        StreamingAnalyzer online;
         online.consume({ExperimentKind::basic, 0b01});
         StateCounts counts;
         counts.add({ExperimentKind::basic, 0b01});
-        EXPECT_EQ(online.finalize().pair_asymmetry, validate(counts).pair_asymmetry);
-        EXPECT_EQ(online.evaluate(StoppingRule{}),
-                  StoppingRule{}.evaluate(counts));
+        EXPECT_EQ(online.finalize().validation.pair_asymmetry, validate(counts).pair_asymmetry);
+        EXPECT_EQ(StoppingRule{}.evaluate(online.counts()), StoppingRule{}.evaluate(counts));
     }
 }
 

@@ -5,14 +5,18 @@
 //
 //   $ badabing_sim --scenario=cbr --trace=run.csv --design=run.design
 //   $ estimate_trace --trace=run.csv --design=run.design --slot-ms=5
+#include <cstdint>
 #include <cstdio>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/bootstrap.h"
 #include "core/delay_stats.h"
 #include "core/estimators.h"
 #include "core/markov.h"
 #include "core/marking.h"
+#include "core/probe_process.h"
 #include "core/streaming.h"
 #include "core/trace_io.h"
 #include "core/validation.h"
@@ -46,6 +50,112 @@ int finish_obs(const std::string& metrics_path, const std::string& trace_path) {
     std::printf("process      : max RSS %lld KiB, cpu %.2fs user %.2fs sys\n",
                 static_cast<long long>(ps.max_rss_kb), ps.user_cpu_s, ps.system_cpu_s);
     return rc;
+}
+
+// Output lines both modes print identically.
+void print_duration(const bb::core::StreamingAnalyzer::Result& res, bb::TimeNs slot) {
+    std::printf("duration     : %.4f s (basic)",
+                res.duration_basic.valid ? res.duration_basic.seconds(slot) : 0.0);
+    if (res.duration_improved.valid) {
+        std::printf("  |  %.4f s (improved, r_hat %.3f)", res.duration_improved.seconds(slot),
+                    res.duration_improved.r_hat.value_or(0.0));
+    }
+    std::printf("\n");
+}
+
+void print_validation(const bb::core::ValidationReport& v) {
+    std::printf("validation   : pair asymmetry %.3f, violations %.4f -> %s\n",
+                v.pair_asymmetry, v.violation_fraction, v.acceptable() ? "OK" : "SUSPECT");
+}
+
+void print_delays(const bb::core::DelaySummary& delays) {
+    if (delays.valid()) {
+        std::printf("delays       : base %.4f s, queueing p95 %.4f s, loss-conditional "
+                    "%.4f s\n",
+                    delays.base_delay.to_seconds(), delays.p95_queueing_s,
+                    delays.loss_conditional_queueing_s);
+    }
+}
+
+// The marker needs the full probe record (two-pass tau/alpha rule), but the
+// design is scored record by record into the analyzer — no experiment or
+// report vector is materialized.
+template <typename MarkFn>
+void analyze_stream(const std::string& design_path,
+                    const std::vector<bb::core::ProbeOutcome>& probes, bb::TimeNs slot,
+                    MarkFn&& is_congested, bb::core::StreamingAnalyzer& analyzer) {
+    using namespace bb::core;
+    std::uint64_t n_experiments = 0;
+    auto score = make_fn_sink<Experiment>([&](const Experiment& e) {
+        ++n_experiments;
+        score_experiments_into({&e, 1}, is_congested, analyzer);
+    });
+    for_each_design_record_file(design_path, score);
+
+    const auto res = analyzer.finalize();
+    std::printf("trace        : %zu probes, %llu experiments (streamed)\n", probes.size(),
+                static_cast<unsigned long long>(n_experiments));
+    std::printf("frequency    : %.5f  (online moment estimator, Sec 5.2.2)\n",
+                res.frequency.value);
+    print_duration(res, slot);
+    print_validation(res.validation);
+    print_delays(summarize_delays(probes));
+    std::printf("note         : bootstrap/markov/stationarity need the full report "
+                "sequence; run without --stream for those\n");
+}
+
+// Batch mode keeps the report vector beside the analyzer: the Markov fit,
+// the stationarity check and the bootstrap need the report sequence.
+template <typename MarkFn>
+void analyze_batch(const std::string& design_path,
+                   const std::vector<bb::core::ProbeOutcome>& probes, bb::TimeNs slot,
+                   MarkFn&& is_congested, bb::core::StreamingAnalyzer& analyzer,
+                   std::int64_t replicates, std::uint64_t seed) {
+    using namespace bb;
+    using namespace bb::core;
+    const auto experiments = read_design_file(design_path);
+    VectorSink<ExperimentResult> reports;
+    reports.reserve(experiments.size());
+    TeeSink<ExperimentResult> tee{{&analyzer, &reports}};
+    score_experiments_into(experiments, is_congested, tee);
+    const std::vector<ExperimentResult>& results = reports.items();
+
+    const auto res = analyzer.finalize();
+    const auto markov = estimate_markov(tally_pairs(results));
+    const SlotIndex last_slot = experiments.empty()
+                                    ? 0
+                                    : experiments.back().start_slot + 3;
+    const auto stationarity = check_stationarity(experiments, results, last_slot);
+
+    std::printf("trace        : %zu probes, %zu experiments\n", probes.size(),
+                experiments.size());
+    std::printf("frequency    : %.5f  (moment estimator, Sec 5.2.2)\n", res.frequency.value);
+    print_duration(res, slot);
+    std::printf("markov (param): frequency %.5f, duration %.4f s  (Sec 8 extension)\n",
+                markov.valid ? markov.frequency : 0.0,
+                markov.valid ? markov.duration_seconds(slot) : 0.0);
+    print_validation(res.validation);
+    print_delays(summarize_delays(probes));
+    std::printf("stationarity : first half F %.5f vs second half F %.5f -> %s\n",
+                stationarity.first_half_frequency, stationarity.second_half_frequency,
+                stationarity.looks_stationary ? "stationary" : "NON-STATIONARY");
+
+    if (replicates > 0) {
+        BootstrapConfig bcfg;
+        bcfg.replicates = static_cast<std::size_t>(replicates);
+        Rng rng{seed};
+        const auto ci = bootstrap_estimates(results, bcfg, rng);
+        if (ci.frequency.valid) {
+            std::printf("bootstrap    : frequency %.5f [%.5f, %.5f] (90%%)\n",
+                        ci.frequency.point, ci.frequency.lo, ci.frequency.hi);
+        }
+        if (ci.duration_slots.valid) {
+            std::printf("               duration %.4f s [%.4f, %.4f] (90%%)\n",
+                        ci.duration_slots.point * slot.to_seconds(),
+                        ci.duration_slots.lo * slot.to_seconds(),
+                        ci.duration_slots.hi * slot.to_seconds());
+        }
+    }
 }
 
 }  // namespace
@@ -115,118 +225,18 @@ int main(int argc, char** argv) {
         return it != congested.end() && it->second;
     };
 
-    if (*stream) {
-        // The marker needs the full probe record (two-pass tau/alpha rule),
-        // but the design is scored record by record into the online
-        // estimators — no experiment or report vector is materialized.
+    {
+        // One analyzer for both modes.  It publishes its per-state tallies to
+        // the obs registry when it goes out of scope, so it must be gone
+        // before finish_obs() writes the metrics file.
         StreamingAnalyzer analyzer;
-        std::uint64_t n_experiments = 0;
-        auto score = make_fn_sink<Experiment>([&](const Experiment& e) {
-            ++n_experiments;
-            if (e.kind == ExperimentKind::basic) {
-                analyzer.consume({ExperimentKind::basic,
-                                  basic_code(is_congested(e.start_slot),
-                                             is_congested(e.start_slot + 1))});
-            } else {
-                analyzer.consume({ExperimentKind::extended,
-                                  extended_code(is_congested(e.start_slot),
-                                                is_congested(e.start_slot + 1),
-                                                is_congested(e.start_slot + 2))});
-            }
-        });
-        for_each_design_record_file(*design_path, score);
-
-        const auto res = analyzer.finalize();
-        const auto delays = summarize_delays(probes);
-        std::printf("trace        : %zu probes, %llu experiments (streamed)\n", probes.size(),
-                    static_cast<unsigned long long>(n_experiments));
-        std::printf("frequency    : %.5f  (online moment estimator, Sec 5.2.2)\n",
-                    res.frequency.value);
-        std::printf("duration     : %.4f s (basic)",
-                    res.duration_basic.valid ? res.duration_basic.seconds(slot) : 0.0);
-        if (res.duration_improved.valid) {
-            std::printf("  |  %.4f s (improved, r_hat %.3f)",
-                        res.duration_improved.seconds(slot),
-                        res.duration_improved.r_hat.value_or(0.0));
-        }
-        std::printf("\nvalidation   : pair asymmetry %.3f, violations %.4f -> %s\n",
-                    res.validation.pair_asymmetry, res.validation.violation_fraction,
-                    res.validation.acceptable() ? "OK" : "SUSPECT");
-        if (delays.valid()) {
-            std::printf("delays       : base %.4f s, queueing p95 %.4f s, loss-conditional "
-                        "%.4f s\n",
-                        delays.base_delay.to_seconds(), delays.p95_queueing_s,
-                        delays.loss_conditional_queueing_s);
-        }
-        std::printf("note         : bootstrap/markov/stationarity need the full report "
-                    "sequence; run without --stream for those\n");
-        return finish_obs(*metrics_json, *trace_out);
-    }
-
-    const auto experiments = read_design_file(*design_path);
-    const auto results = score_experiments(experiments, is_congested);
-
-    StateCounts counts;
-    for (const auto& r : results) counts.add(r);
-
-    // The batch path never goes through StreamingAnalyzer, so publish the
-    // same metrics it would have (keeps both modes comparable in exports).
-    obs::counter("core.reports_scored").inc(results.size());
-    obs::counter("core.reports.b00").inc(counts.basic[0]);
-    obs::counter("core.reports.b01").inc(counts.basic[1]);
-    obs::counter("core.reports.b10").inc(counts.basic[2]);
-    obs::counter("core.reports.b11").inc(counts.basic[3]);
-    obs::counter("core.reports.extended").inc(counts.extended_total());
-    const auto freq = estimate_frequency(counts);
-    const auto dur = estimate_duration_basic(counts);
-    const auto dur_improved = estimate_duration_improved(counts);
-    const auto markov = estimate_markov(tally_pairs(results));
-    const auto validation = validate(counts);
-    const auto delays = summarize_delays(probes);
-    const SlotIndex last_slot = experiments.empty()
-                                    ? 0
-                                    : experiments.back().start_slot + 3;
-    const auto stationarity = check_stationarity(experiments, results, last_slot);
-
-    std::printf("trace        : %zu probes, %zu experiments\n", probes.size(),
-                experiments.size());
-    std::printf("frequency    : %.5f  (moment estimator, Sec 5.2.2)\n", freq.value);
-    std::printf("duration     : %.4f s (basic)", dur.valid ? dur.seconds(slot) : 0.0);
-    if (dur_improved.valid) {
-        std::printf("  |  %.4f s (improved, r_hat %.3f)", dur_improved.seconds(slot),
-                    dur_improved.r_hat.value_or(0.0));
-    }
-    std::printf("\nmarkov (param): frequency %.5f, duration %.4f s  (Sec 8 extension)\n",
-                markov.valid ? markov.frequency : 0.0,
-                markov.valid ? markov.duration_seconds(slot) : 0.0);
-    std::printf("validation   : pair asymmetry %.3f, violations %.4f -> %s\n",
-                validation.pair_asymmetry, validation.violation_fraction,
-                validation.acceptable() ? "OK" : "SUSPECT");
-    if (delays.valid()) {
-        std::printf("delays       : base %.4f s, queueing p95 %.4f s, loss-conditional "
-                    "%.4f s\n",
-                    delays.base_delay.to_seconds(), delays.p95_queueing_s,
-                    delays.loss_conditional_queueing_s);
-    }
-    std::printf("stationarity : first half F %.5f vs second half F %.5f -> %s\n",
-                stationarity.first_half_frequency, stationarity.second_half_frequency,
-                stationarity.looks_stationary ? "stationary" : "NON-STATIONARY");
-
-    if (*replicates > 0) {
-        BootstrapConfig bcfg;
-        bcfg.replicates = static_cast<std::size_t>(*replicates);
-        Rng rng{have_spec && !flags.is_set("seed") ? spec.seed
-                                                   : static_cast<std::uint64_t>(*seed)};
-        const auto ci = bootstrap_estimates(results, bcfg, rng);
-        if (ci.frequency.valid) {
-            std::printf("bootstrap    : frequency %.5f [%.5f, %.5f] (90%%)\n",
-                        ci.frequency.point, ci.frequency.lo, ci.frequency.hi);
-        }
-        if (ci.duration_slots.valid) {
-            std::printf("               duration %.4f s [%.4f, %.4f] (90%%)\n",
-                        ci.duration_slots.point * slot.to_seconds(),
-                        ci.duration_slots.lo * slot.to_seconds(),
-                        ci.duration_slots.hi * slot.to_seconds());
+        if (*stream) {
+            analyze_stream(*design_path, probes, slot, is_congested, analyzer);
+        } else {
+            analyze_batch(*design_path, probes, slot, is_congested, analyzer, *replicates,
+                          have_spec && !flags.is_set("seed")
+                              ? spec.seed
+                              : static_cast<std::uint64_t>(*seed));
         }
     }
     return finish_obs(*metrics_json, *trace_out);
