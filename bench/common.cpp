@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "scenarios/spec.h"
-#include "util/json_io.h"
 
 namespace bb::bench {
 
@@ -49,11 +48,6 @@ std::uint64_t bench_seed() {
     return static_cast<std::uint64_t>(env_int("BB_BENCH_SEED", 7));
 }
 
-std::size_t bench_replicas() {
-    const std::int64_t n = env_int("BB_BENCH_REPLICAS", 3);
-    return n < 1 ? 1 : static_cast<std::size_t>(n);
-}
-
 std::size_t bench_threads() {
     const std::int64_t n = env_int("BB_BENCH_THREADS", 0);
     return n < 0 ? 0 : static_cast<std::size_t>(n);
@@ -80,14 +74,6 @@ scenarios::WorkloadConfig infinite_tcp_workload() {
 scenarios::WorkloadConfig cbr_uniform_workload() {
     return parse_preset(traffic_preset(
                             "cbr_uniform", ", \"episode_ms\": 68, \"mean_episode_gap_s\": 10"))
-        .workload;
-}
-
-scenarios::WorkloadConfig cbr_multi_workload() {
-    return parse_preset(
-               traffic_preset("cbr_multi",
-                              ", \"episode_ms\": 68, \"mean_episode_gap_s\": 10, "
-                              "\"episode_ms_list\": [50, 100, 150]"))
         .workload;
 }
 
@@ -118,13 +104,6 @@ void print_header(const std::string& title, const std::string& paper_ref) {
     std::printf("================================================================\n");
 }
 
-void print_truth(const measure::TruthSummary& t) {
-    std::printf("ground truth: frequency %.4f | duration mu %.3f s (sigma %.3f) | "
-                "%zu episodes, %llu drops\n",
-                t.frequency, t.mean_duration_s, t.sd_duration_s, t.episodes,
-                static_cast<unsigned long long>(t.total_drops));
-}
-
 BadabingRow run_badabing_row(const scenarios::WorkloadConfig& wl, double p, bool improved) {
     scenarios::Experiment exp{bench_testbed(), wl, truth_for(wl)};
     probes::BadabingConfig bc;
@@ -141,93 +120,6 @@ BadabingRow run_badabing_row(const scenarios::WorkloadConfig& wl, double p, bool
     row.offered_load =
         tool.offered_load_fraction(exp.testbed().config().bottleneck_rate_bps);
     return row;
-}
-
-void print_badabing_table(const std::string& title, const std::string& paper_ref,
-                          const std::vector<BadabingRow>& rows, TimeNs slot_width) {
-    print_header(title, paper_ref);
-    std::printf("%-5s | %-20s | %-20s | %-9s | %s\n", "p", "loss frequency", "loss duration (s)",
-                "probe", "validation");
-    std::printf("%-5s | %-9s %-10s | %-9s %-10s | %-9s | %s\n", "", "true", "badabing", "true",
-                "badabing", "load", "pair-asym");
-    std::printf("----------------------------------------------------------------\n");
-    for (const auto& r : rows) {
-        const double est_dur = r.result.duration_basic.valid
-                                   ? r.result.duration_basic.seconds(slot_width)
-                                   : 0.0;
-        std::printf("%-5.1f | %-9.4f %-10.4f | %-9.3f %-10.3f | %-9.4f | %.3f\n", r.p,
-                    r.truth.frequency, r.result.frequency.value, r.truth.mean_duration_s,
-                    est_dur, r.offered_load, r.result.validation.pair_asymmetry);
-    }
-    std::printf("\n");
-}
-
-MultiRow run_badabing_rows(const scenarios::WorkloadConfig& wl, double p,
-                           std::size_t n_replicas, bool improved) {
-    scenarios::ReplicaPlan plan;
-    plan.testbed = bench_testbed();
-    plan.workload = wl;
-    plan.truth = truth_for(wl);
-    plan.probe.p = p;
-    plan.probe.improved = improved;
-    plan.probe.total_slots = 0;  // sized to the workload window
-
-    scenarios::ReplicaRunner::Config rc;
-    rc.replicas = n_replicas;
-    rc.threads = bench_threads();
-    rc.master_seed = wl.seed;
-
-    const scenarios::ReplicaRunner runner{rc};
-    MultiRow row;
-    row.p = p;
-    row.replicas = runner.run(plan);
-    row.aggregate = runner.aggregate(plan, row.replicas);
-    return row;
-}
-
-void print_badabing_ci_table(const std::string& title, const std::string& paper_ref,
-                             const std::vector<MultiRow>& rows, TimeNs slot_width) {
-    (void)slot_width;  // durations are aggregated in seconds already
-    print_header(title, paper_ref);
-    const std::size_t n = rows.empty() ? 0 : rows.front().replicas.size();
-    std::printf("replicas: %zu per row, mean +/- 95%% bootstrap CI\n", n);
-    std::printf("%-5s | %-31s | %-31s | %s\n", "p", "loss frequency",
-                "loss duration (s)", "probe");
-    std::printf("%-5s | %-9s %-21s | %-9s %-21s | %s\n", "", "true", "badabing (CI)", "true",
-                "badabing (CI)", "load");
-    std::printf("--------------------------------------------------------------------------------\n");
-    for (const auto& r : rows) {
-        const auto& a = r.aggregate;
-        std::printf("%-5.1f | %-9.4f %.4f [%.4f,%.4f] | %-9.3f %.3f [%.3f,%.3f]   | %.4f\n",
-                    r.p, a.true_frequency.mean, a.est_frequency.mean, a.est_frequency.ci.lo,
-                    a.est_frequency.ci.hi, a.true_duration_s.mean, a.est_duration_s.mean,
-                    a.est_duration_s.ci.lo, a.est_duration_s.ci.hi, a.offered_load.mean);
-    }
-    std::printf("\n");
-}
-
-std::string maybe_write_bench_json(const std::string& bench_name,
-                                   const std::vector<MultiRow>& rows, TimeNs slot_width) {
-    const char* dir = std::getenv("BB_BENCH_JSON");
-    if (dir == nullptr) return {};
-    std::string path{dir};
-    if (path.empty() || path == "1") path = ".";
-    path += "/BENCH_" + bench_name + ".json";
-
-    std::vector<scenarios::AggregateRow> aggregates;
-    std::vector<std::vector<scenarios::ReplicaResult>> replicas;
-    aggregates.reserve(rows.size());
-    replicas.reserve(rows.size());
-    for (const auto& r : rows) {
-        aggregates.push_back(r.aggregate);
-        replicas.push_back(r.replicas);
-    }
-    const std::string doc =
-        scenarios::aggregate_rows_json(bench_name, slot_width, aggregates, replicas);
-
-    if (!write_text_file(path, doc)) return {};
-    std::printf("json: wrote %s\n", path.c_str());
-    return path;
 }
 
 }  // namespace bb::bench

@@ -16,7 +16,7 @@ LossMonitor::LossMonitor(sim::Scheduler& sched, sim::QueueBase& queue, Options o
         if (is_probe && !opts_.count_probe_traffic) return;
         ++drops_count_;
         if (truth_acc_) truth_acc_->add_drop(ev.at);
-        if (opts_.store_drops) drops_.push_back(ev.at);
+        drops_.push_back(ev.at);
     });
     queue.on_enqueue([this](const sim::QueueEvent& ev) {
         if (opts_.record_departures) enqueue_time_[ev.pkt.id] = ev.at;
@@ -42,7 +42,7 @@ void LossMonitor::observe_external_drop(TimeNs at, bool is_probe) {
     if (is_probe && !opts_.count_probe_traffic) return;
     ++drops_count_;
     if (truth_acc_) truth_acc_->add_drop(at);
-    if (opts_.store_drops) drops_.push_back(at);
+    drops_.push_back(at);
 }
 
 double LossMonitor::router_loss_rate() const noexcept {

@@ -21,15 +21,12 @@ namespace bb::measure {
 // outlive the queue's last event.
 //
 // With `streaming_truth` configured the monitor also feeds each drop into an
-// online EpisodeAccumulator as it happens; combined with store_drops=false
-// this bounds the monitor's memory regardless of run length (the raw drop
-// log — and thus episodes()/drop_times() — is then unavailable).
+// online EpisodeAccumulator as it happens.
 class LossMonitor {
 public:
     struct Options {
         bool record_departures{false};  // needed for the delay-based heuristic
         bool count_probe_traffic{true};  // include probe packets in "truth"
-        bool store_drops{true};          // keep the raw drop log (batch APIs)
         std::optional<EpisodeAccumulator::Config> streaming_truth;
     };
 

@@ -27,13 +27,11 @@ measure::LossMonitor::Options monitor_options(const TruthConfig& truth_cfg,
     measure::LossMonitor::Options opts;
     opts.record_departures = truth_cfg.delay_based;
     opts.count_probe_traffic = true;
-    // The gap-rule truth can always be maintained online; the delay-based
-    // heuristic needs the full drop/departure record, so bounded-memory mode
-    // only drops the raw log when the heuristic is off.
+    // The gap-rule truth is maintained online; the delay-based heuristic
+    // needs the full drop/departure record instead.
     if (!truth_cfg.delay_based) {
         opts.streaming_truth = measure::EpisodeAccumulator::Config{
             truth_cfg.episode_gap, truth_cfg.slot_width, TimeNs::zero(), wl_cfg.duration};
-        opts.store_drops = !truth_cfg.bounded_memory;
     }
     return opts;
 }

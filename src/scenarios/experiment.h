@@ -25,11 +25,6 @@ struct TruthConfig {
     // bursty web scenario, §4.2).
     bool delay_based{false};
     TimeNs delay_floor{milliseconds(90)};
-    // Drop the raw per-drop log and compute truth() through the online
-    // EpisodeAccumulator instead, bounding monitor memory regardless of run
-    // length.  Incompatible with delay_based (which needs the full record);
-    // episodes() is unavailable in this mode.
-    bool bounded_memory{false};
 };
 
 class Experiment {
@@ -68,7 +63,6 @@ public:
     [[nodiscard]] const WorkloadConfig& workload_config() const noexcept {
         return workload_cfg_;
     }
-    [[nodiscard]] const TruthConfig& truth_config() const noexcept { return truth_cfg_; }
 
     // Default marking parameters used throughout §6.2: tau = expected time
     // between probes plus one standard deviation; alpha per probe rate.

@@ -71,7 +71,6 @@ void ExperimentRecorder::finish() {
     // Tail sample at the post-drain clock so final counter deltas (drops in
     // the drain margin) are not lost.
     rec_->sample(exp_->testbed().sched().now().ns());
-    if (exp_->truth_config().bounded_memory) return;
     for (const measure::LossEpisode& ep : exp_->episodes()) {
         rec_->annotate(ep.start.ns(), "episode.start");
         rec_->annotate(ep.end.ns(), "episode.end");

@@ -406,12 +406,7 @@ void parse_truth(Ctx& ctx, Section& top, ScenarioSpec& spec) {
     truth.time_ms("episode_gap_ms", spec.truth.episode_gap, /*min_exclusive=*/true);
     truth.boolean("delay_based", spec.truth.delay_based);
     truth.time_ms("delay_floor_ms", spec.truth.delay_floor);
-    truth.boolean("bounded_memory", spec.truth.bounded_memory);
     truth.finish();
-    if (ctx.ok() && spec.truth.delay_based && spec.truth.bounded_memory) {
-        ctx.fail(truth.line(), "truth.bounded_memory",
-                 "incompatible with truth.delay_based (the heuristic needs the full record)");
-    }
 }
 
 void parse_analysis(Ctx& ctx, Section& top, ScenarioSpec& spec) {

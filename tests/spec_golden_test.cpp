@@ -8,9 +8,16 @@
 // exact same simulation as C++ code did.
 //
 // The examples/ spec files are additionally parsed (and, where cheap,
-// expanded) to keep the shipped configs loadable.
+// expanded) to keep the shipped configs loadable, and the shipped paper
+// Table 1-6 specs are run shortened and pinned to the numbers the
+// hand-wired table benches they replaced printed for the same durations.
+// Regenerating those constants (only after an *intentional* behaviour change):
+//   BB_GOLDEN_PRINT=1 ./build/tests/spec_golden_test --gtest_filter='*ShippedTable*'
+// and paste the printed blocks below.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "scenarios/spec.h"
@@ -136,13 +143,19 @@ TEST(SpecGolden, Fig9AlphaSweepFromSpecs) {
 #ifdef BB_EXAMPLES_DIR
 TEST(SpecGolden, ShippedExampleSpecsParseAndExpand) {
     const std::string dir = BB_EXAMPLES_DIR;
-    for (const char* name : {"table4.json", "ablation_aqm_sweep.json",
-                             "sweep_smoke.json", "fig9.json"}) {
+    for (const char* name : {"table4.json", "table5.json", "table6.json",
+                             "ablation_aqm_sweep.json", "sweep_smoke.json", "fig9.json"}) {
         const auto r = load_sweep_spec_file(dir + "/" + name);
         ASSERT_TRUE(r.ok) << name << ": " << r.error;
         const auto e = expand_sweep(r.sweep, name);
         ASSERT_TRUE(e.ok) << name << ": " << e.error;
         EXPECT_FALSE(e.cells.empty()) << name;
+    }
+    // The ZING tables are single-run scenario specs (zing_sim --spec).
+    for (const char* name : {"table1.json", "table2.json", "table3.json"}) {
+        const auto r = load_scenario_spec_file(dir + "/" + name);
+        ASSERT_TRUE(r.ok) << name << ": " << r.error;
+        EXPECT_EQ(r.spec.tool, ScenarioSpec::ProbeTool::zing) << name;
     }
 }
 
@@ -163,6 +176,288 @@ TEST(SpecGolden, ShippedAblationSweepMatchesHistoricalCellOrder) {
     EXPECT_EQ(e.cells[4].spec.testbed.discipline, QueueDiscipline::red);
     EXPECT_EQ(e.cells[15].spec.testbed.discipline, QueueDiscipline::codel);
     EXPECT_TRUE(e.cells[15].spec.testbed.ge_enabled);
+}
+
+// --- shipped paper-table specs, shortened ------------------------------------
+
+bool golden_print() { return std::getenv("BB_GOLDEN_PRINT") != nullptr; }
+
+// The shipped examples/<name> document with traffic.duration_s overridden.
+JsonValue shipped_doc(const char* name, const char* duration_path, std::int64_t duration_s) {
+    JsonParse parsed = json_parse_file(std::string{BB_EXAMPLES_DIR} + "/" + name);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    std::string err;
+    EXPECT_TRUE(json_set_path(parsed.value, duration_path, JsonValue::of_int(duration_s), err))
+        << err;
+    return std::move(parsed.value);
+}
+
+// One p row of a BADABING table: mean, ci_lo, ci_hi of each aggregate stat.
+struct GoldenStat {
+    double mean{0.0};
+    double lo{0.0};
+    double hi{0.0};
+};
+struct GoldenTableRow {
+    GoldenStat true_freq, est_freq, true_dur, est_dur, load;
+};
+
+GoldenStat golden_stat(const AggregateStat& s) { return {s.mean, s.ci.lo, s.ci.hi}; }
+
+void expect_stat(const GoldenStat& got, const GoldenStat& want, const char* what, double p) {
+    EXPECT_EQ(got.mean, want.mean) << what << " mean, p = " << p;
+    EXPECT_EQ(got.lo, want.lo) << what << " ci_lo, p = " << p;
+    EXPECT_EQ(got.hi, want.hi) << what << " ci_hi, p = " << p;
+}
+
+// Runs every p cell of examples/<name> (3 replicas, seed 7) at 20 s through
+// the same ReplicaRunner path bb_sweep uses, and compares (or prints) the
+// aggregates.
+void check_badabing_table(const char* name, const char* label,
+                          const GoldenTableRow (&want)[5]) {
+    auto sweep = parse_sweep_spec(shipped_doc(name, "base.traffic.duration_s", 20), name);
+    ASSERT_TRUE(sweep.ok) << sweep.error;
+    const auto grid = expand_sweep(sweep.sweep, name);
+    ASSERT_TRUE(grid.ok) << grid.error;
+    ASSERT_EQ(grid.cells.size(), 5u);
+    if (golden_print()) std::printf("const GoldenTableRow %s[5] = {\n", label);
+    for (std::size_t i = 0; i < grid.cells.size(); ++i) {
+        const ScenarioSpec& spec = grid.cells[i].spec;
+        ReplicaRunner::Config rc = runner_config_from(spec);
+        rc.threads = 2;  // aggregates are bit-identical at any thread count
+        const ReplicaRunner runner{rc};
+        const ReplicaPlan plan = replica_plan_from(spec);
+        const AggregateRow agg = runner.aggregate(plan, runner.run(plan));
+        const GoldenTableRow got{
+            golden_stat(agg.true_frequency), golden_stat(agg.est_frequency),
+            golden_stat(agg.true_duration_s), golden_stat(agg.est_duration_s),
+            golden_stat(agg.offered_load)};
+        if (golden_print()) {
+            const char* sep = "    {";
+            for (const GoldenStat* s :
+                 {&got.true_freq, &got.est_freq, &got.true_dur, &got.est_dur, &got.load}) {
+                std::printf("%s{%.17g, %.17g, %.17g}", sep, s->mean, s->lo, s->hi);
+                sep = ",\n     ";
+            }
+            std::printf("},\n");
+            continue;
+        }
+        const double p = spec.badabing.p;
+        expect_stat(got.true_freq, want[i].true_freq, "true_frequency", p);
+        expect_stat(got.est_freq, want[i].est_freq, "est_frequency", p);
+        expect_stat(got.true_dur, want[i].true_dur, "true_duration_s", p);
+        expect_stat(got.est_dur, want[i].est_dur, "est_duration_s", p);
+        expect_stat(got.load, want[i].load, "offered_load", p);
+    }
+    if (golden_print()) std::printf("};\n");
+}
+
+// Pinned from the table4/5/6 benches at BB_BENCH_DURATION_S=20 (p = 0.1 .. 0.9).
+const GoldenTableRow kShippedTable4[5] = {
+    {{0.0087499999999999991, 0, 0.014999999999999999},
+     {0.011914468320138871, 0, 0.025380710659898477},
+     {0.046311111111111115, 0, 0.070000000000000007},
+     {0, 0, 0},
+     {0.017920000000000002, 0.017760000000000001, 0.018072000000000001}},
+    {{0.0089999999999999993, 0, 0.0155},
+     {0.010112073855301504, 0, 0.016038492381716118},
+     {0.048511111111111123, 0, 0.073200000000000015},
+     {0.083333333333333343, 0, 0.19500000000000001},
+     {0.048936, 0.047399999999999998, 0.050616000000000001}},
+    {{0.0092499999999999995, 0, 0.016},
+     {0.011618077247260647, 0, 0.017570281124497992},
+     {0.049941456194444449, 0, 0.075491035250000005},
+     {0.082000000000000003, 0, 0.17500000000000002},
+     {0.072000000000000008, 0.070872000000000004, 0.072623999999999994}},
+    {{0.0094999999999999998, 0, 0.016500000000000001},
+     {0.011405140104241868, 0, 0.01809794180269695},
+     {0.05072223616666667, 0, 0.076166708500000013},
+     {0.059583333333333335, 0, 0.115},
+     {0.087383999999999989, 0.086999999999999994, 0.087623999999999994}},
+    {{0.0094999999999999998, 0, 0.016500000000000001},
+     {0.010359890239897742, 0, 0.018323153803442533},
+     {0.050937440472222227, 0, 0.076466666666666669},
+     {0.058500000000000003, 0, 0.093000000000000013},
+     {0.095104000000000008, 0.095063999999999996, 0.095159999999999995}},
+};
+const GoldenTableRow kShippedTable5[5] = {
+    {{0.011666666666666665, 0, 0.021499999999999998},
+     {0.013606515697465436, 0, 0.030456852791878174},
+     {0.062055555555555558, 0, 0.10190000000000002},
+     {0.038333333333333337, 0, 0.115},
+     {0.017920000000000002, 0.017760000000000001, 0.018072000000000001}},
+    {{0.012083333333333333, 0, 0.021999999999999999},
+     {0.013156779522887449, 0, 0.021026072329688814},
+     {0.064315641111111113, 0, 0.10515000000000002},
+     {0.11666666666666667, 0, 0.22500000000000001},
+     {0.048936, 0.047399999999999998, 0.050616000000000001}},
+    {{0.01225, 0, 0.022499999999999999},
+     {0.014122663493480094, 0, 0.024096385542168676},
+     {0.065669233972222227, 0, 0.10734103525000001},
+     {0.10249999999999999, 0, 0.185},
+     {0.072000000000000008, 0.070872000000000004, 0.072623999999999994}},
+    {{0.012416666666666666, 0, 0.022749999999999999},
+     {0.0137730871874964, 0, 0.024485450674237047},
+     {0.066472222222222224, 0, 0.10815},
+     {0.078666666666666663, 0, 0.14099999999999999},
+     {0.087383999999999989, 0.086999999999999994, 0.087623999999999994}},
+    {{0.012416666666666666, 0, 0.022749999999999999},
+     {0.013227845625912515, 0, 0.024708495280399777},
+     {0.066770759861111112, 0, 0.10837894625},
+     {0.067083333333333328, 0, 0.11125},
+     {0.095104000000000008, 0.095063999999999996, 0.095159999999999995}},
+};
+const GoldenTableRow kShippedTable6[5] = {
+    {{0.0014166666666666668, 0.00040625000000000947, 0.0030000000000000001},
+     {0.002538071065989848, 0, 0.0076142131979695434},
+     {0.0218, 0, 0.056800000000000003},
+     {0, 0, 0},
+     {0.017920000000000002, 0.017760000000000001, 0.018072000000000001}},
+    {{0.0042500000000000003, 0, 0.012749999999999999},
+     {0.0017452006980802795, 0, 0.005235602094240838},
+     {0.04049333333333334, 0, 0.12148},
+     {0, 0, 0},
+     {0.048936, 0.047399999999999998, 0.050616000000000001}},
+    {{0.0061666666666666675, 0.0026812500000000625, 0.01025},
+     {0.0043919069286523756, 0, 0.0066496163682864453},
+     {0.11934367266666668, 0, 0.20000000000000001},
+     {0.036666666666666667, 0, 0.065000000000000002},
+     {0.072000000000000008, 0.070872000000000004, 0.072623999999999994}},
+    {{0.00083333333333333328, 0, 0.0016874999999999813},
+     {0.00095510983763132757, 0, 0.0028653295128939832},
+     {0.0071866666666666676, 0, 0.021560000000000003},
+     {0.013333333333333332, 0, 0.040000000000000001},
+     {0.087383999999999989, 0.086999999999999994, 0.087623999999999994}},
+    {{0.0017500000000000003, 0, 0.0035437499999999606},
+     {0.0013865779256794233, 0, 0.0041597337770382693},
+     {0.032960000000000003, 0, 0.09888000000000001},
+     {0.0062500000000000003, 0, 0.018749999999999999},
+     {0.095104000000000008, 0.095063999999999996, 0.095159999999999995}},
+};
+
+TEST(SpecGolden, ShippedTable4SpecMatchesTableBench) {
+    check_badabing_table("table4.json", "kShippedTable4", kShippedTable4);
+}
+
+TEST(SpecGolden, ShippedTable5SpecMatchesTableBench) {
+    check_badabing_table("table5.json", "kShippedTable5", kShippedTable5);
+}
+
+TEST(SpecGolden, ShippedTable6SpecMatchesTableBench) {
+    check_badabing_table("table6.json", "kShippedTable6", kShippedTable6);
+}
+
+// One row of a ZING table: the run's own truth beside ZING's estimates.
+struct GoldenZingRow {
+    double truth_freq{0.0};
+    double truth_dur_s{0.0};
+    double truth_sd_s{0.0};
+    double zing_freq{0.0};
+    double zing_dur_s{0.0};
+    double zing_sd_s{0.0};
+    std::uint64_t lost{0};
+    std::uint64_t sent{0};
+    std::uint64_t runs{0};
+    std::uint64_t max_run{0};
+};
+
+GoldenZingRow run_zing_row(const ScenarioSpec& spec) {
+    BuiltExperiment built = build_experiment(spec);
+    EXPECT_NE(built.zing, nullptr);
+    built.experiment->run();
+    const auto truth = built.experiment->truth();
+    const auto res = built.zing->result();
+    return {truth.frequency, truth.mean_duration_s, truth.sd_duration_s,
+            res.loss_frequency, res.mean_duration_s, res.sd_duration_s,
+            res.lost, res.sent, res.loss_runs, res.max_run_length};
+}
+
+void expect_zing_row(const GoldenZingRow& got, const GoldenZingRow& want, const char* row) {
+    EXPECT_EQ(got.truth_freq, want.truth_freq) << row;
+    EXPECT_EQ(got.truth_dur_s, want.truth_dur_s) << row;
+    EXPECT_EQ(got.truth_sd_s, want.truth_sd_s) << row;
+    EXPECT_EQ(got.zing_freq, want.zing_freq) << row;
+    EXPECT_EQ(got.zing_dur_s, want.zing_dur_s) << row;
+    EXPECT_EQ(got.zing_sd_s, want.zing_sd_s) << row;
+    EXPECT_EQ(got.lost, want.lost) << row;
+    EXPECT_EQ(got.sent, want.sent) << row;
+    EXPECT_EQ(got.runs, want.runs) << row;
+    EXPECT_EQ(got.max_run, want.max_run) << row;
+}
+
+void print_zing_row(const char* label, const GoldenZingRow& r) {
+    std::printf("    // %s\n    {%.17g, %.17g, %.17g,\n     %.17g, %.17g, %.17g,\n"
+                "     %lluu, %lluu, %lluu, %lluu},\n",
+                label, r.truth_freq, r.truth_dur_s, r.truth_sd_s, r.zing_freq, r.zing_dur_s,
+                r.zing_sd_s, static_cast<unsigned long long>(r.lost),
+                static_cast<unsigned long long>(r.sent),
+                static_cast<unsigned long long>(r.runs),
+                static_cast<unsigned long long>(r.max_run));
+}
+
+// Runs examples/<name> at 120 s as shipped (10 Hz / 256 B) and with the
+// 20 Hz / 64 B probe of the table's second row (zing_sim --hz=20
+// --packet-bytes=64), each in its own run.
+void check_zing_table(const char* name, const char* label, const GoldenZingRow (&want)[2]) {
+    const auto r = parse_scenario_spec(shipped_doc(name, "traffic.duration_s", 120), name);
+    ASSERT_TRUE(r.ok) << r.error;
+    ScenarioSpec fast = r.spec;
+    fast.zing.mean_interval = milliseconds(50);
+    fast.zing.packet_bytes = 64;
+    const GoldenZingRow got[2] = {run_zing_row(r.spec), run_zing_row(fast)};
+    if (golden_print()) {
+        std::printf("const GoldenZingRow %s[2] = {\n", label);
+        print_zing_row("10 Hz, 256 B", got[0]);
+        print_zing_row("20 Hz, 64 B", got[1]);
+        std::printf("};\n");
+        return;
+    }
+    expect_zing_row(got[0], want[0], "10 Hz / 256 B");
+    expect_zing_row(got[1], want[1], "20 Hz / 64 B");
+}
+
+// Pinned from the table1/2/3 benches at BB_BENCH_DURATION_S=120.
+const GoldenZingRow kShippedTable1[2] = {
+    // 10 Hz, 256 B
+    {0.044416666666666667, 0.17908759434482757, 0.0097985523674913658,
+     0, 0, 0,
+     0u, 1245u, 0u, 0u},
+    // 20 Hz, 64 B
+    {0.057916666666666665, 0.14717450141304347, 0.065299307754617605,
+     0.0012004801920768306, 0.0026000620000000002, 0.0036770429434109147,
+     3u, 2499u, 2u, 2u},
+};
+const GoldenZingRow kShippedTable2[2] = {
+    // 10 Hz, 256 B
+    {0.0086250000000000007, 0.067828571428571433, 0.00017288756430151452,
+     0.0024096385542168677, 0, 0,
+     3u, 1245u, 3u, 1u},
+    // 20 Hz, 64 B
+    {0.0086250000000000007, 0.067871428571428569, 0.00018575654633281279,
+     0.00080032012805122054, 0, 0,
+     2u, 2499u, 2u, 1u},
+};
+const GoldenZingRow kShippedTable3[2] = {
+    // 10 Hz, 256 B
+    {0.0056666666666666671, 0.0638880119, 0.075904828702593477,
+     0.00080321285140562252, 0, 0,
+     1u, 1245u, 1u, 1u},
+    // 20 Hz, 64 B
+    {0.0024583333333333332, 0.031454266500000001, 0.022022508998336014,
+     0, 0, 0,
+     0u, 2499u, 0u, 0u},
+};
+
+TEST(SpecGolden, ShippedTable1SpecMatchesTableBench) {
+    check_zing_table("table1.json", "kShippedTable1", kShippedTable1);
+}
+
+TEST(SpecGolden, ShippedTable2SpecMatchesTableBench) {
+    check_zing_table("table2.json", "kShippedTable2", kShippedTable2);
+}
+
+TEST(SpecGolden, ShippedTable3SpecMatchesTableBench) {
+    check_zing_table("table3.json", "kShippedTable3", kShippedTable3);
 }
 #endif  // BB_EXAMPLES_DIR
 

@@ -146,7 +146,7 @@ TEST(SpecErrors, ProbeAndTrafficRanges) {
 
 TEST(SpecErrors, TruthKnobConflict) {
     expect_error(R"({"truth": {"delay_based": true, "bounded_memory": true}})",
-                 "incompatible with truth.delay_based");
+                 "unknown key \"bounded_memory\"");
 }
 
 TEST(SpecErrors, Figure3SectionRequiresFigure3Topology) {

@@ -52,10 +52,10 @@ int finish_obs(const std::string& metrics_path, const std::string& trace_path) {
     return rc;
 }
 
-// A scalar from the cell result doc by dotted path, or fallback.
-double doc_number(const JsonValue& doc, const char* path, double fallback = 0.0) {
-    const JsonValue* v = json_get_path(doc, path);
-    return v != nullptr && v->is_number() ? v->number_value : fallback;
+// A scalar from the cell result doc's "aggregate" section by dotted path, or 0.
+double aggregate_number(const JsonValue& doc, const std::string& path) {
+    const JsonValue* v = json_get_path(doc, "aggregate." + path);
+    return v != nullptr && v->is_number() ? v->number_value : 0.0;
 }
 
 }  // namespace
@@ -188,17 +188,22 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    std::printf("\n%-5s %-16s %-8s | %-9s %-9s | %-9s %-9s\n", "cell", "hash", "state",
-                "true freq", "est freq", "true dur", "est dur");
+    // Replica means, with the 95% bootstrap CI of each estimate.
+    std::printf("\n%-5s %-16s %-8s | %-9s %-22s | %-9s %-19s | %-6s |\n", "cell", "hash",
+                "state", "true freq", "est freq [95% CI]", "true dur", "est dur [95% CI]",
+                "load");
     for (std::size_t i = 0; i < outcome.cells.size(); ++i) {
         const auto& oc = outcome.cells[i];
         const auto& cell = grid.cells[i];
-        std::printf("%-5zu %-16s %-8s | %-9.4f %-9.4f | %-9.3f %-9.3f |", oc.index,
-                    oc.config_hash.c_str(), oc.cached ? "cached" : "computed",
-                    doc_number(oc.result, "aggregate.true_frequency.mean"),
-                    doc_number(oc.result, "aggregate.est_frequency.mean"),
-                    doc_number(oc.result, "aggregate.true_duration_s.mean"),
-                    doc_number(oc.result, "aggregate.est_duration_s.mean"));
+        const auto agg = [&oc](const char* path) { return aggregate_number(oc.result, path); };
+        std::printf("%-5zu %-16s %-8s | %-9.4f %.4f [%.4f,%.4f] | %-9.3f %.3f [%.3f,%.3f] | "
+                    "%.4f |",
+                    oc.index, oc.config_hash.c_str(), oc.cached ? "cached" : "computed",
+                    agg("true_frequency.mean"), agg("est_frequency.mean"),
+                    agg("est_frequency.ci_lo"), agg("est_frequency.ci_hi"),
+                    agg("true_duration_s.mean"), agg("est_duration_s.mean"),
+                    agg("est_duration_s.ci_lo"), agg("est_duration_s.ci_hi"),
+                    agg("offered_load.mean"));
         for (const auto& [path, value] : cell.axis_values) {
             std::printf(" %s=%s", path.c_str(), value.c_str());
         }

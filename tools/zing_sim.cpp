@@ -2,6 +2,8 @@
 // paths, for side-by-side comparison with badabing_sim.
 //
 //   $ zing_sim --scenario=tcp --hz=10 --packet-bytes=256 --duration-s=900
+//   $ zing_sim --spec examples/table1.json                   # Table 1, 10 Hz row
+//   $ zing_sim --spec examples/table1.json --hz=20 --packet-bytes=64   # 20 Hz row
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -122,7 +124,9 @@ int main(int argc, char** argv) {
     auto& zing = exp.add_zing(zc);
 
     std::printf("running %s for %.0f s at %lld Mb/s (ZING %.1f Hz, %lld B)...\n",
-                scenario->c_str(), wl.duration.to_seconds(),
+                have_spec && !flags.is_set("scenario") ? scenarios::to_string(wl.kind)
+                                                       : scenario->c_str(),
+                wl.duration.to_seconds(),
                 static_cast<long long>(tb.bottleneck_rate_bps / 1'000'000),
                 1.0 / zc.mean_interval.to_seconds(),
                 static_cast<long long>(zc.packet_bytes));
@@ -142,13 +146,15 @@ int main(int argc, char** argv) {
     const auto res = zing.result();
     const auto delays = core::summarize_delays(zing.outcomes());
 
-    std::printf("\nground truth : frequency %.4f | duration %.3f s (%zu episodes)\n",
-                truth.frequency, truth.mean_duration_s, truth.episodes);
+    std::printf("\nground truth : frequency %.4f | duration %.3f s (sigma %.3f) | "
+                "%zu episodes\n",
+                truth.frequency, truth.mean_duration_s, truth.sd_duration_s, truth.episodes);
     std::printf("zing loss    : frequency %.4f | duration %.3f s (sigma %.3f) | "
-                "%llu/%llu probes lost in %zu runs\n",
+                "%llu/%llu probes lost in %zu runs, max run %llu\n",
                 res.loss_frequency, res.mean_duration_s, res.sd_duration_s,
                 static_cast<unsigned long long>(res.lost),
-                static_cast<unsigned long long>(res.sent), res.loss_runs);
+                static_cast<unsigned long long>(res.sent), res.loss_runs,
+                static_cast<unsigned long long>(res.max_run_length));
     if (delays.valid()) {
         std::printf("zing delay   : base %.3f s | queueing p50 %.4f s, p95 %.4f s, "
                     "p99 %.4f s, max %.4f s\n",
