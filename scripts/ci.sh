@@ -72,13 +72,13 @@ if [[ "${BB_CI_SKIP_DETERMINISM:-0}" != 1 ]]; then
   echo "==> determinism: identical run-state digests across threads and BB_OBS (DESIGN.md §14)"
   det_dir=$(mktemp -d)
   trap 'rm -rf "$det_dir"' EXIT
-  # Table 4's CBR scenario (examples/table4.json base), shortened; digests must
-  # not depend on worker-thread count or the obs kill switch.
-  det_args=(--scenario cbr --p 0.3 --duration-s 20 --replicas 4 --state-hash)
+  # Table 4's CBR scenario (cbr, p 0.3), 20 s x 4 replicas; digests must not
+  # depend on worker-thread count or the obs kill switch.
+  det_args=(run tests/data/replicas_cbr.json --state-hash --out "$det_dir/out")
   ref_digest=""
   for threads in 1 4 8; do
     for obs in off on; do
-      BB_OBS="$obs" ./build/tools/badabing_sim "${det_args[@]}" --threads "$threads" \
+      BB_OBS="$obs" ./build/tools/bb_sweep "${det_args[@]}" --threads "$threads" \
         > "$det_dir/run.log"
       digest=$(sed -n 's/^state-hash   : \([0-9a-f]\{16\}\).*/\1/p' "$det_dir/run.log")
       [[ -n "$digest" ]] \

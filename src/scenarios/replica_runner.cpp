@@ -1,12 +1,10 @@
 #include "scenarios/replica_runner.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 
 #include "obs/trace.h"
 #include "util/contract.h"
-#include "util/json.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -88,15 +86,6 @@ AggregateStat collapse(const std::vector<double>& values, const ReplicaRunner::C
     return s;
 }
 
-void write_stat(JsonWriter& w, const char* name, const AggregateStat& s) {
-    w.key(name).begin_object();
-    w.key("mean").value_double(s.mean);
-    w.key("stddev").value_double(s.stddev);
-    w.key("ci_lo").value_double(s.ci.lo);
-    w.key("ci_hi").value_double(s.ci.hi);
-    w.end_object();
-}
-
 }  // namespace
 
 std::vector<std::uint64_t> ReplicaRunner::replica_seeds(std::uint64_t master_seed,
@@ -173,52 +162,6 @@ AggregateRow ReplicaRunner::aggregate(const ReplicaPlan& plan,
     row.est_duration_s = collapse(est_d, cfg_, rng);
     row.offered_load = collapse(load, cfg_, rng);
     return row;
-}
-
-std::string aggregate_rows_json(const std::string& label, TimeNs slot_width,
-                                const std::vector<AggregateRow>& rows,
-                                const std::vector<std::vector<ReplicaResult>>& replicas) {
-    JsonWriter w;  // compact house style: downstream plotters parse this byte format
-    w.begin_object();
-    w.key("label").value(label);
-    w.key("rows").begin_array();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto& row = rows[i];
-        w.begin_object();
-        w.key("p").value_double(row.p);
-        w.key("replicas").value_uint(row.replicas);
-        write_stat(w, "true_frequency", row.true_frequency);
-        write_stat(w, "est_frequency", row.est_frequency);
-        write_stat(w, "true_duration_s", row.true_duration_s);
-        write_stat(w, "est_duration_s", row.est_duration_s);
-        write_stat(w, "offered_load", row.offered_load);
-        std::uint64_t total_drops = 0;
-        std::uint64_t total_experiments = 0;
-        w.key("trajectory").begin_array();
-        if (i < replicas.size()) {
-            for (const auto& r : replicas[i]) {
-                w.begin_object();
-                w.key("replica").value_uint(r.index);
-                w.key("seed").value_uint(r.seed);
-                w.key("true_frequency").value_double(r.truth.frequency);
-                w.key("est_frequency").value_double(r.est_frequency());
-                w.key("true_duration_s").value_double(r.truth.mean_duration_s);
-                w.key("est_duration_s").value_double(r.est_duration_s(slot_width));
-                w.key("queue_drops").value_uint(r.queue_drops);
-                w.key("experiments").value_uint(r.result.experiments);
-                w.end_object();
-                total_drops += r.queue_drops;
-                total_experiments += r.result.experiments;
-            }
-        }
-        w.end_array();
-        w.key("total_queue_drops").value_uint(total_drops);
-        w.key("total_experiments").value_uint(total_experiments);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    return w.take() + "\n";
 }
 
 }  // namespace bb::scenarios

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include <memory>
@@ -144,14 +143,6 @@ public:
 private:
     Config cfg_;
 };
-
-// JSON document for a list of aggregate rows plus their per-replica
-// trajectories (one entry per row, rows[i] aggregated from replicas[i]).
-// Emitted by the table benches as BENCH_<name>.json and by badabing_sim
-// --json for downstream plotting.
-[[nodiscard]] std::string aggregate_rows_json(const std::string& label, TimeNs slot_width,
-                                              const std::vector<AggregateRow>& rows,
-                                              const std::vector<std::vector<ReplicaResult>>& replicas);
 
 }  // namespace bb::scenarios
 

@@ -19,9 +19,11 @@ struct Ctx {
 
     [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 
+    // A top-level diagnostic has no key path: "<source>:<line>: <message>".
     void fail(int line, const std::string& path, const std::string& message) {
         if (!error.empty()) return;
-        error = source + ":" + std::to_string(line) + ": " + path + ": " + message;
+        error = source + ":" + std::to_string(line) + ": " +
+                (path.empty() ? "" : path + ": ") + message;
     }
 };
 
@@ -485,6 +487,16 @@ SpecResult parse_scenario_spec(const JsonValue& doc, std::string_view source) {
     ctx.source = std::string{source};
     if (!doc.is_object()) {
         ctx.fail(doc.line, "spec", "top level must be a JSON object");
+        out.error = ctx.error;
+        return out;
+    }
+
+    // A sweep file handed to a single-scenario reader: name the right tool
+    // instead of reporting "base" as an unknown key.
+    if (const JsonValue* base = doc.find("base"); base != nullptr) {
+        ctx.fail(base->line, "",
+                 "this is a sweep spec (it has a \"base\" section); run it with "
+                 "bb_sweep run");
         out.error = ctx.error;
         return out;
     }

@@ -62,7 +62,8 @@ struct ScenarioSpec {
 struct SpecResult {
     bool ok{false};
     ScenarioSpec spec;
-    // One line, "<source>:<line>: <key path>: <message>" — print verbatim.
+    // One line, "<source>:<line>: <key path>: <message>" (no key path for a
+    // top-level problem) — print verbatim.
     std::string error;
 };
 

@@ -35,6 +35,16 @@ std::uint64_t digest_of(const ReplicaPlan& base, std::size_t threads) {
     return ReplicaRunner::merged_state_hash(results);
 }
 
+// Forces obs on for one test and restores the previous kill-switch state.
+class ObsOn {
+public:
+    ObsOn() : was_enabled_{obs::enabled()} { obs::set_enabled(true); }
+    ~ObsOn() { obs::set_enabled(was_enabled_); }
+
+private:
+    bool was_enabled_;
+};
+
 // Digests across threads {1, 4, 8}, obs on and off, must all agree.
 void expect_thread_and_obs_invariant(const ReplicaPlan& plan) {
     const std::uint64_t reference = digest_of(plan, 1);
@@ -99,6 +109,9 @@ TEST(DeterminismHash, Table6WebScenario) {
 // What recording must NOT change is the estimates, pinned by
 // ExperimentRecorder.RecordingDoesNotChangeEstimates.
 TEST(DeterminismHash, RecordingIsPartOfThePlanDigest) {
+    // The recorder is inert with the kill switch off (BB_OBS=off), so the
+    // recording plan needs obs on to differ from the plain one.
+    const ObsOn guard;
     ReplicaPlan plan;
     plan.workload.kind = TrafficKind::cbr_uniform;
     plan.workload.duration = seconds_i(6);

@@ -170,8 +170,22 @@ TEST(Recorder, ExportToTraceEmitsSimCounterEvents) {
     Trace::clear();
 }
 
+// Span collection may already be running (BB_OBS_TRACE=1 starts it
+// ambiently); stop it for one test and restart it afterwards if it ran.
+class TraceOff {
+public:
+    TraceOff() : was_active_{Trace::active()} { Trace::stop(); }
+    ~TraceOff() {
+        if (was_active_) Trace::start();
+    }
+
+private:
+    bool was_active_;
+};
+
 TEST(Recorder, ExportToTraceIsNoOpWithoutActiveTrace) {
     ObsOn guard;
+    const TraceOff no_trace;
     Trace::clear();
     Recorder rec{small_cfg()};
     double level = 1.0;

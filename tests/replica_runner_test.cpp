@@ -5,6 +5,9 @@
 #include <cmath>
 #include <set>
 
+#include "scenarios/sweep.h"
+#include "util/json.h"
+
 namespace bb::scenarios {
 namespace {
 
@@ -153,18 +156,23 @@ TEST(ReplicaRunner, ZeroReplicasYieldEmptyButFiniteAggregate) {
     EXPECT_EQ(agg.est_frequency.mean, 0.0);
 }
 
-TEST(ReplicaRunner, JsonEmissionContainsRowsAndTrajectories) {
+// The replica aggregate document is the sweep engine's per-cell result.
+TEST(ReplicaRunner, CellResultJsonContainsAggregateAndReplicas) {
     const auto plan = short_cbr_plan();
     const ReplicaRunner runner{runner_config(2, 2)};
     const auto results = runner.run(plan);
     const auto agg = runner.aggregate(plan, results);
-    const auto doc =
-        aggregate_rows_json("unit", plan.probe.slot_width, {agg}, {results});
-    EXPECT_NE(doc.find("\"label\":\"unit\""), std::string::npos);
+    SweepCell cell;
+    cell.config_hash = "0123456789abcdef";
+    cell.spec.name = "unit";
+    const auto doc = cell_result_json(cell, agg, results, plan.probe.slot_width);
+    EXPECT_NE(doc.find("\"name\": \"unit\""), std::string::npos);
     EXPECT_NE(doc.find("\"est_frequency\""), std::string::npos);
-    EXPECT_NE(doc.find("\"trajectory\""), std::string::npos);
-    EXPECT_NE(doc.find("\"replica\":1"), std::string::npos);
+    EXPECT_NE(doc.find("\"replicas\": ["), std::string::npos);
+    EXPECT_NE(doc.find("\"replica\": 1"), std::string::npos);
     EXPECT_EQ(doc.find("nan"), std::string::npos);
+    const JsonParse parsed = json_parse(doc, "<cell>");
+    ASSERT_TRUE(parsed.ok) << parsed.error;
 }
 
 }  // namespace

@@ -116,6 +116,13 @@ TEST(SpecErrors, UnknownKeysNameTheKeyAndLine) {
     EXPECT_NE(r.error.find("spec.json:3:"), std::string::npos) << r.error;
 }
 
+TEST(SpecErrors, TopLevelDiagnosticsHaveNoEmptyKeyPath) {
+    EXPECT_EQ(parse(R"({"bogus": 1})").error, "spec.json:1: unknown key \"bogus\"");
+    EXPECT_EQ(parse("{\n  \"base\": {},\n  \"axes\": {}\n}").error,
+              "spec.json:2: this is a sweep spec (it has a \"base\" section); run it "
+              "with bb_sweep run");
+}
+
 TEST(SpecErrors, OutOfRangeLinkParams) {
     expect_error(R"({"link": {"rate_mbps": 0}})", "link.rate_mbps");
     expect_error(R"({"link": {"rate_mbps": -3}})", "link.rate_mbps");

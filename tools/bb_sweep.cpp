@@ -12,13 +12,9 @@
 #include <cstdio>
 #include <string>
 
-#include "obs/metrics.h"
-#include "obs/process_stats.h"
-#include "obs/trace.h"
 #include "core/run_hasher.h"
-#include "scenarios/spec.h"
 #include "scenarios/sweep.h"
-#include "util/flags.h"
+#include "tool_common.h"
 #include "util/json_io.h"
 
 namespace {
@@ -31,25 +27,6 @@ void print_cell_line(const scenarios::SweepCell& cell, const char* status) {
         std::printf(" %s=%s", path.c_str(), value.c_str());
     }
     std::printf("\n");
-}
-
-int finish_obs(const std::string& metrics_path, const std::string& trace_path) {
-    int rc = 0;
-    if (!trace_path.empty()) {
-        if (obs::Trace::write(trace_path)) {
-            std::printf("trace-out    : wrote %s\n", trace_path.c_str());
-        } else {
-            rc = 1;
-        }
-    }
-    if (!metrics_path.empty()) {
-        if (obs::write_metrics_file(metrics_path)) {
-            std::printf("metrics-json : wrote %s\n", metrics_path.c_str());
-        } else {
-            rc = 1;
-        }
-    }
-    return rc;
 }
 
 // A scalar from the cell result doc's "aggregate" section by dotted path, or 0.
@@ -102,10 +79,8 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    if (!metrics_json->empty() || !trace_out->empty() || !series_out->empty()) {
-        obs::set_enabled(true);
-    }
-    if (!trace_out->empty()) obs::Trace::start();
+    tools::start_obs(!metrics_json->empty() || !trace_out->empty() || !series_out->empty(),
+                     *trace_out);
 
     // A plain scenario spec (no "base" key) is accepted too: it is a sweep
     // with a single cell, so one schema drives both single runs and grids.
@@ -147,7 +122,7 @@ int main(int argc, char** argv) {
 
     if (verb == "expand") {
         for (const auto& cell : grid.cells) print_cell_line(cell, "-");
-        return finish_obs(*metrics_json, *trace_out);
+        return tools::finish_obs(*metrics_json, *trace_out);
     }
 
     scenarios::SweepRunner::Config rc;
@@ -230,9 +205,5 @@ int main(int argc, char** argv) {
         }
     }
     std::printf("results: %s/\n", out_dir->c_str());
-
-    const obs::ProcessStats ps = obs::process_stats();
-    std::printf("process      : max RSS %lld KiB, cpu %.2fs user %.2fs sys\n",
-                static_cast<long long>(ps.max_rss_kb), ps.user_cpu_s, ps.system_cpu_s);
-    return finish_obs(*metrics_json, *trace_out);
+    return tools::finish_obs(*metrics_json, *trace_out);
 }

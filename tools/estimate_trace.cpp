@@ -21,36 +21,11 @@
 #include "core/trace_io.h"
 #include "core/validation.h"
 #include "core/windowed.h"
-#include "obs/metrics.h"
-#include "obs/process_stats.h"
-#include "obs/trace.h"
 #include "scenarios/spec.h"
+#include "tool_common.h"
 #include "util/flags.h"
 
 namespace {
-
-// Shared exit path: flush the obs export files and report process stats.
-int finish_obs(const std::string& metrics_path, const std::string& trace_path) {
-    int rc = 0;
-    if (!trace_path.empty()) {
-        if (bb::obs::Trace::write(trace_path)) {
-            std::printf("trace-out    : wrote %s\n", trace_path.c_str());
-        } else {
-            rc = 1;
-        }
-    }
-    if (!metrics_path.empty()) {
-        if (bb::obs::write_metrics_file(metrics_path)) {
-            std::printf("metrics-json : wrote %s\n", metrics_path.c_str());
-        } else {
-            rc = 1;
-        }
-    }
-    const bb::obs::ProcessStats ps = bb::obs::process_stats();
-    std::printf("process      : max RSS %lld KiB, cpu %.2fs user %.2fs sys\n",
-                static_cast<long long>(ps.max_rss_kb), ps.user_cpu_s, ps.system_cpu_s);
-    return rc;
-}
 
 // Output lines both modes print identically.
 void print_duration(const bb::core::StreamingAnalyzer::Result& res, bb::TimeNs slot) {
@@ -185,8 +160,7 @@ int main(int argc, char** argv) {
         "trace-out", "", "write Chrome trace_event JSON (Perfetto-loadable) to FILE");
     if (!flags.parse(argc, argv)) return flags.error().empty() ? 0 : 1;
     // Explicit export flags beat the ambient BB_OBS kill switch.
-    if (!metrics_json->empty() || !trace_out->empty()) obs::set_enabled(true);
-    if (!trace_out->empty()) obs::Trace::start();
+    tools::start_obs(!metrics_json->empty() || !trace_out->empty(), *trace_out);
     if (trace_path->empty() || design_path->empty()) {
         std::fprintf(stderr, "estimate_trace: --trace and --design are required\n");
         return 1;
@@ -239,5 +213,5 @@ int main(int argc, char** argv) {
                               : static_cast<std::uint64_t>(*seed));
         }
     }
-    return finish_obs(*metrics_json, *trace_out);
+    return tools::finish_obs(*metrics_json, *trace_out);
 }
