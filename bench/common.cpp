@@ -48,11 +48,6 @@ std::uint64_t bench_seed() {
     return static_cast<std::uint64_t>(env_int("BB_BENCH_SEED", 7));
 }
 
-std::size_t bench_threads() {
-    const std::int64_t n = env_int("BB_BENCH_THREADS", 0);
-    return n < 0 ? 0 : static_cast<std::size_t>(n);
-}
-
 scenarios::TestbedConfig bench_testbed() {
     return parse_preset(traffic_preset("cbr_uniform", "")).testbed;
 }

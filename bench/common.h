@@ -14,10 +14,6 @@ namespace bb::bench {
 [[nodiscard]] TimeNs bench_duration();
 [[nodiscard]] std::uint64_t bench_seed();
 
-// Worker threads for benches that fan runs out (BB_BENCH_THREADS, default
-// 0 = all hardware threads).
-[[nodiscard]] std::size_t bench_threads();
-
 // The testbed scaled from the paper's OC3: defaults to 30 Mb/s with the same
 // 50 ms one-way delay and 100 ms buffer.  BB_BENCH_RATE_MBPS overrides.
 [[nodiscard]] scenarios::TestbedConfig bench_testbed();

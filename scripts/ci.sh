@@ -72,28 +72,36 @@ if [[ "${BB_CI_SKIP_DETERMINISM:-0}" != 1 ]]; then
   echo "==> determinism: identical run-state digests across threads and BB_OBS (DESIGN.md §14)"
   det_dir=$(mktemp -d)
   trap 'rm -rf "$det_dir"' EXIT
+  # Run `bb_sweep run SPEC --state-hash` at each given thread count x
+  # BB_OBS {off,on}; every merged digest must equal the first.
+  same_digest() {
+    local spec=$1 ref_digest="" digest threads obs
+    shift
+    for threads in "$@"; do
+      for obs in off on; do
+        BB_OBS="$obs" ./build/tools/bb_sweep run "$spec" --state-hash \
+          --out "$det_dir/out" --threads "$threads" > "$det_dir/run.log"
+        digest=$(sed -n 's/^state-hash   : \([0-9a-f]\{16\}\).*/\1/p' "$det_dir/run.log")
+        [[ -n "$digest" ]] \
+          || { echo "ci: $spec: no state-hash line (threads=$threads BB_OBS=$obs)" >&2; exit 1; }
+        if [[ -z "$ref_digest" ]]; then
+          ref_digest="$digest"
+          echo "    $spec: reference digest $ref_digest (threads=$1 BB_OBS=off)"
+        elif [[ "$digest" != "$ref_digest" ]]; then
+          echo "ci: $spec: digest diverged: $digest != $ref_digest" \
+               "(threads=$threads BB_OBS=$obs)" >&2
+          exit 1
+        fi
+      done
+    done
+    echo "    $spec: digests identical across threads {$*} x BB_OBS {off,on}"
+  }
   # Table 4's CBR scenario (cbr, p 0.3), 20 s x 4 replicas; digests must not
   # depend on worker-thread count or the obs kill switch.
-  det_args=(run tests/data/replicas_cbr.json --state-hash --out "$det_dir/out")
-  ref_digest=""
-  for threads in 1 4 8; do
-    for obs in off on; do
-      BB_OBS="$obs" ./build/tools/bb_sweep "${det_args[@]}" --threads "$threads" \
-        > "$det_dir/run.log"
-      digest=$(sed -n 's/^state-hash   : \([0-9a-f]\{16\}\).*/\1/p' "$det_dir/run.log")
-      [[ -n "$digest" ]] \
-        || { echo "ci: no state-hash line (threads=$threads BB_OBS=$obs)" >&2; exit 1; }
-      if [[ -z "$ref_digest" ]]; then
-        ref_digest="$digest"
-        echo "    reference digest $ref_digest (threads=1 BB_OBS=off)"
-      elif [[ "$digest" != "$ref_digest" ]]; then
-        echo "ci: digest diverged: $digest != $ref_digest (threads=$threads BB_OBS=$obs)" >&2
-        exit 1
-      fi
-    done
-  done
+  same_digest tests/data/replicas_cbr.json 1 4 8
+  # Table 7's sweep, whose tau cells share one simulation per N.
+  same_digest examples/table7.json 1 4
   rm -rf "$det_dir"
-  echo "    digests identical across threads {1,4,8} x BB_OBS {off,on}"
 fi
 
 if [[ "${BB_SKIP_BENCH:-0}" != 1 ]]; then

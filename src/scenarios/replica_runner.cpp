@@ -12,13 +12,19 @@ namespace bb::scenarios {
 
 namespace {
 
-ReplicaResult run_one(const ReplicaPlan& plan, std::size_t index, std::uint64_t seed) {
+// One replica: build and simulate its world once, then analyse the probe
+// outcomes under every entry of `analyses` into results[a][index].  The
+// caller sizes `results`, so a worker allocates no result storage that
+// outlives its replica.
+void run_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analyses,
+             std::size_t index, std::uint64_t seed,
+             std::vector<std::vector<ReplicaResult>>& results) {
     const obs::Span span{"replica", "scenarios", "replica",
                          static_cast<std::int64_t>(index)};
-    // The hash scope covers the replica's whole life — world construction,
-    // run, and analyze — on whichever worker thread it landed on.  The main
-    // thread never gets a scope, so aggregation bootstrap draws stay out of
-    // the digest by construction.
+    // The hash scope covers the replica's world construction, run and truth
+    // on whichever worker thread it landed on; each analysis below folds into
+    // its own copy of that chain.  The main thread never gets a scope, so
+    // aggregation bootstrap draws stay out of the digest by construction.
     std::shared_ptr<core::RunHasher> hasher;
     std::optional<core::HashScope> hash_scope;
     if (plan.hashing) {
@@ -45,34 +51,46 @@ ReplicaResult run_one(const ReplicaPlan& plan, std::size_t index, std::uint64_t 
     exp.run();
     if (recording) recording->finish();
 
-    ReplicaResult r;
-    r.index = index;
-    r.seed = seed;
-    r.truth = exp.truth();
-    const core::MarkingConfig marking =
-        plan.marking ? *plan.marking : exp.default_marking(plan.probe.p);
-    r.result = tool.analyze(marking, plan.estimator);
-    r.offered_load = tool.offered_load_fraction(tb.bottleneck_rate_bps);
-    r.queue_drops = exp.testbed().bottleneck().drops();
-    for (const auto& hop : exp.testbed().upstream_hops()) r.queue_drops += hop->drops();
-    r.episodes = r.truth.episodes;
+    ReplicaResult sim;
+    sim.index = index;
+    sim.seed = seed;
+    sim.truth = exp.truth();
+    hash_scope.reset();
+    sim.offered_load = tool.offered_load_fraction(tb.bottleneck_rate_bps);
+    sim.queue_drops = exp.testbed().bottleneck().drops();
+    for (const auto& hop : exp.testbed().upstream_hops()) sim.queue_drops += hop->drops();
+    sim.episodes = sim.truth.episodes;
     const auto& queue = exp.testbed().bottleneck();
     const std::uint64_t ge_drops = exp.testbed().ge() ? exp.testbed().ge()->drops() : 0;
     if (queue.arrivals() > 0) {
-        r.path_loss_rate = static_cast<double>(queue.drops() + ge_drops) /
-                           static_cast<double>(queue.arrivals());
+        sim.path_loss_rate = static_cast<double>(queue.drops() + ge_drops) /
+                             static_cast<double>(queue.arrivals());
     }
     if (auto* obs = exp.testbed().qbit_observer()) {
-        r.passive_loss_rate = obs->loss_rate();
-        r.qbit_merged_blocks = obs->merged_blocks();
+        sim.passive_loss_rate = obs->loss_rate();
+        sim.qbit_merged_blocks = obs->merged_blocks();
     }
-    if (recording) r.series = recording->share();
-    if (hasher) {
-        r.state_hash = hasher->digest();
-        r.hash_records = hasher->records();
-        if (index == 0 && plan.hash_trace_capacity > 0) r.hash_trace = hasher;
+    if (recording) sim.series = recording->share();
+
+    for (std::size_t a = 0; a < analyses.size(); ++a) {
+        ReplicaResult& r = results[a][index];
+        r = sim;
+        std::shared_ptr<core::RunHasher> chain;
+        std::optional<core::HashScope> chain_scope;
+        if (hasher) {
+            chain = std::make_shared<core::RunHasher>(*hasher);
+            chain_scope.emplace(*chain);
+        }
+        const ReplicaAnalysis& analysis = analyses[a];
+        const core::MarkingConfig marking =
+            analysis.marking ? *analysis.marking : exp.default_marking(plan.probe.p);
+        r.result = tool.analyze(marking, analysis.estimator);
+        if (chain) {
+            r.state_hash = chain->digest();
+            r.hash_records = chain->records();
+            if (index == 0 && plan.hash_trace_capacity > 0) r.hash_trace = chain;
+        }
     }
-    return r;
 }
 
 AggregateStat collapse(const std::vector<double>& values, const ReplicaRunner::Config& cfg,
@@ -98,29 +116,33 @@ std::vector<std::uint64_t> ReplicaRunner::replica_seeds(std::uint64_t master_see
 }
 
 std::vector<ReplicaResult> ReplicaRunner::run(const ReplicaPlan& plan) const {
+    return std::move(run(plan, {plan.analysis}).front());
+}
+
+std::vector<std::vector<ReplicaResult>> ReplicaRunner::run(
+    const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analyses) const {
     const auto seeds = replica_seeds(cfg_.master_seed, cfg_.replicas);
-    std::vector<ReplicaResult> results(cfg_.replicas);
-    if (cfg_.replicas == 0) return results;
+    std::vector<std::vector<ReplicaResult>> results(analyses.size(),
+                                                    std::vector<ReplicaResult>(cfg_.replicas));
+    auto run_replica = [&](std::size_t i) { run_one(plan, analyses, i, seeds[i], results); };
 
     // Never spin up more workers than replicas.
     const std::size_t want = cfg_.threads == 0 ? ThreadPool::default_threads() : cfg_.threads;
     const std::size_t threads = std::min(want, cfg_.replicas);
     if (threads <= 1) {
-        for (std::size_t i = 0; i < cfg_.replicas; ++i) {
-            results[i] = run_one(plan, i, seeds[i]);
-        }
+        for (std::size_t i = 0; i < cfg_.replicas; ++i) run_replica(i);
         return results;
     }
 
     ThreadPool pool{threads};
-    pool.for_each_index(cfg_.replicas, [&plan, &seeds, &results](std::size_t i) {
-        results[i] = run_one(plan, i, seeds[i]);
-    });
+    pool.for_each_index(cfg_.replicas, run_replica);
     // Bit-identical aggregates at any thread count rest on every worker
-    // having written its own slot with its own positional seed.
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        BB_DCHECK_MSG(results[i].index == i && results[i].seed == seeds[i],
-                      "replica runner: replica result landed in the wrong slot");
+    // having written its own slots with its own positional seed.
+    for (const auto& per_analysis : results) {
+        for (std::size_t i = 0; i < per_analysis.size(); ++i) {
+            BB_DCHECK_MSG(per_analysis[i].index == i && per_analysis[i].seed == seeds[i],
+                          "replica runner: replica result landed in the wrong slot");
+        }
     }
     return results;
 }

@@ -31,6 +31,14 @@
 
 namespace bb::scenarios {
 
+// How one analysis reads a simulated replica's probe outcomes: the marking
+// rule (unset = the paper's tau/alpha for the plan's p) and the estimator
+// options.
+struct ReplicaAnalysis {
+    std::optional<core::MarkingConfig> marking;
+    core::EstimatorOptions estimator{};
+};
+
 // Everything one replica needs; `workload.seed` is the master seed and is
 // replaced by the replica's own derived seed before the run.
 struct ReplicaPlan {
@@ -38,9 +46,7 @@ struct ReplicaPlan {
     WorkloadConfig workload;
     TruthConfig truth;
     probes::BadabingConfig probe;
-    // Marking rule for analyze(); defaults to the paper's tau/alpha-by-p rule.
-    std::optional<core::MarkingConfig> marking;
-    core::EstimatorOptions estimator{};
+    ReplicaAnalysis analysis{};
     // Sim-time series recording.  Only replica 0 records (replica i always
     // computes the same world regardless of thread count, so the recorded
     // series stays bit-identical at any parallelism); sampling reads state
@@ -127,6 +133,15 @@ public:
     // Run cfg.replicas independent copies of `plan` across cfg.threads
     // workers.  results[i] always belongs to replica i.
     [[nodiscard]] std::vector<ReplicaResult> run(const ReplicaPlan& plan) const;
+
+    // Simulate each replica of `plan` once and analyse it under every entry
+    // of `analyses` (plan.analysis is not used):
+    // results[a][i] is replica i under analyses[a].  Each analysis folds
+    // into its own copy of the replica's hash chain, taken after simulation
+    // and truth, so results[a] — digests included — is bit-identical to
+    // run() on a plan carrying analyses[a].
+    [[nodiscard]] std::vector<std::vector<ReplicaResult>> run(
+        const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analyses) const;
 
     // Merged run digest: per-replica digests folded in replica-index order
     // (core::RunHasher::merge), so the value printed by --state-hash is the

@@ -555,18 +555,18 @@ SpecResult load_scenario_spec_file(const std::string& path) {
         return out;
     }
     SpecResult out = parse_scenario_spec(parsed.value, path);
-    if (out.ok && out.spec.name == "scenario") {
-        // Default the label to the file stem: "examples/table4.json" -> "table4".
-        std::string stem = path;
-        if (const auto slash = stem.find_last_of("/\\"); slash != std::string::npos) {
-            stem = stem.substr(slash + 1);
-        }
-        if (const auto dot = stem.rfind('.'); dot != std::string::npos && dot > 0) {
-            stem = stem.substr(0, dot);
-        }
-        if (!stem.empty()) out.spec.name = stem;
-    }
+    if (out.ok && out.spec.name == "scenario") out.spec.name = file_stem_or(path, "scenario");
     return out;
+}
+
+std::string file_stem_or(std::string_view path, std::string_view fallback) {
+    if (const auto slash = path.find_last_of("/\\"); slash != std::string_view::npos) {
+        path.remove_prefix(slash + 1);
+    }
+    if (const auto dot = path.rfind('.'); dot != std::string_view::npos && dot > 0) {
+        path = path.substr(0, dot);
+    }
+    return std::string{path.empty() ? fallback : path};
 }
 
 std::unique_ptr<Testbed> build_testbed(const ScenarioSpec& spec) {
@@ -620,8 +620,8 @@ ReplicaPlan replica_plan_from(const ScenarioSpec& spec) {
     plan.workload = spec.workload;
     plan.truth = spec.truth;
     plan.probe = spec.badabing;
-    if (spec.marking_alpha || spec.marking_tau) plan.marking = marking_for(spec);
-    plan.estimator = spec.estimator;
+    if (spec.marking_alpha || spec.marking_tau) plan.analysis.marking = marking_for(spec);
+    plan.analysis.estimator = spec.estimator;
     return plan;
 }
 

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "probes/sting.h"
 #include "scenarios/experiment.h"
@@ -74,6 +75,10 @@ struct SpecResult {
 [[nodiscard]] SpecResult load_scenario_spec_text(std::string_view text,
                                                  std::string_view source);
 [[nodiscard]] SpecResult load_scenario_spec_file(const std::string& path);
+
+// Default output label for a spec file: its stem ("examples/table4.json" ->
+// "table4"), or `fallback` when the stem is empty.
+[[nodiscard]] std::string file_stem_or(std::string_view path, std::string_view fallback);
 
 // Enum <-> spelling used by the DSL (and by sweep-axis values).
 [[nodiscard]] const char* to_string(QueueDiscipline d) noexcept;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -158,10 +159,7 @@ SweepParseResult load_sweep_spec_file(const std::string& path) {
         return out;
     }
     SweepParseResult out = parse_sweep_spec(parsed.value, path);
-    if (out.ok && out.sweep.name == "sweep") {
-        std::string stem = std::filesystem::path{path}.stem().string();
-        if (!stem.empty()) out.sweep.name = stem;
-    }
+    if (out.ok && out.sweep.name == "sweep") out.sweep.name = file_stem_or(path, "sweep");
     return out;
 }
 
@@ -271,12 +269,65 @@ bool series_cache_valid(const std::string& path, const std::string& config_hash)
     return hash != nullptr && hash->is_string() && hash->string_value == config_hash;
 }
 
+// The cell's canonical document without its top-level "analysis" object.
+// Cells with equal keys differ only in how the probe outcomes are analysed,
+// so one simulation per replica serves all of them.
+std::string simulation_key(const JsonValue& doc) {
+    JsonValue sim = doc;
+    std::erase_if(sim.members, [](const auto& m) { return m.first == "analysis"; });
+    return json_canonical(sim);
+}
+
+std::string csv_field(const std::string& s) {
+    if (s.find_first_of(",\"\n") == std::string::npos) return s;
+    std::string quoted = "\"";
+    for (const char c : s) quoted += c == '"' ? std::string{"\"\""} : std::string{c};
+    return quoted + "\"";
+}
+
+// <out>/<sweep>.csv: one row per cell (cached ones included) with its index,
+// config hash, axis values and aggregate means.
+std::string summary_csv(const std::vector<SweepCell>& cells,
+                        const std::vector<SweepRunner::CellOutcome>& outcomes) {
+    static const char* const kColumns[] = {"p", "replicas", "true_frequency", "est_frequency",
+                                           "true_duration_s", "est_duration_s", "offered_load"};
+    std::string out = "cell,config_hash";
+    if (!cells.empty()) {
+        for (const auto& axis : cells.front().axis_values) out += "," + csv_field(axis.first);
+    }
+    for (const char* column : kColumns) out += std::string{","} + column;
+    out += "\n";
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        out += std::to_string(outcomes[i].index) + "," + outcomes[i].config_hash;
+        for (const auto& axis : cells[i].axis_values) out += "," + csv_field(axis.second);
+        for (const char* column : kColumns) {
+            // "p" and "replicas" are numbers; the other columns are stat means.
+            const JsonValue* v =
+                json_get_path(outcomes[i].result, std::string{"aggregate."} + column);
+            if (v != nullptr && v->is_object()) v = v->find("mean");
+            char buf[40];
+            std::snprintf(buf, sizeof buf, ",%.9g",
+                          v != nullptr && v->is_number() ? v->number_value : 0.0);
+            out += buf;
+        }
+        out += "\n";
+    }
+    return out;
+}
+
 }  // namespace
 
 SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
                                          const std::vector<SweepCell>& cells) {
     RunOutcome out;
     namespace fs = std::filesystem;
+    for (const SweepCell& cell : cells) {
+        if (cell.spec.tool != ScenarioSpec::ProbeTool::badabing) {
+            out.error = "cell " + std::to_string(cell.index) + " (" + cell.config_hash +
+                        "): the sweep engine estimates with probe.tool = \"badabing\"";
+            return out;
+        }
+    }
     std::error_code ec;
     if (!cfg_.out_dir.empty()) fs::create_directories(cfg_.out_dir, ec);
     if (!cfg_.cache_dir.empty()) fs::create_directories(cfg_.cache_dir, ec);
@@ -285,82 +336,13 @@ SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
     if (cfg_.recording.enabled && !series_dir.empty()) {
         fs::create_directories(series_dir, ec);
     }
-
-    ProgressTracker tracker{cells.size()};
-    for (const SweepCell& cell : cells) {
-        if (cell.spec.tool != ScenarioSpec::ProbeTool::badabing) {
-            out.error = "cell " + std::to_string(cell.index) + " (" + cell.config_hash +
-                        "): the sweep engine estimates with probe.tool = \"badabing\"";
-            return out;
-        }
-        // bb-det: allow(no-time-seed) — per-cell wall time, progress display only
-        const auto cell_t0 = std::chrono::steady_clock::now();
-
-        const std::string cache_path =
-            cfg_.cache_dir.empty() ? std::string{}
-                                   : cfg_.cache_dir + "/" + cell.config_hash + ".json";
-        const std::string series_cache_path =
-            cfg_.cache_dir.empty()
-                ? std::string{}
-                : cfg_.cache_dir + "/" + cell.config_hash + ".series.json";
-        CellOutcome oc;
-        oc.index = cell.index;
-        oc.config_hash = cell.config_hash;
-
-        std::string text;
-        std::string series_text;
-        if (!cache_path.empty() && fs::exists(cache_path)) {
-            JsonParse cached = json_parse_file(cache_path);
-            const JsonValue* hash =
-                cached.ok ? cached.value.find("config_hash") : nullptr;
-            if (hash != nullptr && hash->is_string() &&
-                hash->string_value == cell.config_hash) {
-                // With recording on, the series file is part of the cell:
-                // a result without one is a miss and the cell recomputes.
-                if (!cfg_.recording.enabled ||
-                    series_cache_valid(series_cache_path, cell.config_hash)) {
-                    oc.cached = true;
-                    oc.result = std::move(cached.value);
-                    text = slurp(cache_path);
-                    if (cfg_.recording.enabled) series_text = slurp(series_cache_path);
-                }
-            }
-            // A stale or corrupt cache entry is not an error: recompute.
-        }
-
-        if (!oc.cached) {
-            ReplicaPlan plan = replica_plan_from(cell.spec);
-            plan.recording = cfg_.recording;
-            plan.hashing = cfg_.state_hash;
-            // The trace ring rides on replica 0 of the first computed cell.
-            if (plan.hashing && out.hash_trace == nullptr) {
-                plan.hash_trace_capacity = cfg_.hash_trace_capacity;
-            }
-            ReplicaRunner::Config rc = runner_config_from(cell.spec);
-            if (cfg_.threads != 0) rc.threads = cfg_.threads;
-            const ReplicaRunner runner{rc};
-            const std::vector<ReplicaResult> replicas = runner.run(plan);
-            if (plan.hashing) {
-                oc.hashed = true;
-                oc.state_hash = ReplicaRunner::merged_state_hash(replicas);
-                ++out.hashed_cells;
-                if (out.hash_trace == nullptr && !replicas.empty()) {
-                    out.hash_trace = replicas[0].hash_trace;
-                }
-            }
-            const AggregateRow row = runner.aggregate(plan, replicas);
-            text = cell_result_json(cell, row, replicas, cell.spec.badabing.slot_width);
-            JsonParse reparsed = json_parse(text, cache_path.empty() ? "<cell>" : cache_path);
-            oc.result = std::move(reparsed.value);
-            if (!cache_path.empty()) write_text_file(cache_path, text);
-            if (cfg_.recording.enabled && !replicas.empty() && replicas[0].series) {
-                series_text = replicas[0].series->json(cell.config_hash);
-                if (!series_cache_path.empty()) {
-                    write_text_file(series_cache_path, series_text);
-                }
-            }
-        }
-
+    auto cache_path = [this](const SweepCell& cell, const char* suffix) {
+        return cfg_.cache_dir.empty() ? std::string{}
+                                      : cfg_.cache_dir + "/" + cell.config_hash + suffix;
+    };
+    // A finished cell's result (and series) documents, into out_dir/series_dir.
+    auto publish = [&](const SweepCell& cell, const std::string& text,
+                       const std::string& series_text) {
         if (!cfg_.out_dir.empty() && !text.empty()) {
             write_text_file(cfg_.out_dir + "/" + sweep_name + "-" + cell.config_hash + ".json",
                             text);
@@ -370,16 +352,125 @@ SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
                 series_dir + "/" + sweep_name + "-" + cell.config_hash + ".series.json",
                 series_text);
         }
-        const bool cached_cell = oc.cached;
+    };
+
+    // Cache pass: every cell is looked up before anything simulates, so a
+    // group knows which of its members still need an analysis.
+    const std::size_t n = cells.size();
+    out.cells.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const SweepCell& cell = cells[i];
+        CellOutcome& oc = out.cells[i];
+        oc.index = cell.index;
+        oc.config_hash = cell.config_hash;
+        const std::string path = cache_path(cell, ".json");
+        if (path.empty() || !fs::exists(path)) continue;
+        JsonParse cached = json_parse_file(path);
+        const JsonValue* hash = cached.ok ? cached.value.find("config_hash") : nullptr;
+        // A stale or corrupt cache entry is not an error: recompute.
+        if (hash == nullptr || !hash->is_string() || hash->string_value != cell.config_hash) {
+            continue;
+        }
+        // With recording on, the series file is part of the cell: a result
+        // without one is a miss and the cell recomputes.
+        const std::string series_path = cache_path(cell, ".series.json");
+        if (cfg_.recording.enabled && !series_cache_valid(series_path, cell.config_hash)) {
+            continue;
+        }
+        oc.cached = true;
+        oc.result = std::move(cached.value);
+    }
+
+    // Group the misses by simulation key, in cell order.
+    std::vector<std::vector<std::size_t>> groups;
+    std::vector<std::size_t> group_of(n, 0);
+    {
+        std::map<std::string, std::size_t> by_key;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (out.cells[i].cached) continue;
+            const auto [it, added] =
+                by_key.try_emplace(simulation_key(cells[i].doc), groups.size());
+            if (added) groups.emplace_back();
+            groups[it->second].push_back(i);
+            group_of[i] = it->second;
+        }
+    }
+
+    // One simulation per replica for the whole group, one analysis per member.
+    auto simulate = [&](const std::vector<std::size_t>& members) {
+        const ScenarioSpec& spec = cells[members.front()].spec;
+        ReplicaPlan plan = replica_plan_from(spec);
+        plan.recording = cfg_.recording;
+        plan.hashing = cfg_.state_hash;
+        // The trace ring rides on replica 0 of the first computed cell.
+        if (plan.hashing && out.hash_trace == nullptr) {
+            plan.hash_trace_capacity = cfg_.hash_trace_capacity;
+        }
+        std::vector<ReplicaAnalysis> analyses;
+        analyses.reserve(members.size());
+        for (const std::size_t m : members) {
+            analyses.push_back(replica_plan_from(cells[m].spec).analysis);
+        }
+        ReplicaRunner::Config rc = runner_config_from(spec);
+        if (cfg_.threads != 0) rc.threads = cfg_.threads;
+        const ReplicaRunner runner{rc};
+        const auto results = runner.run(plan, analyses);
+        ++out.simulated;
+
+        for (std::size_t a = 0; a < members.size(); ++a) {
+            const std::size_t i = members[a];
+            const SweepCell& cell = cells[i];
+            const std::vector<ReplicaResult>& replicas = results[a];
+            CellOutcome& oc = out.cells[i];
+            if (plan.hashing) {
+                oc.hashed = true;
+                oc.state_hash = ReplicaRunner::merged_state_hash(replicas);
+                if (out.hash_trace == nullptr && !replicas.empty()) {
+                    out.hash_trace = replicas[0].hash_trace;
+                }
+            }
+            const AggregateRow row = runner.aggregate(plan, replicas);
+            const std::string text =
+                cell_result_json(cell, row, replicas, cell.spec.badabing.slot_width);
+            const std::string path = cache_path(cell, ".json");
+            oc.result = json_parse(text, path.empty() ? "<cell>" : path).value;
+            if (!path.empty()) write_text_file(path, text);
+            std::string series_text;
+            if (cfg_.recording.enabled && !replicas.empty() && replicas[0].series) {
+                series_text = replicas[0].series->json(cell.config_hash);
+                const std::string series_path = cache_path(cell, ".series.json");
+                if (!series_path.empty()) write_text_file(series_path, series_text);
+            }
+            publish(cell, text, series_text);
+        }
+    };
+
+    ProgressTracker tracker{n};
+    for (std::size_t i = 0; i < n; ++i) {
+        const SweepCell& cell = cells[i];
+        CellOutcome& oc = out.cells[i];
+        // bb-det: allow(no-time-seed) — per-cell wall time, progress display only
+        const auto cell_t0 = std::chrono::steady_clock::now();
+        // A group simulates, and publishes every member, when its first
+        // member comes up.
+        if (oc.cached) {
+            publish(cell, slurp(cache_path(cell, ".json")),
+                    cfg_.recording.enabled ? slurp(cache_path(cell, ".series.json")) : "");
+        } else if (groups[group_of[i]].front() == i) {
+            simulate(groups[group_of[i]]);
+        }
         out.computed += oc.cached ? 0 : 1;
         out.cached += oc.cached ? 1 : 0;
-        out.cells.push_back(std::move(oc));
+        out.hashed_cells += oc.hashed ? 1 : 0;
 
         const double cell_s =  // bb-det: allow(no-time-seed) — progress display only
             std::chrono::duration<double>(std::chrono::steady_clock::now() - cell_t0)
                 .count();
-        const SweepProgress p = tracker.on_cell(cell.config_hash, cached_cell, cell_s);
+        const SweepProgress p = tracker.on_cell(cell.config_hash, oc.cached, cell_s);
         if (cfg_.progress) cfg_.progress(p);
+    }
+    if (!cfg_.out_dir.empty()) {
+        write_text_file(cfg_.out_dir + "/" + sweep_name + ".csv", summary_csv(cells, out.cells));
     }
     if (cfg_.state_hash) {
         std::vector<std::uint64_t> digests;

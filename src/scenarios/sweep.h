@@ -24,6 +24,12 @@
 // live in <cache>/<hash>.json and later runs verify the embedded hash and
 // skip the computation; editing an axis value only invalidates the cells
 // whose resolved documents actually changed.
+//
+// Simulate once, analyse many: cells whose canonical documents are equal
+// once the top-level "analysis" object is removed differ only in how the
+// probe outcomes are marked and estimated.  SweepRunner runs each such group
+// of uncached cells as one simulation per replica and analyses it once per
+// member, with results and digests bit-identical to one run per cell.
 #ifndef BB_SCENARIOS_SWEEP_H
 #define BB_SCENARIOS_SWEEP_H
 
@@ -88,7 +94,7 @@ struct ExpandResult {
 class SweepRunner {
 public:
     struct Config {
-        std::string out_dir;    // per-cell results + summary land here
+        std::string out_dir;    // per-cell results + <sweep>.csv land here
         std::string cache_dir;  // "" = caching off
         std::size_t threads{0};  // 0 = each cell's own run.threads
         // Per-cell sim-time series (replica 0 of each cell): when
@@ -125,6 +131,9 @@ public:
         std::vector<CellOutcome> cells;
         std::size_t computed{0};
         std::size_t cached{0};
+        // Simulations run: one per group of computed cells that differ only
+        // in their "analysis" objects.
+        std::size_t simulated{0};
         // Hashed-cell digests folded in cell order (Config::state_hash).
         std::size_t hashed_cells{0};
         std::uint64_t merged_state_hash{0};
@@ -134,10 +143,12 @@ public:
 
     explicit SweepRunner(Config cfg) : cfg_{std::move(cfg)} {}
 
-    // Run every cell (cache-aware), write per-cell JSON + a summary document
-    // into out_dir.  Cells run serially; each cell's replicas run in
-    // parallel through ReplicaRunner.  (Non-const only because the progress
-    // hook is a move-only callable; results are independent of it.)
+    // Run every cell (cache-aware), write per-cell JSON and the summary
+    // <out>/<sweep>.csv (one row per cell: index, config hash, axis values,
+    // aggregate means) into out_dir.  Groups run serially; each group's
+    // replicas run in parallel through ReplicaRunner.  (Non-const only
+    // because the progress hook is a move-only callable; results are
+    // independent of it.)
     [[nodiscard]] RunOutcome run(const std::string& sweep_name,
                                  const std::vector<SweepCell>& cells);
 

@@ -11,15 +11,24 @@
 // expanded) to keep the shipped configs loadable, and the shipped paper
 // Table 1-6 specs are run shortened and pinned to the numbers the
 // hand-wired table benches they replaced printed for the same durations.
+// The Fig 9 and Table 7 re-analysis sweeps are pinned, shortened, to what
+// bb_sweep printed for them before cells could share a simulation, and are
+// run both grouped and one cell at a time to show that sharing changes no
+// byte of any cell.
 // Regenerating those constants (only after an *intentional* behaviour change):
-//   BB_GOLDEN_PRINT=1 ./build/tests/spec_golden_test --gtest_filter='*ShippedTable*'
+//   BB_GOLDEN_PRINT=1 ./build/tests/spec_golden_test --gtest_filter='*Shipped*'
 // and paste the printed blocks below.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/run_hasher.h"
 #include "scenarios/spec.h"
 #include "scenarios/sweep.h"
 
@@ -144,7 +153,8 @@ TEST(SpecGolden, Fig9AlphaSweepFromSpecs) {
 TEST(SpecGolden, ShippedExampleSpecsParseAndExpand) {
     const std::string dir = BB_EXAMPLES_DIR;
     for (const char* name : {"table4.json", "table5.json", "table6.json",
-                             "ablation_aqm_sweep.json", "sweep_smoke.json", "fig9.json"}) {
+                             "ablation_aqm_sweep.json", "sweep_smoke.json", "fig9.json",
+                             "table7.json"}) {
         const auto r = load_sweep_spec_file(dir + "/" + name);
         ASSERT_TRUE(r.ok) << name << ": " << r.error;
         const auto e = expand_sweep(r.sweep, name);
@@ -345,6 +355,211 @@ TEST(SpecGolden, ShippedTable5SpecMatchesTableBench) {
 
 TEST(SpecGolden, ShippedTable6SpecMatchesTableBench) {
     check_badabing_table("table6.json", "kShippedTable6", kShippedTable6);
+}
+
+// --- shipped re-analysis sweeps (Fig 9, Table 7), shortened ------------------
+
+// examples/fig9.json at 20 s per run.
+JsonValue short_fig9() { return shipped_doc("fig9.json", "base.traffic.duration_s", 20); }
+
+// examples/table7.json with its N axis scaled from {900, 3600} s to {20, 80} s.
+// Axis paths contain dots, so the axis is edited in place, not by json_set_path.
+JsonValue short_table7() {
+    JsonParse parsed = json_parse_file(std::string{BB_EXAMPLES_DIR} + "/table7.json");
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    bool edited = false;
+    for (auto& [key, axes] : parsed.value.members) {
+        if (key != "axes") continue;
+        for (auto& [path, values] : axes.members) {
+            if (path != "traffic.duration_s") continue;
+            values.items = {JsonValue::of_int(20), JsonValue::of_int(80)};
+            edited = true;
+        }
+    }
+    EXPECT_TRUE(edited);
+    return std::move(parsed.value);
+}
+
+std::vector<SweepCell> expand_doc(const JsonValue& doc, const char* name) {
+    const auto sweep = parse_sweep_spec(doc, name);
+    EXPECT_TRUE(sweep.ok) << sweep.error;
+    auto grid = expand_sweep(sweep.sweep, name);
+    EXPECT_TRUE(grid.ok) << grid.error;
+    return std::move(grid.cells);
+}
+
+SweepRunner::RunOutcome run_cells(const std::string& sweep_name,
+                                  const std::vector<SweepCell>& cells,
+                                  const std::string& out_dir) {
+    SweepRunner::Config cfg;
+    cfg.out_dir = out_dir;
+    cfg.threads = 2;
+    cfg.state_hash = true;
+    SweepRunner runner{std::move(cfg)};
+    return runner.run(sweep_name, cells);
+}
+
+GoldenStat cell_stat(const JsonValue& result, const std::string& stat) {
+    const auto number = [&](const char* field) {
+        const JsonValue* v = json_get_path(result, "aggregate." + stat + "." + field);
+        EXPECT_TRUE(v != nullptr && v->is_number()) << stat << "." << field;
+        return v != nullptr ? v->number_value : 0.0;
+    };
+    return {number("mean"), number("ci_lo"), number("ci_hi")};
+}
+
+// Captured from bb_sweep run <short spec> --state-hash before cells could
+// share a simulation (same files, same shortening as below).
+constexpr const char* kShortFig9StateHash = "a1886419ce48dca7";
+const double kShortFig9EstFreq[45] = {
+    // p = 0.1; alpha 0.05, 0.1, 0.2 outer; tau 20, 40, 80 ms inner
+    0.00853037356548574, 0.009376397254149023, 0.009376397254149023,
+    0.009376397254149023, 0.011068444631475587, 0.011068444631475587,
+    0.009376397254149023, 0.011914468320138871, 0.011914468320138871,
+    // p = 0.3
+    0.008736414549390082, 0.009551378593176469, 0.009831726224238986,
+    0.009551378593176469, 0.010646690268025375, 0.010927037899087891,
+    0.010392421486364021, 0.012302697204999316, 0.012850353042423768,
+    // p = 0.5
+    0.010287570033219296, 0.010454906043928801, 0.010454906043928801,
+    0.011785413257970152, 0.012120085279389162, 0.012120085279389162,
+    0.013280529525509446, 0.01428181863255491, 0.01428181863255491,
+    // p = 0.7
+    0.010576028166589051, 0.010576028166589051, 0.010576028166589051,
+    0.011880491966299332, 0.011999880696003247, 0.011999880696003247,
+    0.013899085087474911, 0.014136761018503644, 0.014136761018503644,
+    // p = 0.9
+    0.010359787587450903, 0.010359787587450903, 0.010359787587450903,
+    0.011562412328394622, 0.01165485085677325, 0.01165485085677325,
+    0.013689935615358816, 0.014059792381320168, 0.014059792381320168,
+};
+
+constexpr const char* kShortTable7StateHash = "2a59fba908b29386";
+// N = 20 s (tau 40, 80 ms), then N = 80 s (tau 40, 80 ms).
+const GoldenTableRow kShortTable7[4] = {
+    {{0.006649999999999999, 0.0014, 0.011263749999999987},
+     {0.008626513504398593, 0.0014778325123152708, 0.017323043410155864},
+     {0.04152666666666667, 0.013740000000000002, 0.06948000000000001},
+     {0, 0, 0},
+     {0.018355200000000002, 0.017889600000000002, 0.01896084}},
+    {{0.006649999999999999, 0.0014, 0.011263749999999987},
+     {0.008626513504398593, 0.0014778325123152708, 0.017323043410155864},
+     {0.04152666666666667, 0.013740000000000002, 0.06948000000000001},
+     {0, 0, 0},
+     {0.018355200000000002, 0.017889600000000002, 0.01896084}},
+    {{0.006925000000000001, 0.00545, 0.008400000000000001},
+     {0.007721744055802527, 0.005802504040430392, 0.01024564063705536},
+     {0.06944222222222222, 0.06903555555555557, 0.06981333333333334},
+     {0.075, 0.011, 0.142},
+     {0.0180888, 0.0176688, 0.0184776}},
+    {{0.006925000000000001, 0.00545, 0.008400000000000001},
+     {0.008468678143977514, 0.006785348646351009, 0.010851064872200637},
+     {0.06944222222222222, 0.06903555555555557, 0.06981333333333334},
+     {0.10500000000000001, 0.040999999999999995, 0.16302499999999998},
+     {0.0180888, 0.0176688, 0.0184776}},
+};
+
+TEST(SpecGolden, ShippedFig9SpecMatchesSweepPins) {
+    const auto cells = expand_doc(short_fig9(), "fig9.json");
+    ASSERT_EQ(cells.size(), 45u);
+    const auto run = run_cells("fig9", cells, "");
+    ASSERT_TRUE(run.ok) << run.error;
+    EXPECT_EQ(run.simulated, 5u);  // one per p; 9 (alpha, tau) analyses each
+    if (golden_print()) {
+        std::printf("constexpr const char* kShortFig9StateHash = \"%s\";\n",
+                    core::RunHasher::hex(run.merged_state_hash).c_str());
+        for (const auto& c : run.cells) {
+            std::printf("    %.17g,\n", cell_stat(c.result, "est_frequency").mean);
+        }
+        return;
+    }
+    EXPECT_EQ(core::RunHasher::hex(run.merged_state_hash), kShortFig9StateHash);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_EQ(cell_stat(run.cells[i].result, "est_frequency").mean, kShortFig9EstFreq[i])
+            << "cell " << i;
+    }
+}
+
+TEST(SpecGolden, ShippedTable7SpecMatchesSweepPins) {
+    const auto cells = expand_doc(short_table7(), "table7.json");
+    ASSERT_EQ(cells.size(), 4u);
+    const auto run = run_cells("table7", cells, "");
+    ASSERT_TRUE(run.ok) << run.error;
+    EXPECT_EQ(run.simulated, 2u);  // one per N; tau 40 and 80 ms each
+    static const char* const kStats[5] = {"true_frequency", "est_frequency",
+                                          "true_duration_s", "est_duration_s", "offered_load"};
+    if (golden_print()) {
+        std::printf("constexpr const char* kShortTable7StateHash = \"%s\";\n",
+                    core::RunHasher::hex(run.merged_state_hash).c_str());
+        for (const auto& c : run.cells) {
+            const char* sep = "    {";
+            for (const char* stat : kStats) {
+                const GoldenStat got = cell_stat(c.result, stat);
+                std::printf("%s{%.17g, %.17g, %.17g}", sep, got.mean, got.lo, got.hi);
+                sep = ",\n     ";
+            }
+            std::printf("},\n");
+        }
+        return;
+    }
+    EXPECT_EQ(core::RunHasher::hex(run.merged_state_hash), kShortTable7StateHash);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        SCOPED_TRACE("cell " + std::to_string(i));
+        const GoldenTableRow& want = kShortTable7[i];
+        const GoldenStat* wanted[5] = {&want.true_freq, &want.est_freq, &want.true_dur,
+                                       &want.est_dur, &want.load};
+        for (std::size_t k = 0; k < 5; ++k) {
+            expect_stat(cell_stat(run.cells[i].result, kStats[k]), *wanted[k], kStats[k],
+                        cells[i].spec.badabing.p);
+        }
+    }
+}
+
+std::string slurp(const std::filesystem::path& path) {
+    std::ifstream in{path, std::ios::binary};
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+// Sharing a simulation must be invisible: the sweep run as one
+// SweepRunner::run call (one simulation per group) and as one call per cell
+// writes byte-identical cell files and carries equal per-cell and merged
+// digests.
+void expect_grouping_invisible(const char* name, const JsonValue& doc,
+                               std::size_t groups) {
+    namespace fs = std::filesystem;
+    const fs::path root = fs::temp_directory_path() / ("bb_grouping_" + std::string{name});
+    fs::remove_all(root);
+    const auto cells = expand_doc(doc, name);
+    const auto grouped = run_cells(name, cells, (root / "grouped").string());
+    ASSERT_TRUE(grouped.ok) << grouped.error;
+    EXPECT_EQ(grouped.simulated, groups);
+    ASSERT_EQ(grouped.cells.size(), cells.size());
+
+    std::vector<std::uint64_t> digests;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto single = run_cells(name, {cells[i]}, (root / "single").string());
+        ASSERT_TRUE(single.ok) << single.error;
+        EXPECT_EQ(single.simulated, 1u);
+        EXPECT_EQ(single.cells.at(0).state_hash, grouped.cells[i].state_hash) << "cell " << i;
+        digests.push_back(single.cells.at(0).state_hash);
+
+        const std::string file = std::string{name} + "-" + cells[i].config_hash + ".json";
+        const std::string want = slurp(root / "single" / file);
+        EXPECT_FALSE(want.empty()) << file;
+        EXPECT_EQ(slurp(root / "grouped" / file), want) << file;
+    }
+    EXPECT_EQ(core::RunHasher::merge(digests), grouped.merged_state_hash);
+    fs::remove_all(root);
+}
+
+TEST(SpecGolden, ShippedFig9GroupedMatchesPerCellRuns) {
+    expect_grouping_invisible("fig9", short_fig9(), 5);
+}
+
+TEST(SpecGolden, ShippedTable7GroupedMatchesPerCellRuns) {
+    expect_grouping_invisible("table7", short_table7(), 2);
 }
 
 // One row of a ZING table: the run's own truth beside ZING's estimates.

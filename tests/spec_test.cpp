@@ -194,8 +194,8 @@ TEST(SpecFactory, ReplicaPlanCarriesProbeAndEstimator) {
     EXPECT_DOUBLE_EQ(plan.probe.p, 0.5);
     EXPECT_TRUE(plan.probe.improved);
     EXPECT_EQ(plan.probe.total_slots, 0);
-    EXPECT_FALSE(plan.estimator.frequency_from_extended);
-    EXPECT_FALSE(plan.marking.has_value());
+    EXPECT_FALSE(plan.analysis.estimator.frequency_from_extended);
+    EXPECT_FALSE(plan.analysis.marking.has_value());
     const ReplicaRunner::Config rc = runner_config_from(r.spec);
     EXPECT_EQ(rc.replicas, 3u);
     EXPECT_EQ(rc.threads, 2u);
@@ -209,8 +209,8 @@ TEST(SpecFactory, ExplicitMarkingFlowsThrough) {
     EXPECT_DOUBLE_EQ(marking.alpha, 0.2);
     EXPECT_EQ(marking.tau, milliseconds(40));
     const ReplicaPlan plan = replica_plan_from(r.spec);
-    ASSERT_TRUE(plan.marking.has_value());
-    EXPECT_DOUBLE_EQ(plan.marking->alpha, 0.2);
+    ASSERT_TRUE(plan.analysis.marking.has_value());
+    EXPECT_DOUBLE_EQ(plan.analysis.marking->alpha, 0.2);
 }
 
 }  // namespace

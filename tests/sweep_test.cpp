@@ -1,10 +1,12 @@
 // Sweep-engine tests: spec parsing and axis conflicts, grid expansion order,
-// config-hash stability/invalidation, and the on-disk cell cache (cold run
+// config-hash stability/invalidation, the on-disk cell cache (cold run
 // computes, warm run hits, an edited axis value invalidates only the cells it
-// touches).
+// touches), cells that differ only in "analysis" sharing one simulation, and
+// the per-sweep summary CSV.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <utility>
@@ -28,6 +30,20 @@ constexpr const char* kTwoCellSweep = R"({
   },
   "axes": {
     "link.discipline": ["drop_tail", "red"]
+  }
+})";
+
+// Three cells that differ only in analysis.alpha: one simulation group.
+constexpr const char* kAlphaSweep = R"({
+  "name": "a",
+  "base": {
+    "link": {"rate_mbps": 20},
+    "traffic": {"kind": "cbr_uniform", "duration_s": 5, "mean_episode_gap_s": 2},
+    "probe": {"badabing": {"p": 0.5}},
+    "run": {"replicas": 2, "seed": 7}
+  },
+  "axes": {
+    "analysis.alpha": [0.05, 0.1, 0.2]
   }
 })";
 
@@ -396,6 +412,77 @@ TEST_F(SweepRunnerCache, MidSweepProgressJsonParsesAndNoTmpFilesRemain) {
             }
         }
     }
+}
+
+TEST_F(SweepRunnerCache, AnalysisOnlyCellsShareOneSimulation) {
+    const auto cold = run(kAlphaSweep);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    EXPECT_EQ(cold.computed, 3u);
+    EXPECT_EQ(cold.simulated, 1u);
+
+    const auto warm = run(kAlphaSweep);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    EXPECT_EQ(warm.cached, 3u);
+    EXPECT_EQ(warm.simulated, 0u);
+
+    // Cells that differ outside "analysis" each simulate.
+    const auto two = run(kTwoCellSweep);
+    ASSERT_TRUE(two.ok) << two.error;
+    EXPECT_EQ(two.simulated, 2u);
+}
+
+// One group, three cache states: cell 0 cached, cell 1's entry corrupt,
+// cell 2's entry missing.  The group simulates once for the two misses, the
+// cached cell comes from disk, and every result equals the cold run's.
+TEST_F(SweepRunnerCache, MixedCacheGroupSimulatesOnceAndServesCachedCell) {
+    const auto cold = run(kAlphaSweep);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    ASSERT_EQ(cold.cells.size(), 3u);
+
+    const fs::path corrupt = cache_dir_ / (cold.cells[1].config_hash + ".json");
+    ASSERT_TRUE(write_text_file(corrupt.string(), "{not json"));
+    ASSERT_TRUE(fs::remove(cache_dir_ / (cold.cells[2].config_hash + ".json")));
+
+    const auto again = run(kAlphaSweep);
+    ASSERT_TRUE(again.ok) << again.error;
+    EXPECT_EQ(again.simulated, 1u);
+    EXPECT_EQ(again.cached, 1u);
+    EXPECT_EQ(again.computed, 2u);
+    ASSERT_EQ(again.cells.size(), 3u);
+    EXPECT_TRUE(again.cells[0].cached);
+    EXPECT_FALSE(again.cells[1].cached);
+    EXPECT_FALSE(again.cells[2].cached);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(json_canonical(again.cells[i].result), json_canonical(cold.cells[i].result))
+            << "cell " << i;
+    }
+    // The recomputed cell replaced its corrupt entry.
+    EXPECT_TRUE(json_parse_file(corrupt.string()).ok);
+}
+
+TEST_F(SweepRunnerCache, SummaryCsvHasOneRowPerCellCachedIncluded) {
+    const auto read_csv = [&] {
+        std::ifstream in{out_dir_ / "t.csv"};
+        std::vector<std::string> lines;
+        for (std::string line; std::getline(in, line);) lines.push_back(line);
+        return lines;
+    };
+    const auto cold = run(kTwoCellSweep);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    const auto cold_csv = read_csv();
+    ASSERT_EQ(cold_csv.size(), 3u);
+    EXPECT_EQ(cold_csv[0],
+              "cell,config_hash,link.discipline,p,replicas,true_frequency,est_frequency,"
+              "true_duration_s,est_duration_s,offered_load");
+    EXPECT_EQ(cold_csv[1].rfind("0," + cold.cells[0].config_hash + ",drop_tail,0.3,1,", 0), 0u)
+        << cold_csv[1];
+    EXPECT_EQ(cold_csv[2].rfind("1," + cold.cells[1].config_hash + ",red,0.3,1,", 0), 0u)
+        << cold_csv[2];
+
+    const auto warm = run(kTwoCellSweep);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    EXPECT_EQ(warm.cached, 2u);
+    EXPECT_EQ(read_csv(), cold_csv);
 }
 
 // The sweep-level hash chain (DESIGN.md §14): computed cells carry merged

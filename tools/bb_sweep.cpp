@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
                   "config-driven experiment sweeps with a content-addressed cell cache"};
     flags.allow_positionals(2, 2, "<run|expand> <spec.json>");
     const auto* out_dir = flags.add_string("out", "sweep_results",
-                                           "directory for per-cell results + summary");
+                                           "directory for per-cell results + <sweep>.csv summary");
     const auto* cache_dir = flags.add_string(
         "cache-dir", "", "reuse finished cells from DIR (hash-keyed JSON; \"\" = off)");
     const auto* threads = flags.add_int(
@@ -101,14 +101,7 @@ int main(int argc, char** argv) {
         }
     }
     if (sweep.sweep.name.empty() || sweep.sweep.name == "sweep") {
-        std::string stem = spec_path;
-        if (const auto slash = stem.find_last_of("/\\"); slash != std::string::npos) {
-            stem = stem.substr(slash + 1);
-        }
-        if (const auto dot = stem.rfind('.'); dot != std::string::npos && dot > 0) {
-            stem = stem.substr(0, dot);
-        }
-        sweep.sweep.name = stem.empty() ? "sweep" : stem;
+        sweep.sweep.name = scenarios::file_stem_or(spec_path, "sweep");
     }
 
     scenarios::ExpandResult grid = scenarios::expand_sweep(sweep.sweep, spec_path);
@@ -185,9 +178,10 @@ int main(int argc, char** argv) {
         std::printf("\n");
     }
     // The cells line is load-bearing: ci.sh greps "computed N" / "cached N"
-    // to assert warm-cache behaviour.
-    std::printf("\ncells: %zu total, computed %zu, cached %zu\n", outcome.cells.size(),
-                outcome.computed, outcome.cached);
+    // to assert warm-cache behaviour.  "simulated N" counts the simulations
+    // run: computed cells that differ only in "analysis" share one.
+    std::printf("\ncells: %zu total, computed %zu, cached %zu, simulated %zu\n",
+                outcome.cells.size(), outcome.computed, outcome.cached, outcome.simulated);
     if (rc.state_hash) {
         // Cached cells are not re-run and carry no digest; the merged value
         // covers computed cells only (in cell order).
