@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Determinism analyzer: static rules over the result-affecting layers.
 
-Everything under src/core, src/sim, src/measure, src/probes and src/scenarios
-feeds the numbers that reach result files and the run-state hash chain
+Everything under src/core, src/sim, src/measure, src/probes, src/scenarios,
+src/tcp and src/traffic feeds the numbers that reach result files and the run-state hash chain
 (DESIGN.md §14).  These rules ban the constructs that make such code depend on
 process layout, wall time, or library hash ordering — the classic sources of
 "same seed, different answer":
@@ -55,7 +55,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The layers whose computation reaches result files / the hash chain.  util,
 # obs and the tools/bench layers are deliberately out of scope: wall timing
 # and process-global telemetry are legal there.
-DEFAULT_SCAN = ["src/core", "src/sim", "src/measure", "src/probes", "src/scenarios"]
+DEFAULT_SCAN = ["src/core", "src/sim", "src/measure", "src/probes", "src/scenarios", "src/tcp",
+                "src/traffic"]
 CXX_EXTENSIONS = (".cpp", ".h")
 
 

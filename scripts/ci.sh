@@ -101,6 +101,8 @@ if [[ "${BB_CI_SKIP_DETERMINISM:-0}" != 1 ]]; then
   same_digest tests/data/replicas_cbr.json 1 4 8
   # Table 7's sweep, whose tau cells share one simulation per N.
   same_digest examples/table7.json 1 4
+  # 40 long-lived TCP flows (the tcp_longlived workload, shortened).
+  same_digest tests/data/tcp_longlived_short.json 1 4
   rm -rf "$det_dir"
 fi
 

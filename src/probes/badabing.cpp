@@ -11,16 +11,22 @@ namespace bb::probes {
 
 BadabingTool::BadabingTool(sim::Scheduler& sched, const BadabingConfig& cfg,
                            sim::PacketSink& out, Rng rng)
-    : sched_{&sched}, cfg_{cfg}, out_{&out}, next_id_{sim::flow_id_block(0xBA, cfg.flow)} {
+    : sched_{&sched},
+      cfg_{cfg},
+      out_{&out},
+      probe_lane_{sched},
+      next_id_{sim::flow_id_block(0xBA, cfg.flow)} {
     core::ProbeProcessConfig pcfg;
     pcfg.p = cfg_.p;
     pcfg.improved = cfg_.improved;
     pcfg.extended_fraction = cfg_.extended_fraction;
     design_ = core::design_probe_process(rng, cfg_.total_slots, pcfg);
 
+    // The design's slots are sorted and unique, so the whole schedule rides
+    // one lane in time order.
     for (const core::SlotIndex slot : design_.probe_slots) {
         const TimeNs at = cfg_.start + cfg_.slot_width * slot;
-        sched_->schedule_at(at, [this, slot] { emit_probe(slot); });
+        probe_lane_.schedule_at(at, [this, slot] { emit_probe(slot); });
     }
 }
 

@@ -123,6 +123,7 @@ private:
     sim::Scheduler* sched_;
     BadabingConfig cfg_;
     sim::PacketSink* out_;
+    sim::EventLane probe_lane_;  // the pre-drawn probe schedule
     core::ProbeDesign design_;
     std::uint64_t next_id_;
 

@@ -21,18 +21,17 @@ namespace bb::sim {
 class DelayLink final : public PacketSink {
 public:
     DelayLink(Scheduler& sched, TimeNs delay, PacketSink& downstream)
-        : sched_{&sched}, delay_{delay}, downstream_{&downstream} {}
+        : lane_{sched}, delay_{delay}, downstream_{&downstream} {}
 
     void accept(const Packet& pkt) override {
-        // Parked in the scheduler's per-replica packet pool: the delivery
-        // event carries a 32-bit handle, so no per-packet heap allocation.
-        sched_->deliver_after(delay_, pkt, *downstream_);
+        // A fixed delay keeps arrivals in send order, so they ride a lane.
+        lane_.deliver_after(delay_, pkt, *downstream_);
     }
 
     [[nodiscard]] TimeNs delay() const noexcept { return delay_; }
 
 private:
-    Scheduler* sched_;
+    PacketLane lane_;
     TimeNs delay_;
     PacketSink* downstream_;
 };

@@ -17,7 +17,7 @@ obs::Counter& ge_drops_ctr() {
 
 GilbertElliottLink::GilbertElliottLink(Scheduler& sched, const Config& cfg,
                                        PacketSink& downstream, Rng rng)
-    : sched_{&sched}, cfg_{cfg}, downstream_{&downstream}, rng_{std::move(rng)} {
+    : sched_{&sched}, lane_{sched}, cfg_{cfg}, downstream_{&downstream}, rng_{std::move(rng)} {
     if (cfg_.mean_good <= TimeNs::zero() || cfg_.mean_bad <= TimeNs::zero()) {
         throw std::invalid_argument{"GilbertElliottLink: state sojourns must be > 0"};
     }
@@ -56,7 +56,7 @@ void GilbertElliottLink::accept(const Packet& pkt) {
         return;
     }
     if (cfg_.extra_delay > TimeNs::zero()) {
-        sched_->deliver_after(cfg_.extra_delay, pkt, *downstream_);
+        lane_.deliver_after(cfg_.extra_delay, pkt, *downstream_);
     } else {
         downstream_->accept(pkt);
     }

@@ -57,6 +57,7 @@ private:
     [[nodiscard]] TimeNs draw_sojourn(bool bad);
 
     Scheduler* sched_;
+    PacketLane lane_;  // the extra_delay hop
     Config cfg_;
     PacketSink* downstream_;
     Rng rng_;

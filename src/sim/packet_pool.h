@@ -1,12 +1,13 @@
-// Free-list arena for in-flight packets.
+// Free-list arena for packets parked behind a scheduler event.
 //
 // A Packet is a 72-byte value; capturing one by value in a scheduler closure
-// blows past the inline event buffer and forces a heap allocation per packet
-// hop.  Parking the packet here instead lets the closure carry a 32-bit
-// handle, so every packet-delivery event stays inline.  Each Scheduler (one
-// per replica — replicas never share simulation state) owns one pool, so no
+// blows past the inline event buffer and forces a heap allocation per event.
+// Parking the packet here instead lets the closure carry a 32-bit handle, so
+// the event stays inline (a probe's trailing packets use this; fixed-delay
+// deliveries ride a PacketLane instead).  Each Scheduler (one per replica —
+// replicas never share simulation state) owns one pool, so no
 // synchronization is needed and slots are recycled for the lifetime of the
-// run: steady-state forwarding performs zero allocations.
+// run: the steady state performs zero allocations.
 #ifndef BB_SIM_PACKET_POOL_H
 #define BB_SIM_PACKET_POOL_H
 

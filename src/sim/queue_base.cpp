@@ -75,7 +75,12 @@ constexpr std::uint64_t kVerdictHeadDrop = 3;
 }  // namespace
 
 QueueBase::QueueBase(Scheduler& sched, const LinkConfig& cfg, PacketSink& downstream)
-    : sched_{&sched}, cfg_{cfg}, capacity_bytes_{cfg.capacity_bytes}, downstream_{&downstream} {
+    : sched_{&sched},
+      tx_lane_{sched},
+      prop_lane_{sched},
+      cfg_{cfg},
+      capacity_bytes_{cfg.capacity_bytes},
+      downstream_{&downstream} {
     if (cfg_.rate_bps <= 0) throw std::invalid_argument{"QueueBase: rate must be > 0"};
     if (capacity_bytes_ == 0) {
         capacity_bytes_ = cfg_.capacity_time.ns() * cfg_.rate_bps / (8 * 1'000'000'000LL);
@@ -156,19 +161,17 @@ void QueueBase::start_transmission() {
         if (verdict == Verdict::mark) apply_mark(pkt);
         transmitting_ = true;
         in_flight_bytes_ = pkt.size_bytes;
-        const TimeNs tx = transmission_time(pkt.size_bytes, cfg_.rate_bps);
-        // Park the in-flight packet in the per-replica pool so the completion
-        // event stays inline (16-byte capture instead of 80).
-        const PacketPool::Handle h = sched_->packet_pool().put(pkt);
-        sched_->schedule_after(
-            tx, [this, h] { finish_transmission(sched_->packet_pool().take(h)); });
+        in_flight_ = pkt;
+        tx_lane_.schedule_after(transmission_time(pkt.size_bytes, cfg_.rate_bps),
+                                [this] { finish_transmission(); });
         return;
     }
     transmitting_ = false;
     in_flight_bytes_ = 0;
 }
 
-void QueueBase::finish_transmission(Packet pkt) {
+void QueueBase::finish_transmission() {
+    const Packet pkt = in_flight_;
     ++departures_;
     departures_ctr().inc();
     departed_bytes_ += pkt.size_bytes;
@@ -176,7 +179,7 @@ void QueueBase::finish_transmission(Packet pkt) {
     const QueueEvent ev{pkt, sched_->now(), queued_bytes_};
     for (auto& h : dequeue_hooks_) h(ev);
     // Propagation happens in parallel with the next transmission.
-    sched_->deliver_after(cfg_.prop_delay, pkt, *downstream_);
+    prop_lane_.deliver_after(cfg_.prop_delay, pkt, *downstream_);
     start_transmission();
 }
 

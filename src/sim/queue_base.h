@@ -165,9 +165,11 @@ private:
     void drop_packet(const Packet& pkt, bool at_head);
     void apply_mark(Packet& pkt);
     void start_transmission();
-    void finish_transmission(Packet pkt);
+    void finish_transmission();
 
     Scheduler* sched_;
+    EventLane tx_lane_;     // the one pending transmission completion
+    PacketLane prop_lane_;  // propagation to the downstream sink
     LinkConfig cfg_;
     std::int64_t capacity_bytes_;
     PacketSink* downstream_;
@@ -176,6 +178,7 @@ private:
     std::int64_t queued_bytes_{0};
     std::int64_t max_queued_bytes_{0};
     std::int64_t in_flight_bytes_{0};
+    Packet in_flight_{};  // on the wire while transmitting_
     bool transmitting_{false};
 
     std::uint64_t arrivals_{0};

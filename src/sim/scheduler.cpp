@@ -13,9 +13,9 @@ namespace bb::sim {
 
 // --- invariants ---------------------------------------------------------
 //
-// One pass over the heap plus one walk of the free list; `mark` tags each
-// arena slot as live-ticketed (bit 0) or free-listed (bit 1) so the two sets
-// are provably disjoint and jointly exhaustive.
+// One pass over the heap and every lane plus one walk of the free list;
+// `mark` tags each arena slot as live-ticketed (bit 0) or free-listed (bit 1)
+// so the two sets are provably disjoint and jointly exhaustive.
 
 void Scheduler::check_invariants() const {
     std::vector<std::uint8_t> mark(arena_.size(), 0);
@@ -34,14 +34,18 @@ void Scheduler::check_invariants() const {
             continue;
         }
         ++live_tickets;
-        BB_CHECK_MSG((mark[t.slot] & 1U) == 0, "scheduler: two live tickets share an arena slot");
-        mark[t.slot] |= 1U;
-        BB_CHECK_MSG(static_cast<bool>(arena_[t.slot].fn),
-                     "scheduler: live ticket references an empty arena slot");
+        check_live_ticket(t, mark);
         BB_CHECK_MSG(t.at >= now_, "scheduler: live ticket scheduled in the past");
     }
-    BB_CHECK_MSG(live_tickets == live_, "scheduler: live-event accounting drifted");
     BB_CHECK_MSG(stale_tickets == stale_, "scheduler: stale-ticket accounting drifted");
+
+    std::size_t lane_entries = 0;
+    for (const Lane* lane : lanes_) {
+        BB_CHECK_MSG(lane->sched_ == this, "scheduler: registered lane belongs elsewhere");
+        lane_entries += lane->check_entries(mark);
+    }
+    BB_CHECK_MSG(lane_entries == lane_pending_, "scheduler: lane accounting drifted");
+    BB_CHECK_MSG(live_tickets + lane_entries == live_, "scheduler: live-event accounting drifted");
 
     std::size_t free_len = 0;
     for (std::uint32_t s = free_head_; s != kNoFree; s = arena_[s].next_free) {
@@ -52,9 +56,38 @@ void Scheduler::check_invariants() const {
         mark[s] |= 2U;
         ++free_len;
     }
-    BB_CHECK_MSG(free_len + live_ == arena_.size(),
+    std::size_t ticketed = 0;
+    for (const std::uint8_t m : mark) ticketed += m & 1U;
+    BB_CHECK_MSG(free_len + ticketed == arena_.size(),
                  "scheduler: arena slots leaked (neither free nor live)");
     packets_.check_invariants();
+}
+
+void Scheduler::check_live_ticket(const Ticket& t, std::vector<std::uint8_t>& mark) const {
+    BB_CHECK_MSG((mark[t.slot] & 1U) == 0, "scheduler: two live tickets share an arena slot");
+    mark[t.slot] |= 1U;
+    BB_CHECK_MSG(static_cast<bool>(arena_[t.slot].fn),
+                 "scheduler: live ticket references an empty arena slot");
+}
+
+std::size_t PacketLane::check_entries(std::vector<std::uint8_t>& /*mark*/) const {
+    check_order();
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+        BB_CHECK_MSG(ring_[i].sink != nullptr, "scheduler: packet lane entry has no sink");
+    }
+    return ring_.size();
+}
+
+std::size_t EventLane::check_entries(std::vector<std::uint8_t>& mark) const {
+    check_order();
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+        const detail::Ticket& t = ring_[i];
+        BB_CHECK_MSG(t.slot < sched_->arena_.size(),
+                     "scheduler: lane ticket references slot out of bounds");
+        BB_CHECK_MSG(sched_->ticket_live(t), "scheduler: lane ticket is stale");
+        sched_->check_live_ticket(t, mark);
+    }
+    return ring_.size();
 }
 
 // --- arena --------------------------------------------------------------
@@ -126,8 +159,8 @@ void Scheduler::compact_if_mostly_stale() {
 
 // --- scheduling ---------------------------------------------------------
 
-void Scheduler::check_future(TimeNs at) const {
-    if (at < now_) throw std::invalid_argument{"Scheduler: event scheduled in the past"};
+void Scheduler::throw_past() {
+    throw std::invalid_argument{"Scheduler: event scheduled in the past"};
 }
 
 EventId Scheduler::schedule_event(TimeNs at, Event ev) {
@@ -137,16 +170,10 @@ EventId Scheduler::schedule_event(TimeNs at, Event ev) {
     return commit_slot(at, s);
 }
 
-EventId Scheduler::deliver_after(TimeNs delay, const Packet& pkt, PacketSink& sink) {
-    struct Delivery {
-        PacketPool* pool;
-        PacketSink* sink;
-        PacketPool::Handle handle;
-        void operator()() const { sink->accept(pool->take(handle)); }
-    };
-    static_assert(sizeof(Delivery) <= Event::kInlineBytes);
-    const PacketPool::Handle h = packets_.put(pkt);
-    return schedule_at(now_ + delay, Delivery{&packets_, &sink, h});
+void Scheduler::fire_slot(std::uint32_t slot) {
+    Event fn = std::move(arena_[slot].fn);
+    release_slot(slot);
+    fn();
 }
 
 void Scheduler::cancel(EventId id) noexcept {
@@ -162,6 +189,25 @@ void Scheduler::cancel(EventId id) noexcept {
     BB_AUDIT(check_invariants());
 }
 
+// --- lanes --------------------------------------------------------------
+
+Lane::Lane(Scheduler& sched) : sched_{&sched} { sched.lanes_.push_back(this); }
+
+EventLane::~EventLane() {
+    if (sched_ == nullptr) return;
+    for (std::size_t i = 0; i < ring_.size(); ++i) sched_->release_slot(ring_[i].slot);
+}
+
+Scheduler::~Scheduler() {
+    for (Lane* lane : lanes_) lane->sched_ = nullptr;
+}
+
+void Scheduler::lane_close(const Lane* lane, std::size_t dropped) noexcept {
+    live_ -= dropped;
+    lane_pending_ -= dropped;
+    lanes_.erase(std::find(lanes_.begin(), lanes_.end(), lane));
+}
+
 void Scheduler::reserve(std::size_t events) {
     arena_.reserve(events);
     heap_.reserve(events);
@@ -174,32 +220,51 @@ void Scheduler::run_until(TimeNs t_end) {
     static obs::Gauge& depth = obs::gauge("sim.scheduler.queue_depth");
     BB_AUDIT(check_invariants());
     std::uint64_t ran = 0;
-    while (!heap_.empty()) {
-        const Ticket top = heap_.front();
-        if (!ticket_live(top)) {  // cancelled: discard without touching the clock
+    for (;;) {
+        // Cancelled heap tops are discarded without touching the clock.
+        while (!heap_.empty() && !ticket_live(heap_.front())) {
             heap_drop_top();
             BB_DCHECK_MSG(stale_ > 0, "scheduler: stale-ticket accounting underflow");
             --stale_;
-            continue;
         }
-        if (top.at > t_end) break;
-        heap_drop_top();
-        BB_DCHECK_MSG(top.at >= now_, "scheduler: simulated time would run backwards");
-        now_ = top.at;
-        det::fold(det::Site::event, top.at.ns(), top.seq);
-        Event fn = std::move(arena_[top.slot].fn);
-        release_slot(top.slot);
+        // The next event is the (time, seq) minimum over the heap top and
+        // every lane front; each lane's front is its own minimum.
+        detail::EventKey next =
+            heap_.empty() ? detail::kIdle : detail::EventKey{heap_.front().at, heap_.front().seq};
+        Lane* from = nullptr;
+        for (Lane* lane : lanes_) {
+            if (detail::earlier(lane->front_, next)) {
+                next = lane->front_;
+                from = lane;
+            }
+        }
+        if (from == nullptr && heap_.empty()) break;
+        if (next.at > t_end) break;
+        BB_DCHECK_MSG(next.at >= now_, "scheduler: simulated time would run backwards");
+        now_ = next.at;
+        det::fold(det::Site::event, next.at.ns(), next.seq);
+        std::uint32_t slot = 0;
+        if (from != nullptr) {
+            --lane_pending_;
+        } else {
+            slot = heap_.front().slot;
+            heap_drop_top();
+        }
         --live_;
         ++executed_;
         ++ran;
         if ((ran & 1023U) == 0 && obs::enabled()) {
-            depth.set(static_cast<double>(heap_.size()));
+            depth.set(static_cast<double>(pending_events()));
         }
-        fn();
+        if (from != nullptr) {
+            from->fire_front();
+        } else {
+            fire_slot(slot);
+        }
     }
     if (ran != 0) {
         dispatched.inc(ran);
-        depth.set(static_cast<double>(heap_.size()));
+        depth.set(static_cast<double>(pending_events()));
     }
     if (t_end != TimeNs::max() && t_end > now_) now_ = t_end;
     BB_AUDIT(check_invariants());

@@ -6,8 +6,8 @@
 //
 // Hot-path design (DESIGN.md §9):
 //   * Events are move-only UniqueFunction<void()> callables — captures up to
-//     48 bytes live inline, so the common [this]-style events and pooled
-//     packet deliveries never touch the heap.
+//     48 bytes live inline, so the common [this]-style events never touch
+//     the heap.
 //   * Event bodies are parked in a free-list arena; the ready queue is an
 //     implicit 4-ary heap of 24-byte tickets (time, sequence, slot,
 //     generation), which halves the tree depth of a binary heap and keeps
@@ -17,15 +17,26 @@
 //     lazily at pop time; when more than half the heap is stale it is
 //     compacted in place, so schedule/cancel churn can never grow the heap
 //     (or the cancel bookkeeping) without bound.
+//   * Events an owner schedules in non-decreasing time order bypass the heap
+//     on a lane: a FIFO ring the owner holds.  A PacketLane carries packets
+//     inline (fixed-delay links, queue propagation); an EventLane carries
+//     arena tickets (a queue's transmission completion, BADABING's probe
+//     schedule).  Lane entries take the same insertion sequence a heap push
+//     would, and run_until() dispatches the (time, seq) minimum over the heap
+//     top and every lane front, so dispatch order is exactly that of one heap.
+//     Lane entries are never cancelled.
 #ifndef BB_SIM_SCHEDULER_H
 #define BB_SIM_SCHEDULER_H
 
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/packet.h"
 #include "sim/packet_pool.h"
+#include "util/contract.h"
 #include "util/func.h"
 #include "util/time.h"
 
@@ -38,9 +49,125 @@ using EventId = std::uint64_t;
 
 using Event = UniqueFunction<void()>;
 
+class Scheduler;
+
+namespace detail {
+
+// Dispatch key of a pending event: its time, then its insertion sequence.
+struct EventKey {
+    TimeNs at;
+    std::uint64_t seq;
+};
+
+// Front key of an empty lane: later than any event.
+inline constexpr EventKey kIdle{TimeNs::max(), ~std::uint64_t{0}};
+
+[[nodiscard]] constexpr bool earlier(const EventKey& a, const EventKey& b) noexcept {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
+}
+
+// 24-byte event ticket; the callable stays put in the scheduler's arena
+// while the ticket percolates through the heap or waits on a lane, so sifts
+// move 24 bytes instead of a closure.
+struct Ticket {
+    TimeNs at;
+    std::uint64_t seq;  // insertion order, the deterministic tie-break
+    std::uint32_t slot;
+    std::uint32_t gen;
+};
+// The heap sifts move tickets with plain assignment and the perf model
+// assumes a 24-byte copy; a non-trivial or padded Ticket would silently
+// break both.
+static_assert(std::is_trivially_copyable_v<Ticket>);
+static_assert(sizeof(Ticket) == 24);
+
+// FIFO ring with power-of-two capacity that doubles when full.  Storage is
+// left uninitialized until an entry is pushed, so growing touches no more
+// memory than the entries copied.
+template <typename T>
+class Ring {
+    static_assert(std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>,
+                  "entries are copied into raw storage and never destroyed");
+
+public:
+    Ring() = default;
+    Ring(const Ring&) = delete;
+    Ring& operator=(const Ring&) = delete;
+    ~Ring() {
+        if (buf_ != nullptr) std::allocator<T>{}.deallocate(buf_, cap_);
+    }
+
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
+    // i-th entry from the front.
+    [[nodiscard]] T& operator[](std::size_t i) noexcept { return buf_[(head_ + i) & (cap_ - 1)]; }
+    [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
+        return buf_[(head_ + i) & (cap_ - 1)];
+    }
+    [[nodiscard]] const T& front() const noexcept { return buf_[head_]; }
+    [[nodiscard]] const T& back() const noexcept { return (*this)[size_ - 1]; }
+
+    void push_back(const T& v) {
+        if (size_ == cap_) grow();
+        std::construct_at(buf_ + ((head_ + size_) & (cap_ - 1)), v);
+        ++size_;
+    }
+    void pop_front() noexcept {
+        head_ = (head_ + 1) & (cap_ - 1);
+        --size_;
+    }
+
+private:
+    void grow() {
+        const std::size_t cap = cap_ == 0 ? 4 : 2 * cap_;
+        T* next = std::allocator<T>{}.allocate(cap);
+        for (std::size_t i = 0; i < size_; ++i) std::construct_at(next + i, (*this)[i]);
+        if (buf_ != nullptr) std::allocator<T>{}.deallocate(buf_, cap_);
+        buf_ = next;
+        cap_ = cap;
+        head_ = 0;
+    }
+
+    T* buf_{nullptr};
+    std::size_t cap_{0};
+    std::size_t head_{0};
+    std::size_t size_{0};
+};
+
+}  // namespace detail
+
+// The scheduler's view of a lane.  Lanes register with their scheduler on
+// construction and leave it on destruction (dropping any pending entries);
+// a lane that outlives its scheduler is inert.
+class Lane {
+public:
+    Lane(const Lane&) = delete;
+    Lane& operator=(const Lane&) = delete;
+
+protected:
+    explicit Lane(Scheduler& sched);
+    ~Lane() = default;
+
+    Scheduler* sched_;
+    detail::EventKey front_{detail::kIdle};  // key of the front entry
+
+private:
+    friend class Scheduler;
+    // Pop the front entry and run it; the scheduler has already advanced the
+    // clock and done the dispatch bookkeeping.
+    virtual void fire_front() = 0;
+    // Invariant walker: entry order, front key, arena cross-references
+    // (tagging each referenced slot in `mark` as Scheduler's walker does).
+    // Returns the number of pending entries.
+    virtual std::size_t check_entries(std::vector<std::uint8_t>& mark) const = 0;
+};
+
 class Scheduler {
 public:
     Scheduler() = default;
+    ~Scheduler();
     Scheduler(const Scheduler&) = delete;
     Scheduler& operator=(const Scheduler&) = delete;
 
@@ -66,11 +193,6 @@ public:
         return schedule_at(now_ + delay, std::forward<F>(fn));
     }
 
-    // Park `pkt` in the per-replica packet pool and deliver it to `sink`
-    // after `delay`.  The event captures a 32-bit handle instead of the
-    // 72-byte packet, so it stays inline; the slot is recycled on delivery.
-    EventId deliver_after(TimeNs delay, const Packet& pkt, PacketSink& sink);
-
     // Cancel a pending event.  Cancelling an already-fired or unknown id is a
     // harmless O(1) no-op.
     void cancel(EventId id) noexcept;
@@ -87,9 +209,11 @@ public:
     // steady state performs no allocations at all.
     void reserve(std::size_t events);
 
-    // Number of tickets still in the ready queue (cancelled-but-uncompacted
-    // tickets are included; the count is an upper bound on live events).
-    [[nodiscard]] std::size_t pending_events() const noexcept { return heap_.size(); }
+    // Heap tickets (cancelled-but-uncompacted ones included) plus lane
+    // entries: an upper bound on live events.
+    [[nodiscard]] std::size_t pending_events() const noexcept {
+        return heap_.size() + lane_pending_;
+    }
     // Exact number of scheduled-and-not-yet-fired (nor cancelled) events.
     [[nodiscard]] std::size_t live_events() const noexcept { return live_; }
     // Arena footprint, for bounded-memory assertions in tests and benches.
@@ -97,14 +221,16 @@ public:
     [[nodiscard]] std::uint64_t executed_events() const noexcept { return executed_; }
     [[nodiscard]] std::uint64_t cancelled_events() const noexcept { return cancelled_; }
 
+    // Parking space for packets an owner re-emits from a heap event (a
+    // probe's trailing packets).
     [[nodiscard]] PacketPool& packet_pool() noexcept { return packets_; }
 
     // Deep invariant walker (BB_AUDIT tier, DESIGN.md §10): heap order,
-    // ticket/arena cross-referencing, free-list acyclicity and disjointness,
-    // generation monotonicity, live/stale accounting.  O(arena + heap); a
-    // violation aborts via BB_CHECK in any build.  Called automatically at
-    // run_until() boundaries in BB_AUDIT=ON builds; cheap enough for tests
-    // to call directly after every mutation.
+    // lane order, ticket/arena cross-referencing, free-list acyclicity and
+    // disjointness, generation monotonicity, live/stale accounting.
+    // O(arena + heap + lanes); a violation aborts via BB_CHECK in any build.
+    // Called automatically at run_until() boundaries in BB_AUDIT=ON builds;
+    // cheap enough for tests to call directly after every mutation.
     void check_invariants() const;
 
 private:
@@ -113,6 +239,11 @@ private:
     // catches real damage, without a public mutation API.
     friend struct SchedulerTestAccess;
 #endif
+    friend class Lane;
+    template <typename Entry>
+    friend class RingLane;
+    friend class EventLane;
+
     static constexpr std::uint32_t kNoFree = 0xFFFF'FFFFu;
 
     struct Slot {
@@ -120,22 +251,14 @@ private:
         std::uint32_t gen{0};
         std::uint32_t next_free{kNoFree};
     };
-    // 24-byte heap ticket; the callable stays put in the arena while the
-    // ticket percolates, so sifts move 24 bytes instead of a closure.
-    struct Ticket {
-        TimeNs at;
-        std::uint64_t seq;  // insertion order, the deterministic tie-break
-        std::uint32_t slot;
-        std::uint32_t gen;
-    };
-    // The heap sifts move tickets with plain assignment and the perf model
-    // assumes a 24-byte copy; a non-trivial or padded Ticket would silently
-    // break both.
-    static_assert(std::is_trivially_copyable_v<Ticket>);
-    static_assert(sizeof(Ticket) == 24);
+    using Ticket = detail::Ticket;
 
     EventId schedule_event(TimeNs at, Event ev);
-    void check_future(TimeNs at) const;  // throws std::invalid_argument on past
+    // Throws std::invalid_argument when `at` is in the past.
+    void check_future(TimeNs at) const {
+        if (at < now_) [[unlikely]] throw_past();
+    }
+    [[noreturn]] static void throw_past();
     // Pop a free (or freshly grown) slot off the free list; fn is empty.
     [[nodiscard]] std::uint32_t acquire_raw_slot() {
         if (free_head_ == kNoFree) {
@@ -159,14 +282,29 @@ private:
         return arena_[t.slot].gen == t.gen;
     }
     [[nodiscard]] static bool earlier(const Ticket& a, const Ticket& b) noexcept {
-        if (a.at != b.at) return a.at < b.at;
-        return a.seq < b.seq;
+        return detail::earlier({a.at, a.seq}, {b.at, b.seq});
     }
     void heap_push(const Ticket& t);
     void heap_drop_top() noexcept;  // remove heap_[0], restore heap order
     void sift_down(std::size_t i) noexcept;
     void compact_if_mostly_stale();
     void release_slot(std::uint32_t slot) noexcept;
+    // Run the arena callable in `slot` after releasing the slot.
+    void fire_slot(std::uint32_t slot);
+    // Walker step for a ticket whose slot holds its callable.
+    void check_live_ticket(const Ticket& t, std::vector<std::uint8_t>& mark) const;
+
+    // Take the insertion sequence for a lane entry at `at`, behind a lane
+    // whose newest entry is at `back` (or that is empty, when null).
+    std::uint64_t lane_admit(TimeNs at, const TimeNs* back) {
+        check_future(at);
+        BB_CHECK_MSG(back == nullptr || *back <= at, "scheduler: lane push goes back in time");
+        ++live_;
+        ++lane_pending_;
+        return seq_++;
+    }
+    // `lane` is going away with `dropped` entries still pending.
+    void lane_close(const Lane* lane, std::size_t dropped) noexcept;
 
     TimeNs now_{TimeNs::zero()};
     std::uint64_t seq_{0};
@@ -174,10 +312,118 @@ private:
     std::uint64_t cancelled_{0};
     std::size_t live_{0};
     std::size_t stale_{0};  // cancelled tickets still sitting in the heap
+    std::size_t lane_pending_{0};  // entries waiting on lanes
     std::uint32_t free_head_{kNoFree};
     std::vector<Slot> arena_;
     std::vector<Ticket> heap_;
+    std::vector<Lane*> lanes_;
     PacketPool packets_;
+};
+
+// Ring storage and the scheduler bookkeeping both lane kinds share.
+template <typename Entry>
+class RingLane : public Lane {
+public:
+    [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
+    // Ring footprint in entries, for bounded-memory assertions.
+    [[nodiscard]] std::size_t capacity() const noexcept { return ring_.capacity(); }
+
+protected:
+    using Lane::Lane;
+    ~RingLane() {
+        if (sched_ != nullptr) sched_->lane_close(this, ring_.size());
+    }
+
+    void push(Entry e) {
+        e.seq = sched_->lane_admit(e.at, ring_.empty() ? nullptr : &ring_.back().at);
+        if (ring_.empty()) front_ = {e.at, e.seq};
+        ring_.push_back(e);
+    }
+    [[nodiscard]] Entry pop() noexcept {
+        const Entry e = ring_.front();
+        ring_.pop_front();
+        front_ = ring_.empty() ? detail::kIdle
+                               : detail::EventKey{ring_.front().at, ring_.front().seq};
+        return e;
+    }
+    // Order and front-key checks shared by both lane kinds.
+    void check_order() const {
+        for (std::size_t i = 0; i < ring_.size(); ++i) {
+            const Entry& e = ring_[i];
+            BB_CHECK_MSG(e.seq < sched_->seq_, "scheduler: lane entry sequence from the future");
+            if (i == 0) {
+                BB_CHECK_MSG(e.at >= sched_->now_, "scheduler: lane entry scheduled in the past");
+                BB_CHECK_MSG(e.at == front_.at && e.seq == front_.seq,
+                             "scheduler: lane front key out of date");
+            } else {
+                BB_CHECK_MSG(detail::earlier({ring_[i - 1].at, ring_[i - 1].seq}, {e.at, e.seq}),
+                             "scheduler: lane order violated");
+            }
+        }
+        if (ring_.empty()) {
+            BB_CHECK_MSG(front_.seq == detail::kIdle.seq, "scheduler: empty lane has a front key");
+        }
+    }
+
+#ifdef BB_TESTING
+    friend struct SchedulerTestAccess;
+#endif
+    detail::Ring<Entry> ring_;
+};
+
+namespace detail {
+struct Delivery {
+    TimeNs at;
+    std::uint64_t seq;
+    PacketSink* sink;
+    Packet pkt;
+};
+}  // namespace detail
+
+// Fixed-delay packet deliveries.  Each entry holds its packet inline: no
+// arena slot, closure or pool round trip.  The owner must deliver in
+// non-decreasing arrival-time order (a fixed delay from the current time
+// always does); a delivery that would overtake the lane's newest entry
+// aborts.
+class PacketLane final : public RingLane<detail::Delivery> {
+public:
+    explicit PacketLane(Scheduler& sched) : RingLane{sched} {}
+
+    // Deliver a copy of `pkt` to `sink` after `delay`.
+    void deliver_after(TimeNs delay, const Packet& pkt, PacketSink& sink) {
+        push(detail::Delivery{sched_->now() + delay, 0, &sink, pkt});
+    }
+
+private:
+    void fire_front() override {
+        const detail::Delivery e = pop();
+        e.sink->accept(e.pkt);
+    }
+    std::size_t check_entries(std::vector<std::uint8_t>& mark) const override;
+};
+
+// Callables an owner schedules in non-decreasing time order; each parks in
+// the scheduler's event arena like a heap event, but its ticket waits here.
+class EventLane final : public RingLane<detail::Ticket> {
+public:
+    explicit EventLane(Scheduler& sched) : RingLane{sched} {}
+    ~EventLane();
+
+    template <typename F>
+    void schedule_at(TimeNs at, F&& fn) {
+        sched_->check_future(at);  // before taking a slot, so a throw leaks none
+        const std::uint32_t s = sched_->acquire_raw_slot();
+        sched_->arena_[s].fn.emplace(std::forward<F>(fn));
+        push(detail::Ticket{at, 0, s, sched_->arena_[s].gen});
+    }
+    template <typename F>
+    void schedule_after(TimeNs delay, F&& fn) {
+        schedule_at(sched_->now() + delay, std::forward<F>(fn));
+    }
+
+private:
+    void fire_front() override { sched_->fire_slot(pop().slot); }
+    std::size_t check_entries(std::vector<std::uint8_t>& mark) const override;
 };
 
 }  // namespace bb::sim

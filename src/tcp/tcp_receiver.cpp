@@ -2,16 +2,13 @@
 
 namespace bb::tcp {
 
-namespace {
-std::uint64_t next_packet_id() {
-    static std::uint64_t counter = 1'000'000'000ULL;  // distinct range from data ids
-    return ++counter;
-}
-}  // namespace
-
 TcpReceiver::TcpReceiver(sim::Scheduler& sched, sim::FlowId flow, sim::PacketSink& ack_path,
                          Options opts)
-    : sched_{&sched}, flow_{flow}, ack_path_{&ack_path}, opts_{opts} {}
+    : sched_{&sched},
+      flow_{flow},
+      ack_path_{&ack_path},
+      opts_{opts},
+      next_ack_id_{sim::flow_id_block(0x02, flow)} {}
 
 TcpReceiver::~TcpReceiver() { disarm_delayed_ack(); }
 
@@ -65,7 +62,7 @@ void TcpReceiver::send_ack(TimeNs echo) {
     disarm_delayed_ack();
     unacked_segments_ = 0;
     sim::Packet ack;
-    ack.id = next_packet_id();
+    ack.id = ++next_ack_id_;
     ack.flow = flow_;
     ack.kind = sim::PacketKind::ack;
     ack.size_bytes = opts_.ack_size_bytes;

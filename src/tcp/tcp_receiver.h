@@ -51,6 +51,7 @@ private:
     sim::FlowId flow_;
     sim::PacketSink* ack_path_;
     Options opts_;
+    std::uint64_t next_ack_id_;  // per-flow id block, like the sender's
 
     std::int64_t rcv_next_{0};                      // next expected byte
     std::map<std::int64_t, std::int64_t> pending_;  // out-of-order: start -> length

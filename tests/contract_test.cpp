@@ -23,6 +23,11 @@ struct SchedulerTestAccess {
     static auto& heap(Scheduler& s) { return s.heap_; }
     static auto& arena(Scheduler& s) { return s.arena_; }
     static std::size_t& live(Scheduler& s) { return s.live_; }
+    static std::size_t& lane_pending(Scheduler& s) { return s.lane_pending_; }
+    template <typename Entry>
+    static auto& ring(RingLane<Entry>& lane) {
+        return lane.ring_;
+    }
 };
 
 }  // namespace bb::sim
@@ -31,6 +36,8 @@ namespace {
 
 using bb::TimeNs;
 using bb::milliseconds;
+using bb::sim::EventLane;
+using bb::sim::PacketLane;
 using bb::sim::PacketPool;
 using bb::sim::Scheduler;
 using bb::sim::SchedulerTestAccess;
@@ -142,6 +149,70 @@ TEST(ContractDeathTest, WalkerCatchesTicketSlotOutOfBounds) {
     ASSERT_FALSE(heap.empty());
     heap[0].slot = 0xFFFF'0000u;
     EXPECT_DEATH(s.check_invariants(), "slot out of bounds");
+}
+
+// --- lanes ----------------------------------------------------------------
+
+// A few packet-lane deliveries and event-lane callables beside the heap.
+void populate_lanes(Scheduler& s, PacketLane& packets, EventLane& events,
+                    bb::sim::PacketSink& sink) {
+    populate(s);
+    for (int i = 0; i < 4; ++i) {
+        packets.deliver_after(milliseconds(1 + i), bb::sim::Packet{}, sink);
+        events.schedule_at(milliseconds(2 + i), [] {});
+    }
+}
+
+TEST(ContractTest, HealthyLanesPassInvariants) {
+    Scheduler s;
+    PacketLane packets{s};
+    EventLane events{s};
+    bb::sim::CountingSink sink;
+    populate_lanes(s, packets, events, sink);
+    s.check_invariants();
+    s.run_until(milliseconds(3));
+    s.check_invariants();
+    s.run();
+    s.check_invariants();
+    EXPECT_EQ(s.live_events(), 0U);
+}
+
+TEST(ContractDeathTest, WalkerCatchesLaneOrderViolation) {
+    Scheduler s;
+    PacketLane packets{s};
+    EventLane events{s};
+    bb::sim::CountingSink sink;
+    populate_lanes(s, packets, events, sink);
+    auto& ring = SchedulerTestAccess::ring(packets);
+    ASSERT_EQ(ring.size(), 4U);
+    // An entry that would overtake its successor: the FIFO is no longer the
+    // lane's time order, so dispatching its front could skip an earlier one.
+    ring[1].at = milliseconds(9);
+    EXPECT_DEATH(s.check_invariants(), "lane order violated");
+}
+
+TEST(ContractDeathTest, WalkerCatchesLaneAccountingDrift) {
+    Scheduler s;
+    PacketLane packets{s};
+    EventLane events{s};
+    bb::sim::CountingSink sink;
+    populate_lanes(s, packets, events, sink);
+    ++SchedulerTestAccess::lane_pending(s);
+    EXPECT_DEATH(s.check_invariants(), "lane accounting drifted");
+}
+
+TEST(ContractDeathTest, WalkerCatchesLaneTicketSharingAHeapSlot) {
+    Scheduler s;
+    PacketLane packets{s};
+    EventLane events{s};
+    bb::sim::CountingSink sink;
+    populate_lanes(s, packets, events, sink);
+    auto& heap = SchedulerTestAccess::heap(s);
+    auto& ring = SchedulerTestAccess::ring(events);
+    ASSERT_FALSE(heap.empty());
+    ring[0].slot = heap[0].slot;
+    ring[0].gen = heap[0].gen;
+    EXPECT_DEATH(s.check_invariants(), "two live tickets share an arena slot");
 }
 
 // --- packet pool walker --------------------------------------------------

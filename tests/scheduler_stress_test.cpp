@@ -35,10 +35,11 @@ std::uint64_t churn_one_scheduler(unsigned salt) {
     }
     // Packet deliveries interleaved with the timer churn.
     sim::CountingSink sink;
+    sim::PacketLane lane{sched};
     for (unsigned i = 0; i < 1'000; ++i) {
         sim::Packet p;
         p.id = i;
-        sched.deliver_after(microseconds(10 + i), p, sink);
+        lane.deliver_after(microseconds(10 + i), p, sink);
     }
     sched.run();
     return fired + sink.packets();

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
+
+#include "util/det.h"
+#include "util/rng.h"
 
 namespace bb::sim {
 namespace {
@@ -233,12 +237,13 @@ TEST(Scheduler, CancelFromWithinEarlierEventAtSameTime) {
 
 TEST(Scheduler, DeliverAfterDeliversParkedPacket) {
     Scheduler s;
+    PacketLane lane{s};
     CountingSink sink;
     Packet p;
     p.id = 77;
     p.size_bytes = 1500;
     p.sent_at = milliseconds(1);
-    s.deliver_after(milliseconds(3), p, sink);
+    lane.deliver_after(milliseconds(3), p, sink);
     s.run();
     EXPECT_EQ(sink.packets(), 1u);
     EXPECT_EQ(sink.last().id, 77u);
@@ -248,18 +253,21 @@ TEST(Scheduler, DeliverAfterDeliversParkedPacket) {
 
 TEST(Scheduler, PacketPoolRecyclesSlotsAcrossDeliveries) {
     Scheduler s;
+    PacketLane lane{s};
     CountingSink sink;
     for (int i = 0; i < 10'000; ++i) {
         Packet p;
         p.id = static_cast<std::uint64_t>(i);
-        s.deliver_after(milliseconds(1), p, sink);
+        lane.deliver_after(milliseconds(1), p, sink);
         s.run();
     }
     EXPECT_EQ(sink.packets(), 10'000u);
-    // One delivery in flight at a time: the pool never needs more than a
-    // handful of slots no matter how many packets pass through.
-    EXPECT_LE(s.packet_pool().capacity(), 4u);
-    EXPECT_EQ(s.packet_pool().in_use(), 0u);
+    // One delivery in flight at a time: the lane's ring never grows past its
+    // first allocation no matter how many packets pass through, and packets
+    // never touch the event arena.
+    EXPECT_LE(lane.capacity(), 4u);
+    EXPECT_EQ(lane.size(), 0u);
+    EXPECT_EQ(s.arena_slots(), 0u);
 }
 
 TEST(Scheduler, ReserveDoesNotDisturbScheduling) {
@@ -271,6 +279,222 @@ TEST(Scheduler, ReserveDoesNotDisturbScheduling) {
     s.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
     EXPECT_EQ(s.arena_slots(), 2u);
+}
+
+// --- lanes ------------------------------------------------------------------
+
+// Replays one random script of heap events, event-lane events and packet
+// deliveries — either on lanes or, as the reference, every one through
+// schedule_at — and records the dispatch order.  Lane k has a fixed delay
+// of k ms and heap delays are whole milliseconds, so equal times across the
+// heap and several lanes are common.  Fired events spawn more, so the
+// script also covers pushes made mid-run.
+class LaneScript final : public PacketSink {
+public:
+    static constexpr int kLanes = 3;
+
+    LaneScript(bool use_lanes, std::uint64_t seed) : use_lanes_{use_lanes}, rng_{seed} {
+        for (int k = 0; k < kLanes; ++k) {
+            events_.push_back(std::make_unique<EventLane>(sched_));
+            packets_.push_back(std::make_unique<PacketLane>(sched_));
+        }
+    }
+
+    void run(int initial, std::size_t cap) {
+        cap_ = cap;
+        det::Chain chain;
+        {
+            det::ScopedChain scope{chain};
+            for (int i = 0; i < initial; ++i) spawn();
+            sched_.run_until(milliseconds(40));
+            sched_.run();
+        }
+        digest_ = chain.digest();
+    }
+
+    void accept(const Packet& pkt) override { fire(pkt.id); }
+
+    [[nodiscard]] const std::vector<std::uint64_t>& fired() const { return fired_; }
+    [[nodiscard]] std::uint64_t digest() const { return digest_; }
+    [[nodiscard]] const Scheduler& sched() const { return sched_; }
+
+private:
+    void fire(std::uint64_t label) {
+        fired_.push_back(label);
+        if (next_label_ >= cap_) return;
+        const auto spawns = rng_.uniform_int(0, 3);
+        for (std::int64_t i = 0; i < spawns; ++i) spawn();
+    }
+
+    void spawn() {
+        const std::uint64_t label = next_label_++;
+        const auto k = static_cast<std::size_t>(rng_.uniform_int(0, kLanes - 1));
+        const TimeNs lane_delay = milliseconds(static_cast<std::int64_t>(k));
+        switch (rng_.uniform_int(0, 3)) {
+            case 0:
+                ids_.push_back(sched_.schedule_after(milliseconds(rng_.uniform_int(0, 3)),
+                                                     [this, label] { fire(label); }));
+                break;
+            case 1:
+                if (use_lanes_) {
+                    events_[k]->schedule_after(lane_delay, [this, label] { fire(label); });
+                } else {
+                    sched_.schedule_after(lane_delay, [this, label] { fire(label); });
+                }
+                break;
+            case 2: {
+                Packet pkt;
+                pkt.id = label;
+                if (use_lanes_) {
+                    packets_[k]->deliver_after(lane_delay, pkt, *this);
+                } else {
+                    sched_.schedule_after(lane_delay, [this, pkt] { accept(pkt); });
+                }
+                break;
+            }
+            default:
+                if (!ids_.empty()) {
+                    const auto i = rng_.uniform_int(0, static_cast<std::int64_t>(ids_.size()) - 1);
+                    sched_.cancel(ids_[static_cast<std::size_t>(i)]);
+                }
+                break;
+        }
+    }
+
+    bool use_lanes_;
+    Rng rng_;
+    Scheduler sched_;
+    std::vector<std::unique_ptr<EventLane>> events_;
+    std::vector<std::unique_ptr<PacketLane>> packets_;
+    std::vector<EventId> ids_;
+    std::vector<std::uint64_t> fired_;
+    std::uint64_t next_label_{0};
+    std::size_t cap_{0};
+    std::uint64_t digest_{0};
+};
+
+TEST(SchedulerLanes, RandomScriptDispatchesLikeOneHeap) {
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 20051021ULL}) {
+        SCOPED_TRACE(seed);
+        LaneScript lanes{true, seed};
+        LaneScript heap{false, seed};
+        lanes.run(200, 5000);
+        heap.run(200, 5000);
+        ASSERT_GT(heap.fired().size(), 1000u);
+        EXPECT_EQ(lanes.fired(), heap.fired());
+        EXPECT_EQ(lanes.digest(), heap.digest());
+        EXPECT_EQ(lanes.sched().executed_events(), heap.sched().executed_events());
+        EXPECT_EQ(lanes.sched().cancelled_events(), heap.sched().cancelled_events());
+        EXPECT_EQ(lanes.sched().now(), heap.sched().now());
+        EXPECT_LT(lanes.sched().arena_slots(), heap.sched().arena_slots());
+        lanes.sched().check_invariants();
+    }
+}
+
+TEST(SchedulerLanes, TiesAcrossHeapAndLanesBreakByInsertionOrder) {
+    Scheduler s;
+    EventLane events{s};
+    PacketLane packets{s};
+    std::vector<std::uint64_t> order;
+    struct Recorder final : PacketSink {
+        std::vector<std::uint64_t>* order;
+        void accept(const Packet& pkt) override { order->push_back(pkt.id); }
+    } sink;
+    sink.order = &order;
+    Packet p;
+    p.id = 2;
+    events.schedule_at(milliseconds(5), [&] { order.push_back(1); });
+    packets.deliver_after(milliseconds(5), p, sink);
+    s.schedule_at(milliseconds(5), [&] { order.push_back(3); });
+    events.schedule_at(milliseconds(5), [&] { order.push_back(4); });
+    s.schedule_at(milliseconds(4), [&] { order.push_back(0); });
+    s.run();
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(SchedulerLanes, PendingAndLiveAccountingCoverLanes) {
+    Scheduler s;
+    EventLane events{s};
+    PacketLane packets{s};
+    CountingSink sink;
+    const Packet p{};
+    for (int i = 1; i <= 3; ++i) packets.deliver_after(milliseconds(i), p, sink);
+    events.schedule_at(milliseconds(2), [] {});
+    events.schedule_at(milliseconds(4), [] {});
+    const EventId doomed = s.schedule_at(milliseconds(1), [] {});
+    s.schedule_at(milliseconds(5), [] {});
+    s.cancel(doomed);
+    EXPECT_EQ(s.live_events(), 6u);
+    EXPECT_EQ(s.pending_events(), 7u);  // 2 heap tickets (1 stale) + 5 lane entries
+    EXPECT_EQ(s.arena_slots(), 4u);     // heap events and event-lane callables
+    s.check_invariants();
+
+    s.run_until(milliseconds(2));  // packets at 1, 2 ms and the 2 ms event
+    EXPECT_EQ(sink.packets(), 2u);
+    EXPECT_EQ(s.live_events(), 3u);
+    EXPECT_EQ(s.pending_events(), 3u);
+    EXPECT_EQ(packets.size(), 1u);
+    EXPECT_EQ(events.size(), 1u);
+    s.check_invariants();
+
+    s.run();
+    EXPECT_EQ(s.live_events(), 0u);
+    EXPECT_EQ(s.pending_events(), 0u);
+    EXPECT_EQ(s.executed_events(), 6u);
+    EXPECT_EQ(s.cancelled_events(), 1u);
+    s.check_invariants();
+}
+
+TEST(SchedulerLanes, DestroyedLaneDropsItsPendingEntries) {
+    Scheduler s;
+    int fired = 0;
+    CountingSink sink;
+    {
+        EventLane events{s};
+        PacketLane packets{s};
+        events.schedule_at(milliseconds(1), [&] { ++fired; });
+        packets.deliver_after(milliseconds(1), Packet{}, sink);
+        EXPECT_EQ(s.live_events(), 2u);
+    }
+    EXPECT_EQ(s.live_events(), 0u);
+    EXPECT_EQ(s.pending_events(), 0u);
+    s.check_invariants();
+    s.run();
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(sink.packets(), 0u);
+    // The dropped callable's slot went back on the free list.
+    s.schedule_at(milliseconds(2), [&] { ++fired; });
+    EXPECT_EQ(s.arena_slots(), 1u);
+}
+
+TEST(SchedulerLanes, LaneMayOutliveItsScheduler) {
+    auto s = std::make_unique<Scheduler>();
+    auto events = std::make_unique<EventLane>(*s);
+    events->schedule_at(milliseconds(1), [] {});
+    s.reset();
+    events.reset();  // must not touch the destroyed scheduler
+    SUCCEED();
+}
+
+TEST(SchedulerLanes, LanePushIntoThePastThrowsLikeScheduleAt) {
+    Scheduler s;
+    EventLane events{s};
+    s.schedule_at(milliseconds(10), [] {});
+    s.run();
+    EXPECT_THROW(events.schedule_at(milliseconds(5), [] {}), std::invalid_argument);
+    EXPECT_EQ(s.live_events(), 0u);
+}
+
+TEST(SchedulerLanesDeathTest, LanePushBackInTimeAborts) {
+    Scheduler s;
+    EventLane events{s};
+    events.schedule_at(milliseconds(5), [] {});
+    EXPECT_DEATH(events.schedule_at(milliseconds(3), [] {}), "lane push goes back in time");
+    PacketLane packets{s};
+    CountingSink sink;
+    packets.deliver_after(milliseconds(5), Packet{}, sink);
+    EXPECT_DEATH(packets.deliver_after(milliseconds(3), Packet{}, sink),
+                 "lane push goes back in time");
 }
 
 TEST(PacketPool, PutTakeRoundTripsAndReuses) {

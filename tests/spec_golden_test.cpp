@@ -562,6 +562,45 @@ TEST(SpecGolden, ShippedTable7GroupedMatchesPerCellRuns) {
     expect_grouping_invisible("table7", short_table7(), 2);
 }
 
+// --- TCP paths: shortened perfbench workload shapes -------------------------
+
+// Captured from bb_sweep run tests/data/<spec> --state-hash; the long-lived
+// and web TCP paths (ACKs on the reverse link, retransmission timers, flow
+// churn) are pinned here the way Fig 9 and Table 7 pin the CBR path.
+struct TcpPathPin {
+    const char* spec;
+    const char* state_hash;
+    double est_frequency;
+};
+constexpr TcpPathPin kTcpPathPins[] = {
+    {"tcp_longlived_short.json", "314ba17322bf461b", 0.16720040240234346},
+    {"web_shortflows_short.json", "dd139829e95fdad6", 0.002234996157200371},
+};
+
+TEST(SpecGolden, TcpPathSpecsMatchStateHashPins) {
+    for (const TcpPathPin& pin : kTcpPathPins) {
+        SCOPED_TRACE(pin.spec);
+        JsonParse parsed = json_parse_file(std::string{BB_TEST_DATA_DIR} + "/" + pin.spec);
+        ASSERT_TRUE(parsed.ok) << parsed.error;
+        // A plain scenario spec is a one-cell sweep, as bb_sweep reads it.
+        SweepSpec sweep;
+        sweep.base = std::move(parsed.value);
+        const auto grid = expand_sweep(sweep, pin.spec);
+        ASSERT_TRUE(grid.ok) << grid.error;
+        ASSERT_EQ(grid.cells.size(), 1u);
+        const auto run = run_cells(grid.cells[0].spec.name, grid.cells, "");
+        ASSERT_TRUE(run.ok) << run.error;
+        const double est = cell_stat(run.cells[0].result, "est_frequency").mean;
+        if (golden_print()) {
+            std::printf("    {\"%s\", \"%s\", %.17g},\n", pin.spec,
+                        core::RunHasher::hex(run.merged_state_hash).c_str(), est);
+            continue;
+        }
+        EXPECT_EQ(core::RunHasher::hex(run.merged_state_hash), pin.state_hash);
+        EXPECT_EQ(est, pin.est_frequency);
+    }
+}
+
 // One row of a ZING table: the run's own truth beside ZING's estimates.
 struct GoldenZingRow {
     double truth_freq{0.0};
