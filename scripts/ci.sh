@@ -103,6 +103,9 @@ if [[ "${BB_CI_SKIP_DETERMINISM:-0}" != 1 ]]; then
   same_digest examples/table7.json 1 4
   # 40 long-lived TCP flows (the tcp_longlived workload, shortened).
   same_digest tests/data/tcp_longlived_short.json 1 4
+  # Web sessions over short TCP flows with delay-based truth (the
+  # web_shortflows workload, shortened).
+  same_digest tests/data/web_shortflows_short.json 1 4
   rm -rf "$det_dir"
 fi
 

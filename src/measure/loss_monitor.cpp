@@ -18,15 +18,10 @@ LossMonitor::LossMonitor(sim::Scheduler& sched, sim::QueueBase& queue, Options o
         if (truth_acc_) truth_acc_->add_drop(ev.at);
         drops_.push_back(ev.at);
     });
-    queue.on_enqueue([this](const sim::QueueEvent& ev) {
-        if (opts_.record_departures) enqueue_time_[ev.pkt.id] = ev.at;
-    });
     queue.on_dequeue([this](const sim::QueueEvent& ev) {
         ++successes_;
-        if (!opts_.record_departures) return;
-        if (auto it = enqueue_time_.find(ev.pkt.id); it != enqueue_time_.end()) {
-            departures_.push_back(DelayedDeparture{ev.at, ev.at - it->second});
-            enqueue_time_.erase(it);
+        if (opts_.record_departures) {
+            departures_.push_back(DelayedDeparture{ev.at, ev.at - ev.enqueued_at});
         }
     });
 }

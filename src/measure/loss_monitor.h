@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <map>
 #include <vector>
 
 #include "measure/episodes.h"
@@ -19,6 +18,11 @@ namespace bb::measure {
 // Records every drop and, optionally, per-packet queueing delays at the
 // bottleneck.  Registration happens in the constructor; the monitor must
 // outlive the queue's last event.
+//
+// A departure's delay is the queue's own figure: dequeue time minus the
+// enqueue time the queue reports with each departure (sojourn plus
+// transmission time), so logging it costs one vector append per packet.
+// Packets already buffered when the monitor attaches are logged too.
 //
 // With `streaming_truth` configured the monitor also feeds each drop into an
 // online EpisodeAccumulator as it happens.
@@ -80,9 +84,6 @@ private:
     Options opts_;
     std::vector<TimeNs> drops_;
     std::vector<DelayedDeparture> departures_;
-    // std::map: insert/find/erase only, but ordered so no hashed walk can
-    // ever creep in (determinism rule no-unordered-container).
-    std::map<std::uint64_t, TimeNs> enqueue_time_;
     std::optional<EpisodeAccumulator> truth_acc_;
     std::uint64_t drops_count_{0};
     std::uint64_t cross_drops_{0};

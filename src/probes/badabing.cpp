@@ -14,19 +14,19 @@ BadabingTool::BadabingTool(sim::Scheduler& sched, const BadabingConfig& cfg,
     : sched_{&sched},
       cfg_{cfg},
       out_{&out},
-      probe_lane_{sched},
+      probe_lane_{sched, [this] { emit_probe(design_.probe_slots[next_probe_++]); }},
       next_id_{sim::flow_id_block(0xBA, cfg.flow)} {
     core::ProbeProcessConfig pcfg;
     pcfg.p = cfg_.p;
     pcfg.improved = cfg_.improved;
     pcfg.extended_fraction = cfg_.extended_fraction;
     design_ = core::design_probe_process(rng, cfg_.total_slots, pcfg);
+    records_.resize(design_.probe_slots.size());
 
     // The design's slots are sorted and unique, so the whole schedule rides
-    // one lane in time order.
+    // one lane in time order, and the lane's k-th entry probes the k-th slot.
     for (const core::SlotIndex slot : design_.probe_slots) {
-        const TimeNs at = cfg_.start + cfg_.slot_width * slot;
-        probe_lane_.schedule_at(at, [this, slot] { emit_probe(slot); });
+        probe_lane_.schedule_at(cfg_.start + cfg_.slot_width * slot);
     }
 }
 
@@ -69,7 +69,10 @@ void BadabingTool::accept(const sim::Packet& pkt) {
     static obs::Counter& recv_ctr = obs::counter("probes.badabing.packets_received");
     recv_ctr.inc();
     ++packets_received_;
-    SlotRecord& rec = records_[pkt.seq];
+    const auto& slots = design_.probe_slots;
+    const auto it = std::lower_bound(slots.begin(), slots.end(), pkt.seq);
+    if (it == slots.end() || *it != pkt.seq) return;  // not a designed probe slot
+    SlotRecord& rec = records_[static_cast<std::size_t>(it - slots.begin())];
     ++rec.received;
     if (pkt.ecn_ce) rec.ce = true;
     const TimeNs skew =
@@ -79,20 +82,17 @@ void BadabingTool::accept(const sim::Packet& pkt) {
 }
 
 void BadabingTool::stream_outcomes(core::OutcomeSink& sink) const {
-    for (const core::SlotIndex slot : design_.probe_slots) {
+    for (std::size_t i = 0; i < design_.probe_slots.size(); ++i) {
+        const core::SlotIndex slot = design_.probe_slots[i];
+        const SlotRecord& rec = records_[i];
         core::ProbeOutcome po;
         po.slot = slot;
         po.send_time = cfg_.start + cfg_.slot_width * slot;
         po.packets_sent = cfg_.packets_per_probe;
-        if (auto it = records_.find(slot); it != records_.end()) {
-            po.packets_lost = cfg_.packets_per_probe - it->second.received;
-            po.max_owd = it->second.max_owd;
-            po.any_received = it->second.received > 0;
-            po.ce_marked = it->second.ce;
-        } else {
-            po.packets_lost = cfg_.packets_per_probe;
-            po.any_received = false;
-        }
+        po.packets_lost = cfg_.packets_per_probe - rec.received;
+        po.max_owd = rec.max_owd;
+        po.any_received = rec.received > 0;
+        po.ce_marked = rec.ce;
         sink.consume(po);
     }
 }
@@ -111,14 +111,14 @@ void BadabingTool::emit_reports(const core::MarkingConfig& marking,
     core::CongestionMarker marker{marking};
     const std::vector<core::SlotMark> marks = marker.mark(probe_outcomes);
 
-    std::map<core::SlotIndex, bool> congested;
-    for (const auto& m : marks) congested[m.slot] = m.congested;
-
+    // One mark per probed slot, in slot order.
     core::score_experiments_into(
         design_.experiments,
-        [&congested](core::SlotIndex s) {
-            const auto it = congested.find(s);
-            return it != congested.end() && it->second;
+        [&marks](core::SlotIndex s) {
+            const auto it = std::lower_bound(
+                marks.begin(), marks.end(), s,
+                [](const core::SlotMark& m, core::SlotIndex key) { return m.slot < key; });
+            return it != marks.end() && it->slot == s && it->congested;
         },
         sink);
 }

@@ -10,8 +10,8 @@
 #ifndef BB_PROBES_BADABING_H
 #define BB_PROBES_BADABING_H
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/estimators.h"
@@ -125,11 +125,11 @@ private:
     sim::PacketSink* out_;
     sim::EventLane probe_lane_;  // the pre-drawn probe schedule
     core::ProbeDesign design_;
+    std::size_t next_probe_{0};  // index into design_.probe_slots
     std::uint64_t next_id_;
 
-    // Ordered by slot so outcome assembly walks slots in probe order
-    // (determinism rule no-unordered-container, DESIGN.md §14).
-    std::map<core::SlotIndex, SlotRecord> records_;
+    // Parallel to design_.probe_slots: records_[k] is the k-th probe's.
+    std::vector<SlotRecord> records_;
     std::uint64_t probes_sent_{0};
     std::uint64_t packets_sent_{0};
     std::uint64_t packets_received_{0};

@@ -76,7 +76,7 @@ constexpr std::uint64_t kVerdictHeadDrop = 3;
 
 QueueBase::QueueBase(Scheduler& sched, const LinkConfig& cfg, PacketSink& downstream)
     : sched_{&sched},
-      tx_lane_{sched},
+      tx_lane_{sched, [this] { finish_transmission(); }},
       prop_lane_{sched},
       cfg_{cfg},
       capacity_bytes_{cfg.capacity_bytes},
@@ -98,12 +98,12 @@ void QueueBase::accept(const Packet& pkt) {
     // the congestion signal degrades to the drop it replaces.
     if (verdict == Verdict::mark && !pkt.ecn_ect) verdict = Verdict::drop;
     if (verdict == Verdict::drop || buffer_overflows(pkt)) {
-        drop_packet(pkt, /*at_head=*/false);
+        drop_packet(pkt, sched_->now(), /*at_head=*/false);
         return;
     }
     Queued entry{pkt, sched_->now()};
     if (verdict == Verdict::mark) {
-        apply_mark(entry.pkt);  // folds the mark verdict
+        apply_mark(entry.pkt, entry.enqueued_at);  // folds the mark verdict
     } else {
         det::fold(det::Site::verdict, sched_->now().ns(), kVerdictAccept, pkt.id);
     }
@@ -114,13 +114,13 @@ void QueueBase::accept(const Packet& pkt) {
     }
     enqueues_ctr().inc();
     if ((arrivals_ & 1023U) == 0 && obs::enabled()) refresh_loss_rate();
-    const QueueEvent ev{entry.pkt, entry.enqueued_at, queued_bytes_};
+    const QueueEvent ev{entry.pkt, entry.enqueued_at, entry.enqueued_at, queued_bytes_};
     fifo_.push_back(entry);
     for (auto& h : enqueue_hooks_) h(ev);
     if (!transmitting_) start_transmission();
 }
 
-void QueueBase::drop_packet(const Packet& pkt, bool at_head) {
+void QueueBase::drop_packet(const Packet& pkt, TimeNs enqueued_at, bool at_head) {
     det::fold(det::Site::verdict, sched_->now().ns(),
               at_head ? kVerdictHeadDrop : kVerdictDrop, pkt.id);
     ++drops_;
@@ -128,11 +128,11 @@ void QueueBase::drop_packet(const Packet& pkt, bool at_head) {
     drops_ctr().inc();
     disc_drops_ctr(cfg_.discipline).inc();
     if (obs::enabled()) refresh_loss_rate();
-    const QueueEvent ev{pkt, sched_->now(), queued_bytes_};
+    const QueueEvent ev{pkt, sched_->now(), enqueued_at, queued_bytes_};
     for (auto& h : drop_hooks_) h(ev);
 }
 
-void QueueBase::apply_mark(Packet& pkt) {
+void QueueBase::apply_mark(Packet& pkt, TimeNs enqueued_at) {
     det::fold(det::Site::verdict, sched_->now().ns(), kVerdictMark, pkt.id);
     pkt.ecn_ce = true;
     ++marks_;
@@ -140,7 +140,7 @@ void QueueBase::apply_mark(Packet& pkt) {
     disc_marks_ctr(cfg_.discipline).inc();
     // Occupancy reported excludes the marked packet itself (it is either not
     // yet enqueued, at the tail, or already popped, at the head).
-    const QueueEvent ev{pkt, sched_->now(), queued_bytes_};
+    const QueueEvent ev{pkt, sched_->now(), enqueued_at, queued_bytes_};
     for (auto& h : mark_hooks_) h(ev);
 }
 
@@ -150,20 +150,19 @@ void QueueBase::start_transmission() {
         // discarding several consecutive heads before one is transmitted.
         const TimeNs sojourn = sched_->now() - fifo_.front().enqueued_at;
         Verdict verdict = head_action(fifo_.front().pkt, sojourn);
-        Packet pkt = fifo_.front().pkt;
+        in_flight_ = fifo_.front();
         fifo_.pop_front();
+        Packet& pkt = in_flight_.pkt;
         queued_bytes_ -= pkt.size_bytes;
         if (verdict == Verdict::mark && !pkt.ecn_ect) verdict = Verdict::drop;
         if (verdict == Verdict::drop) {
-            drop_packet(pkt, /*at_head=*/true);
+            drop_packet(pkt, in_flight_.enqueued_at, /*at_head=*/true);
             continue;
         }
-        if (verdict == Verdict::mark) apply_mark(pkt);
+        if (verdict == Verdict::mark) apply_mark(pkt, in_flight_.enqueued_at);
         transmitting_ = true;
         in_flight_bytes_ = pkt.size_bytes;
-        in_flight_ = pkt;
-        tx_lane_.schedule_after(transmission_time(pkt.size_bytes, cfg_.rate_bps),
-                                [this] { finish_transmission(); });
+        tx_lane_.schedule_after(transmission_time(pkt.size_bytes, cfg_.rate_bps));
         return;
     }
     transmitting_ = false;
@@ -171,14 +170,15 @@ void QueueBase::start_transmission() {
 }
 
 void QueueBase::finish_transmission() {
-    const Packet pkt = in_flight_;
+    const Packet& pkt = in_flight_.pkt;
     ++departures_;
     departures_ctr().inc();
     departed_bytes_ += pkt.size_bytes;
     in_flight_bytes_ = 0;
-    const QueueEvent ev{pkt, sched_->now(), queued_bytes_};
+    const QueueEvent ev{pkt, sched_->now(), in_flight_.enqueued_at, queued_bytes_};
     for (auto& h : dequeue_hooks_) h(ev);
-    // Propagation happens in parallel with the next transmission.
+    // Propagation happens in parallel with the next transmission, which
+    // overwrites in_flight_: the lane keeps its own copy.
     prop_lane_.deliver_after(cfg_.prop_delay, pkt, *downstream_);
     start_transmission();
 }

@@ -55,10 +55,15 @@ struct CoDelParams {
     bool ecn{false};
 };
 
-// Statistics exported by queue trace hooks.
+// Statistics exported by queue trace hooks.  `pkt` refers into the queue
+// and is valid only while the hook runs.
 struct QueueEvent {
-    Packet pkt;
+    const Packet& pkt;
     TimeNs at;
+    // When the packet entered the buffer.  For a departure, `at -
+    // enqueued_at` is its sojourn plus transmission time; for tail-side
+    // events (enqueue, tail drop, tail mark) it equals `at`.
+    TimeNs enqueued_at;
     std::int64_t queue_bytes_after;  // occupancy after this event was applied
 };
 
@@ -162,8 +167,9 @@ private:
         TimeNs enqueued_at;
     };
 
-    void drop_packet(const Packet& pkt, bool at_head);
-    void apply_mark(Packet& pkt);
+    // `enqueued_at` is now() for tail-side drops and marks.
+    void drop_packet(const Packet& pkt, TimeNs enqueued_at, bool at_head);
+    void apply_mark(Packet& pkt, TimeNs enqueued_at);
     void start_transmission();
     void finish_transmission();
 
@@ -178,7 +184,7 @@ private:
     std::int64_t queued_bytes_{0};
     std::int64_t max_queued_bytes_{0};
     std::int64_t in_flight_bytes_{0};
-    Packet in_flight_{};  // on the wire while transmitting_
+    Queued in_flight_{};  // on the wire while transmitting_
     bool transmitting_{false};
 
     std::uint64_t arrivals_{0};

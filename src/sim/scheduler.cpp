@@ -34,15 +34,24 @@ void Scheduler::check_invariants() const {
             continue;
         }
         ++live_tickets;
-        check_live_ticket(t, mark);
+        const Slot& slot = arena_[t.slot];
+        BB_CHECK_MSG((mark[t.slot] & 1U) == 0, "scheduler: two live tickets share an arena slot");
+        mark[t.slot] |= 1U;
+        BB_CHECK_MSG(static_cast<bool>(slot.fn),
+                     "scheduler: live ticket references an empty arena slot");
         BB_CHECK_MSG(t.at >= now_, "scheduler: live ticket scheduled in the past");
+        // A rescheduled event's ticket may lag its due key; one ahead of it
+        // would surface after the event was due.
+        BB_CHECK_MSG(!detail::earlier(slot.due, {t.at, t.seq}),
+                     "scheduler: ticket keyed later than its event's due key");
+        BB_CHECK_MSG(slot.due.seq < seq_, "scheduler: due key sequence from the future");
     }
     BB_CHECK_MSG(stale_tickets == stale_, "scheduler: stale-ticket accounting drifted");
 
     std::size_t lane_entries = 0;
     for (const Lane* lane : lanes_) {
         BB_CHECK_MSG(lane->sched_ == this, "scheduler: registered lane belongs elsewhere");
-        lane_entries += lane->check_entries(mark);
+        lane_entries += lane->check_entries();
     }
     BB_CHECK_MSG(lane_entries == lane_pending_, "scheduler: lane accounting drifted");
     BB_CHECK_MSG(live_tickets + lane_entries == live_, "scheduler: live-event accounting drifted");
@@ -63,31 +72,11 @@ void Scheduler::check_invariants() const {
     packets_.check_invariants();
 }
 
-void Scheduler::check_live_ticket(const Ticket& t, std::vector<std::uint8_t>& mark) const {
-    BB_CHECK_MSG((mark[t.slot] & 1U) == 0, "scheduler: two live tickets share an arena slot");
-    mark[t.slot] |= 1U;
-    BB_CHECK_MSG(static_cast<bool>(arena_[t.slot].fn),
-                 "scheduler: live ticket references an empty arena slot");
-}
-
-std::size_t PacketLane::check_entries(std::vector<std::uint8_t>& /*mark*/) const {
-    check_order();
+std::size_t PacketLane::check_entries() const {
     for (std::size_t i = 0; i < ring_.size(); ++i) {
         BB_CHECK_MSG(ring_[i].sink != nullptr, "scheduler: packet lane entry has no sink");
     }
-    return ring_.size();
-}
-
-std::size_t EventLane::check_entries(std::vector<std::uint8_t>& mark) const {
-    check_order();
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-        const detail::Ticket& t = ring_[i];
-        BB_CHECK_MSG(t.slot < sched_->arena_.size(),
-                     "scheduler: lane ticket references slot out of bounds");
-        BB_CHECK_MSG(sched_->ticket_live(t), "scheduler: lane ticket is stale");
-        sched_->check_live_ticket(t, mark);
-    }
-    return ring_.size();
+    return check_order();
 }
 
 // --- arena --------------------------------------------------------------
@@ -152,7 +141,8 @@ void Scheduler::compact_if_mostly_stale() {
     for (std::size_t i = kept / 4 + 1; i-- > 0;) {
         if (i < kept) sift_down(i);
     }
-    BB_DCHECK_MSG(kept == live_, "scheduler: compaction kept a stale ticket (or dropped a live one)");
+    BB_DCHECK_MSG(kept == live_ - lane_pending_,
+                  "scheduler: compaction kept a stale ticket (or dropped a live one)");
     stale_ = 0;
     BB_AUDIT(check_invariants());
 }
@@ -189,14 +179,26 @@ void Scheduler::cancel(EventId id) noexcept {
     BB_AUDIT(check_invariants());
 }
 
+EventId Scheduler::reschedule(EventId id, TimeNs at) {
+    check_future(at);
+    const auto s = static_cast<std::uint32_t>(id & 0xFFFF'FFFFu);
+    BB_CHECK_MSG(s < arena_.size() && arena_[s].gen == static_cast<std::uint32_t>(id >> 32),
+                 "scheduler: reschedule of an event that is not pending");
+    Slot& slot = arena_[s];
+    if (at < slot.due.at) {
+        // The ticket would surface too late; re-ticket the callable.
+        Event fn = std::move(slot.fn);
+        cancel(id);
+        return schedule_event(at, std::move(fn));
+    }
+    slot.due = {at, seq_++};
+    BB_AUDIT(check_invariants());
+    return id;
+}
+
 // --- lanes --------------------------------------------------------------
 
 Lane::Lane(Scheduler& sched) : sched_{&sched} { sched.lanes_.push_back(this); }
-
-EventLane::~EventLane() {
-    if (sched_ == nullptr) return;
-    for (std::size_t i = 0; i < ring_.size(); ++i) sched_->release_slot(ring_[i].slot);
-}
 
 Scheduler::~Scheduler() {
     for (Lane* lane : lanes_) lane->sched_ = nullptr;
@@ -221,11 +223,22 @@ void Scheduler::run_until(TimeNs t_end) {
     BB_AUDIT(check_invariants());
     std::uint64_t ran = 0;
     for (;;) {
-        // Cancelled heap tops are discarded without touching the clock.
-        while (!heap_.empty() && !ticket_live(heap_.front())) {
-            heap_drop_top();
-            BB_DCHECK_MSG(stale_ > 0, "scheduler: stale-ticket accounting underflow");
-            --stale_;
+        // Cancelled heap tops are discarded and rescheduled ones re-keyed to
+        // their due key, without touching the clock: neither is a dispatch.
+        while (!heap_.empty()) {
+            Ticket& top = heap_.front();
+            if (!ticket_live(top)) {
+                heap_drop_top();
+                BB_DCHECK_MSG(stale_ > 0, "scheduler: stale-ticket accounting underflow");
+                --stale_;
+            } else if (ticket_lags(top)) {
+                const detail::EventKey due = arena_[top.slot].due;
+                top.at = due.at;
+                top.seq = due.seq;
+                sift_down(0);
+            } else {
+                break;
+            }
         }
         // The next event is the (time, seq) minimum over the heap top and
         // every lane front; each lane's front is its own minimum.

@@ -2,7 +2,7 @@
 //
 // Events are closures ordered by (time, insertion sequence); ties are broken
 // by insertion order so runs are fully deterministic.  Events can be
-// cancelled (needed for TCP retransmission timers).
+// cancelled or moved to a later time (TCP retransmission timers).
 //
 // Hot-path design (DESIGN.md §9):
 //   * Events are move-only UniqueFunction<void()> callables — captures up to
@@ -17,14 +17,25 @@
 //     lazily at pop time; when more than half the heap is stale it is
 //     compacted in place, so schedule/cancel churn can never grow the heap
 //     (or the cancel bookkeeping) without bound.
+//   * Re-keying: reschedule() moves a pending event to a later time without
+//     touching the heap.  It takes the insertion sequence cancel-plus-
+//     schedule_at would, records the new key as the slot's due key, and
+//     leaves the old ticket in place; a ticket keyed earlier than its slot's
+//     due key is re-keyed and sifted down when it reaches the heap top.  A
+//     ticket can only lag its due key, never lead it, so it surfaces no
+//     later than the event is due and dispatch keys are those of a cancel
+//     plus schedule_at.  A move to an earlier time is a cancel plus
+//     schedule_at.
 //   * Events an owner schedules in non-decreasing time order bypass the heap
 //     on a lane: a FIFO ring the owner holds.  A PacketLane carries packets
 //     inline (fixed-delay links, queue propagation); an EventLane carries
-//     arena tickets (a queue's transmission completion, BADABING's probe
-//     schedule).  Lane entries take the same insertion sequence a heap push
-//     would, and run_until() dispatches the (time, seq) minimum over the heap
-//     top and every lane front, so dispatch order is exactly that of one heap.
-//     Lane entries are never cancelled.
+//     bare (time, seq) keys and runs the one handler its owner installed (a
+//     queue's transmission completion, BADABING's probe schedule), so its
+//     entries take no arena slot and no closure.  Lane entries take the same
+//     insertion sequence a heap push would, and run_until() dispatches the
+//     (time, seq) minimum over the heap top and every lane front, so
+//     dispatch order is exactly that of one heap.  Lane entries are never
+//     cancelled.
 #ifndef BB_SIM_SCHEDULER_H
 #define BB_SIM_SCHEDULER_H
 
@@ -68,8 +79,9 @@ inline constexpr EventKey kIdle{TimeNs::max(), ~std::uint64_t{0}};
 }
 
 // 24-byte event ticket; the callable stays put in the scheduler's arena
-// while the ticket percolates through the heap or waits on a lane, so sifts
-// move 24 bytes instead of a closure.
+// while the ticket percolates through the heap, so sifts move 24 bytes
+// instead of a closure.  A live ticket's key is its slot's due key, or an
+// earlier one the event was rescheduled away from.
 struct Ticket {
     TimeNs at;
     std::uint64_t seq;  // insertion order, the deterministic tie-break
@@ -158,10 +170,9 @@ private:
     // Pop the front entry and run it; the scheduler has already advanced the
     // clock and done the dispatch bookkeeping.
     virtual void fire_front() = 0;
-    // Invariant walker: entry order, front key, arena cross-references
-    // (tagging each referenced slot in `mark` as Scheduler's walker does).
-    // Returns the number of pending entries.
-    virtual std::size_t check_entries(std::vector<std::uint8_t>& mark) const = 0;
+    // Invariant walker: entry order and front key.  Returns the number of
+    // pending entries.
+    virtual std::size_t check_entries() const = 0;
 };
 
 class Scheduler {
@@ -196,6 +207,13 @@ public:
     // Cancel a pending event.  Cancelling an already-fired or unknown id is a
     // harmless O(1) no-op.
     void cancel(EventId id) noexcept;
+
+    // Move the pending event `id` to absolute time `at` (>= now) and return
+    // its id from now on.  Dispatch is exactly that of cancel(id) followed
+    // by schedule_at(at, <the same callable>); a move to a time no earlier
+    // than the event's current one is O(1) and keeps the id.  Rescheduling a
+    // fired, cancelled or unknown id aborts.
+    EventId reschedule(EventId id, TimeNs at);
 
     // Run events until the queue is empty or simulated time would exceed
     // `t_end`.  Events scheduled exactly at `t_end` run.  On return, now() is
@@ -242,12 +260,12 @@ private:
     friend class Lane;
     template <typename Entry>
     friend class RingLane;
-    friend class EventLane;
 
     static constexpr std::uint32_t kNoFree = 0xFFFF'FFFFu;
 
     struct Slot {
         Event fn;
+        detail::EventKey due{};  // dispatch key; the heap ticket may lag it
         std::uint32_t gen{0};
         std::uint32_t next_free{kNoFree};
     };
@@ -273,13 +291,18 @@ private:
     }
     // Ticket the filled slot `s` into the ready queue and mint its id.
     EventId commit_slot(TimeNs at, std::uint32_t s) {
-        const std::uint32_t gen = arena_[s].gen;
-        heap_push(Ticket{at, seq_++, s, gen});
+        Slot& slot = arena_[s];
+        slot.due = {at, seq_++};
+        heap_push(Ticket{at, slot.due.seq, s, slot.gen});
         ++live_;
-        return (static_cast<EventId>(gen) << 32) | s;
+        return (static_cast<EventId>(slot.gen) << 32) | s;
     }
     [[nodiscard]] bool ticket_live(const Ticket& t) const noexcept {
         return arena_[t.slot].gen == t.gen;
+    }
+    // A live ticket still keyed where its event was before a reschedule().
+    [[nodiscard]] bool ticket_lags(const Ticket& t) const noexcept {
+        return arena_[t.slot].due.seq != t.seq;
     }
     [[nodiscard]] static bool earlier(const Ticket& a, const Ticket& b) noexcept {
         return detail::earlier({a.at, a.seq}, {b.at, b.seq});
@@ -291,8 +314,6 @@ private:
     void release_slot(std::uint32_t slot) noexcept;
     // Run the arena callable in `slot` after releasing the slot.
     void fire_slot(std::uint32_t slot);
-    // Walker step for a ticket whose slot holds its callable.
-    void check_live_ticket(const Ticket& t, std::vector<std::uint8_t>& mark) const;
 
     // Take the insertion sequence for a lane entry at `at`, behind a lane
     // whose newest entry is at `back` (or that is empty, when null).
@@ -346,8 +367,9 @@ protected:
                                : detail::EventKey{ring_.front().at, ring_.front().seq};
         return e;
     }
-    // Order and front-key checks shared by both lane kinds.
-    void check_order() const {
+    // Order and front-key checks shared by both lane kinds; returns the
+    // number of pending entries.
+    std::size_t check_order() const {
         for (std::size_t i = 0; i < ring_.size(); ++i) {
             const Entry& e = ring_[i];
             BB_CHECK_MSG(e.seq < sched_->seq_, "scheduler: lane entry sequence from the future");
@@ -363,6 +385,7 @@ protected:
         if (ring_.empty()) {
             BB_CHECK_MSG(front_.seq == detail::kIdle.seq, "scheduler: empty lane has a front key");
         }
+        return ring_.size();
     }
 
 #ifdef BB_TESTING
@@ -399,31 +422,29 @@ private:
         const detail::Delivery e = pop();
         e.sink->accept(e.pkt);
     }
-    std::size_t check_entries(std::vector<std::uint8_t>& mark) const override;
+    std::size_t check_entries() const override;
 };
 
-// Callables an owner schedules in non-decreasing time order; each parks in
-// the scheduler's event arena like a heap event, but its ticket waits here.
-class EventLane final : public RingLane<detail::Ticket> {
+// Occurrences of one recurring event an owner schedules in non-decreasing
+// time order.  Entries are bare (time, seq) keys; each one, when due, runs
+// the handler the owner installed at construction, so the owner keeps
+// whatever state tells occurrences apart (the packet on the wire, the next
+// pre-drawn probe slot).
+class EventLane final : public RingLane<detail::EventKey> {
 public:
-    explicit EventLane(Scheduler& sched) : RingLane{sched} {}
-    ~EventLane();
+    EventLane(Scheduler& sched, Event handler) : RingLane{sched}, handler_{std::move(handler)} {}
 
-    template <typename F>
-    void schedule_at(TimeNs at, F&& fn) {
-        sched_->check_future(at);  // before taking a slot, so a throw leaks none
-        const std::uint32_t s = sched_->acquire_raw_slot();
-        sched_->arena_[s].fn.emplace(std::forward<F>(fn));
-        push(detail::Ticket{at, 0, s, sched_->arena_[s].gen});
-    }
-    template <typename F>
-    void schedule_after(TimeNs delay, F&& fn) {
-        schedule_at(sched_->now() + delay, std::forward<F>(fn));
-    }
+    void schedule_at(TimeNs at) { push(detail::EventKey{at, 0}); }
+    void schedule_after(TimeNs delay) { schedule_at(sched_->now() + delay); }
 
 private:
-    void fire_front() override { sched_->fire_slot(pop().slot); }
-    std::size_t check_entries(std::vector<std::uint8_t>& mark) const override;
+    void fire_front() override {
+        (void)pop();
+        handler_();
+    }
+    std::size_t check_entries() const override { return check_order(); }
+
+    Event handler_;
 };
 
 }  // namespace bb::sim

@@ -98,8 +98,11 @@ void TcpSender::handle_new_ack(std::int64_t ack, TimeNs echo) {
     }
 
     // Restart the retransmission timer for remaining in-flight data.
-    disarm_rto();
-    if (flight_bytes() > 0) arm_rto();
+    if (flight_bytes() > 0) {
+        arm_rto();
+    } else {
+        disarm_rto();
+    }
 
     if (cfg_.bytes_to_send > 0 && snd_una_ >= cfg_.bytes_to_send) {
         finished_ = true;
@@ -137,13 +140,18 @@ void TcpSender::enter_fast_recovery() {
         in_recovery_ = true;
     }
     transmit(snd_una_, /*retransmission=*/true);
-    disarm_rto();
     arm_rto();
 }
 
 void TcpSender::arm_rto() {
+    const TimeNs at = sched_->now() + rtt_.rto();
+    if (rto_armed_) {
+        // Restarting a running timer re-keys it in place.
+        rto_event_ = sched_->reschedule(rto_event_, at);
+        return;
+    }
     rto_armed_ = true;
-    rto_event_ = sched_->schedule_after(rtt_.rto(), [this] { on_rto(); });
+    rto_event_ = sched_->schedule_at(at, [this] { on_rto(); });
 }
 
 void TcpSender::disarm_rto() {

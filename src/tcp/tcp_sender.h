@@ -82,7 +82,7 @@ private:
     void handle_dupack();
     void enter_fast_recovery();
     void on_rto();
-    void arm_rto();
+    void arm_rto();  // start the timer, or restart it if running
     void disarm_rto();
 
     [[nodiscard]] std::int64_t window_bytes() const noexcept;

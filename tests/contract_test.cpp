@@ -151,22 +151,49 @@ TEST(ContractDeathTest, WalkerCatchesTicketSlotOutOfBounds) {
     EXPECT_DEATH(s.check_invariants(), "slot out of bounds");
 }
 
+TEST(ContractDeathTest, WalkerCatchesTicketKeyedPastItsDueKey) {
+    Scheduler s;
+    populate(s);
+    auto& heap = SchedulerTestAccess::heap(s);
+    auto& arena = SchedulerTestAccess::arena(s);
+    ASSERT_FALSE(heap.empty());
+    // A reschedule may only move an event later, so its ticket can lag its
+    // due key but never lead it; this one would surface after it was due.
+    arena[heap[0].slot].due.at = heap[0].at - milliseconds(1);
+    EXPECT_DEATH(s.check_invariants(), "ticket keyed later than its event's due key");
+}
+
+TEST(ContractTest, RescheduledTicketsPassInvariants) {
+    Scheduler s;
+    std::vector<bb::sim::EventId> ids;
+    for (int i = 0; i < 32; ++i) ids.push_back(s.schedule_after(milliseconds(10 + i), [] {}));
+    for (std::size_t i = 0; i < ids.size(); i += 3) {
+        ids[i] = s.reschedule(ids[i], milliseconds(50 + static_cast<std::int64_t>(i)));
+        s.check_invariants();
+    }
+    s.run_until(milliseconds(30));
+    s.check_invariants();
+    s.run();
+    s.check_invariants();
+    EXPECT_EQ(s.executed_events(), 32U);
+}
+
 // --- lanes ----------------------------------------------------------------
 
-// A few packet-lane deliveries and event-lane callables beside the heap.
+// A few packet-lane deliveries and event-lane entries beside the heap.
 void populate_lanes(Scheduler& s, PacketLane& packets, EventLane& events,
                     bb::sim::PacketSink& sink) {
     populate(s);
     for (int i = 0; i < 4; ++i) {
         packets.deliver_after(milliseconds(1 + i), bb::sim::Packet{}, sink);
-        events.schedule_at(milliseconds(2 + i), [] {});
+        events.schedule_at(milliseconds(2 + i));
     }
 }
 
 TEST(ContractTest, HealthyLanesPassInvariants) {
     Scheduler s;
     PacketLane packets{s};
-    EventLane events{s};
+    EventLane events{s, [] {}};
     bb::sim::CountingSink sink;
     populate_lanes(s, packets, events, sink);
     s.check_invariants();
@@ -177,10 +204,28 @@ TEST(ContractTest, HealthyLanesPassInvariants) {
     EXPECT_EQ(s.live_events(), 0U);
 }
 
+TEST(ContractTest, CompactionWhileLanesHoldEntries) {
+    Scheduler s;
+    PacketLane packets{s};
+    EventLane events{s, [] {}};
+    bb::sim::CountingSink sink;
+    populate_lanes(s, packets, events, sink);
+    std::vector<bb::sim::EventId> ids;
+    for (int i = 0; i < 400; ++i) ids.push_back(s.schedule_after(milliseconds(100 + i), [] {}));
+    // Cancel enough to trip the mostly-stale compaction; its kept-ticket
+    // check must not count the lane entries as heap tickets.
+    for (const auto id : ids) s.cancel(id);
+    EXPECT_LT(s.pending_events(), 400U);
+    EXPECT_EQ(s.live_events(), 32U + 8U);
+    s.check_invariants();
+    s.run();
+    EXPECT_EQ(s.executed_events(), 32U + 8U);
+}
+
 TEST(ContractDeathTest, WalkerCatchesLaneOrderViolation) {
     Scheduler s;
     PacketLane packets{s};
-    EventLane events{s};
+    EventLane events{s, [] {}};
     bb::sim::CountingSink sink;
     populate_lanes(s, packets, events, sink);
     auto& ring = SchedulerTestAccess::ring(packets);
@@ -191,28 +236,26 @@ TEST(ContractDeathTest, WalkerCatchesLaneOrderViolation) {
     EXPECT_DEATH(s.check_invariants(), "lane order violated");
 }
 
+TEST(ContractDeathTest, WalkerCatchesEventLaneOrderViolation) {
+    Scheduler s;
+    PacketLane packets{s};
+    EventLane events{s, [] {}};
+    bb::sim::CountingSink sink;
+    populate_lanes(s, packets, events, sink);
+    auto& ring = SchedulerTestAccess::ring(events);
+    ASSERT_EQ(ring.size(), 4U);
+    ring[2] = ring[1];  // a duplicated key: two entries cannot share a dispatch
+    EXPECT_DEATH(s.check_invariants(), "lane order violated");
+}
+
 TEST(ContractDeathTest, WalkerCatchesLaneAccountingDrift) {
     Scheduler s;
     PacketLane packets{s};
-    EventLane events{s};
+    EventLane events{s, [] {}};
     bb::sim::CountingSink sink;
     populate_lanes(s, packets, events, sink);
     ++SchedulerTestAccess::lane_pending(s);
     EXPECT_DEATH(s.check_invariants(), "lane accounting drifted");
-}
-
-TEST(ContractDeathTest, WalkerCatchesLaneTicketSharingAHeapSlot) {
-    Scheduler s;
-    PacketLane packets{s};
-    EventLane events{s};
-    bb::sim::CountingSink sink;
-    populate_lanes(s, packets, events, sink);
-    auto& heap = SchedulerTestAccess::heap(s);
-    auto& ring = SchedulerTestAccess::ring(events);
-    ASSERT_FALSE(heap.empty());
-    ring[0].slot = heap[0].slot;
-    ring[0].gen = heap[0].gen;
-    EXPECT_DEATH(s.check_invariants(), "two live tickets share an arena slot");
 }
 
 // --- packet pool walker --------------------------------------------------

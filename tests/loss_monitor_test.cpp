@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <vector>
+
 #include "scenarios/testbed.h"
+#include "sim/aqm.h"
+#include "sim/queue_base.h"
 #include "traffic/cbr.h"
 
 namespace bb::measure {
@@ -95,6 +102,73 @@ TEST(LossMonitor, DeparturesRecordQueueingDelay) {
         EXPECT_GE(d.queueing_delay, TimeNs::zero());
         EXPECT_LE(d.queueing_delay, milliseconds(51));
     }
+}
+
+// Each logged departure delay is the packet's sojourn plus its transmission
+// time: dequeue time minus the enqueue time the test records through the
+// queue's own enqueue hook, where the transmission started no earlier than
+// the enqueue (sojourn >= 0) and than the previous departure (one serial
+// link).  Mixed packet sizes keep the transmission term visible; the CoDel
+// run sheds heads as well as tails.
+void expect_departure_delays_are_sojourn_plus_transmission(sim::QueueDiscipline discipline) {
+    sim::Scheduler sched;
+    sim::CountingSink sink;
+    sim::QueueBase::LinkConfig cfg;
+    cfg.rate_bps = 8'000'000;  // 1000 B <=> 1 ms
+    cfg.prop_delay = milliseconds(1);
+    cfg.capacity_bytes = 60'000;
+    cfg.discipline = discipline;
+    const auto queue = sim::make_queue(sched, cfg, sink);
+    LossMonitor::Options opts;
+    opts.record_departures = true;
+    LossMonitor mon{sched, *queue, opts};
+
+    std::map<std::uint64_t, TimeNs> enqueued;  // by packet id
+    std::vector<TimeNs> want;                  // per departure, in order
+    TimeNs last_departure = TimeNs::zero();
+    queue->on_enqueue([&](const sim::QueueEvent& ev) { enqueued[ev.pkt.id] = ev.at; });
+    queue->on_dequeue([&](const sim::QueueEvent& ev) {
+        const TimeNs tx = transmission_time(ev.pkt.size_bytes, cfg.rate_bps);
+        const TimeNs sojourn = ev.at - tx - enqueued.at(ev.pkt.id);
+        EXPECT_GE(sojourn, TimeNs::zero());
+        EXPECT_GE(ev.at - tx, last_departure);
+        last_departure = ev.at;
+        EXPECT_EQ(ev.enqueued_at, enqueued.at(ev.pkt.id));
+        want.push_back(sojourn + tx);
+    });
+    // Bursts of 80 packets (about 77 ms of link time) every 40 ms build a
+    // standing queue that overflows the tail and, under CoDel, outlasts its
+    // target long enough to drop heads.
+    for (int burst = 0; burst < 20; ++burst) {
+        sched.schedule_at(milliseconds(40) * burst, [&queue, burst] {
+            for (int i = 0; i < 80; ++i) {
+                sim::Packet p;
+                p.id = static_cast<std::uint64_t>(burst) * 1000 + static_cast<std::uint64_t>(i);
+                p.size_bytes = i % 3 == 0 ? 1500 : 500 + 100 * (i % 5);
+                queue->accept(p);
+            }
+        });
+    }
+    sched.run();
+
+    EXPECT_GT(queue->drops(), 0u);
+    if (discipline == sim::QueueDiscipline::codel) {
+        EXPECT_GT(queue->head_drops(), 0u);
+    }
+    EXPECT_EQ(queue->arrivals(), queue->departures() + queue->drops());
+    ASSERT_EQ(mon.departures().size(), queue->departures());
+    ASSERT_EQ(want.size(), mon.departures().size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(mon.departures()[i].queueing_delay, want[i]) << "departure " << i;
+    }
+}
+
+TEST(LossMonitor, DepartureDelaysAreSojournPlusTransmissionUnderDropTail) {
+    expect_departure_delays_are_sojourn_plus_transmission(sim::QueueDiscipline::drop_tail);
+}
+
+TEST(LossMonitor, DepartureDelaysAreSojournPlusTransmissionUnderCoDelHeadDrops) {
+    expect_departure_delays_are_sojourn_plus_transmission(sim::QueueDiscipline::codel);
 }
 
 TEST(QueueSampler, SamplesAtConfiguredCadence) {

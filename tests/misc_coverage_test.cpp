@@ -105,7 +105,9 @@ TEST(DemuxEdge, RebindReplacesRoute) {
     sim::CountingSink a;
     sim::CountingSink b;
     demux.bind(1, a);
+    const std::size_t nodes = demux.table_nodes();
     demux.bind(1, b);  // rebinding replaces
+    EXPECT_EQ(demux.table_nodes(), nodes);
     sim::Packet p;
     p.flow = 1;
     demux.accept(p);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <iterator>
+#include <vector>
+
 #include "sim/demux.h"
 #include "sim/packet.h"
 
@@ -196,11 +200,76 @@ TEST(FlowDemux, RoutesByFlowAndCountsStrays) {
 
 TEST(FlowDemux, DefaultSinkReceivesUnknownFlows) {
     CountingSink def;
+    CountingSink bound;
     FlowDemux demux;
     demux.set_default(def);
+    demux.bind(7, bound);
     demux.accept(make_packet(1, 100, 42));
-    EXPECT_EQ(def.packets(), 1u);
+    demux.accept(make_packet(2, 100, 7));
+    demux.accept(make_packet(3, 100, 7 + 256));  // a page that was never bound
+    demux.accept(make_packet(4, 100, 8));         // an unbound id on a bound page
+    EXPECT_EQ(def.packets(), 3u);
+    EXPECT_EQ(bound.packets(), 1u);
     EXPECT_EQ(demux.stray_packets(), 0u);
+}
+
+TEST(FlowDemux, BindOrderDoesNotMatter) {
+    // The same routes bound forwards and backwards, across page and
+    // directory boundaries, route identically.
+    const FlowId ids[] = {0, 1, 255, 256, 257, 65'535, 65'536, 70'000, 1u << 24, 0xFFFF'FFFFu};
+    constexpr std::size_t n = std::size(ids);
+    std::vector<CountingSink> fwd_sinks(n);
+    std::vector<CountingSink> rev_sinks(n);
+    FlowDemux fwd;
+    FlowDemux rev;
+    for (std::size_t i = 0; i < n; ++i) fwd.bind(ids[i], fwd_sinks[i]);
+    for (std::size_t i = n; i-- > 0;) rev.bind(ids[i], rev_sinks[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t k = 0; k <= i; ++k) {
+            fwd.accept(make_packet(k, 100, ids[i]));
+            rev.accept(make_packet(k, 100, ids[i]));
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(fwd_sinks[i].packets(), i + 1) << ids[i];
+        EXPECT_EQ(rev_sinks[i].packets(), i + 1) << ids[i];
+    }
+    EXPECT_EQ(fwd.table_nodes(), rev.table_nodes());
+    EXPECT_EQ(fwd.stray_packets(), 0u);
+}
+
+TEST(FlowDemux, PageBelowTheFirstBoundPage) {
+    CountingSink high;
+    CountingSink low;
+    FlowDemux demux;
+    demux.bind(5'000, high);
+    demux.bind(3, low);  // pages 0 and 19: the second lies below the first
+    demux.accept(make_packet(1, 100, 3));
+    demux.accept(make_packet(2, 100, 5'000));
+    demux.accept(make_packet(3, 100, 4'999));
+    EXPECT_EQ(low.packets(), 1u);
+    EXPECT_EQ(high.packets(), 1u);
+    EXPECT_EQ(demux.stray_packets(), 1u);
+}
+
+TEST(FlowDemux, SparseIdsKeepMemoryBounded) {
+    CountingSink a;
+    CountingSink b;
+    FlowDemux demux;
+    demux.bind(0, a);
+    EXPECT_EQ(demux.table_nodes(), 3u);  // two directories and one page
+    demux.bind(0xFFFF'FFFFu, b);
+    EXPECT_EQ(demux.table_nodes(), 6u);  // not a 16 M-entry directory
+    demux.accept(make_packet(1, 100, 0));
+    demux.accept(make_packet(2, 100, 0xFFFF'FFFFu));
+    demux.accept(make_packet(3, 100, 0x8000'0000u));
+    EXPECT_EQ(a.packets(), 1u);
+    EXPECT_EQ(b.packets(), 1u);
+    EXPECT_EQ(demux.stray_packets(), 1u);
+    // A thousand consecutive flows fill four pages under one directory path.
+    std::vector<CountingSink> sinks(1'000);
+    for (FlowId f = 1; f <= 1'000; ++f) demux.bind(f, sinks[f - 1]);
+    EXPECT_EQ(demux.table_nodes(), 6u + 3u);
 }
 
 }  // namespace

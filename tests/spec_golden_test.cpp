@@ -566,15 +566,22 @@ TEST(SpecGolden, ShippedTable7GroupedMatchesPerCellRuns) {
 
 // Captured from bb_sweep run tests/data/<spec> --state-hash; the long-lived
 // and web TCP paths (ACKs on the reverse link, retransmission timers, flow
-// churn) are pinned here the way Fig 9 and Table 7 pin the CBR path.
+// churn) are pinned here the way Fig 9 and Table 7 pin the CBR path.  The
+// truth pins cover what the hash chain cannot see: the web spec's truth is
+// delay-based, read off the bottleneck's departure log, which never reaches
+// the chain.
 struct TcpPathPin {
     const char* spec;
     const char* state_hash;
     double est_frequency;
+    double true_frequency;
+    double true_duration_s;
 };
 constexpr TcpPathPin kTcpPathPins[] = {
-    {"tcp_longlived_short.json", "314ba17322bf461b", 0.16720040240234346},
-    {"web_shortflows_short.json", "dd139829e95fdad6", 0.002234996157200371},
+    {"tcp_longlived_short.json", "314ba17322bf461b", 0.16720040240234346, 0.21425,
+     0.17182186118323867},
+    {"web_shortflows_short.json", "dd139829e95fdad6", 0.002234996157200371, 0.0034375,
+     0.06516},
 };
 
 TEST(SpecGolden, TcpPathSpecsMatchStateHashPins) {
@@ -590,14 +597,20 @@ TEST(SpecGolden, TcpPathSpecsMatchStateHashPins) {
         ASSERT_EQ(grid.cells.size(), 1u);
         const auto run = run_cells(grid.cells[0].spec.name, grid.cells, "");
         ASSERT_TRUE(run.ok) << run.error;
-        const double est = cell_stat(run.cells[0].result, "est_frequency").mean;
+        const JsonValue& result = run.cells[0].result;
+        const double est = cell_stat(result, "est_frequency").mean;
+        const double true_freq = cell_stat(result, "true_frequency").mean;
+        const double true_dur = cell_stat(result, "true_duration_s").mean;
         if (golden_print()) {
-            std::printf("    {\"%s\", \"%s\", %.17g},\n", pin.spec,
-                        core::RunHasher::hex(run.merged_state_hash).c_str(), est);
+            std::printf("    {\"%s\", \"%s\", %.17g, %.17g,\n     %.17g},\n", pin.spec,
+                        core::RunHasher::hex(run.merged_state_hash).c_str(), est, true_freq,
+                        true_dur);
             continue;
         }
         EXPECT_EQ(core::RunHasher::hex(run.merged_state_hash), pin.state_hash);
         EXPECT_EQ(est, pin.est_frequency);
+        EXPECT_EQ(true_freq, pin.true_frequency);
+        EXPECT_EQ(true_dur, pin.true_duration_s);
     }
 }
 
