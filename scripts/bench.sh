@@ -104,6 +104,44 @@ if [[ "$FAST" == 1 ]]; then
 fi
 BB_BENCH_JSON="$OUT" "./$BUILD/bench/ablation_aqm"
 
+# Stamp every file this run wrote with where its numbers come from: host,
+# core count, build type, compiler and source revision ("-dirty" when the
+# working tree differs from it).
+python3 - "$OUT" "$BUILD" <<'PY'
+import json, os, platform, re, subprocess, sys
+out, build = sys.argv[1], sys.argv[2]
+cache = {}
+with open(os.path.join(build, "CMakeCache.txt"), encoding="utf-8") as f:
+    for line in f:
+        m = re.match(r"([A-Za-z_]+):[A-Z]+=(.*)", line.strip())
+        if m:
+            cache[m.group(1)] = m.group(2)
+def first_line(cmd):
+    try:
+        text = subprocess.run(cmd, capture_output=True, text=True).stdout
+    except OSError:
+        return None
+    return text.splitlines()[0].strip() if text.strip() else None
+rev = first_line(["git", "describe", "--always", "--dirty", "--abbrev=12"])
+provenance = {
+    "host": platform.node(),
+    "nproc": os.cpu_count(),
+    # An empty cache value means the top-level CMakeLists default.
+    "build_type": cache.get("CMAKE_BUILD_TYPE") or "RelWithDebInfo",
+    "compiler": first_line([cache.get("CMAKE_CXX_COMPILER", "c++"), "--version"]),
+    "git_rev": rev,
+}
+for name in ("micro_core", "micro_sim", "micro_stream", "micro_obs", "micro_sched",
+             "micro_record", "ablation_aqm"):
+    path = os.path.join(out, f"BENCH_{name}.json")
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["provenance"] = provenance
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+PY
+
 if [[ "$MODE" == compare ]]; then
   COMPARE_ARGS=(--baseline . --current "$OUT" --tolerance "$TOL")
   if [[ "$FAST" == 1 ]]; then COMPARE_ARGS+=(--fast); fi

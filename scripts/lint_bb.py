@@ -38,6 +38,11 @@ Rules (see DESIGN.md §10 for rationale):
                       goes through the scenario DSL and the
                       scenarios::build_testbed factory, so every run is
                       reproducible from a spec document.
+  no-node-container   std::map/multimap/set/multiset/list/forward_list/deque
+                      are banned in src/sim and src/tcp: the per-packet path
+                      keeps its state in flat storage (vectors, detail::Ring,
+                      lanes), so it allocates nothing per element and stays
+                      O(1) per packet (DESIGN.md §9).
 
 Waivers, for the rare justified exception (justify in a trailing comment):
 
@@ -223,6 +228,13 @@ RULES = [
             "hand-wired scenario construction; go through the scenario DSL "
             "and scenarios::build_testbed"),
     },
+    {
+        "id": "no-node-container",
+        "scope": lambda p: in_dirs(p, "src/sim", "src/tcp"),
+        "check": grep_rule(
+            r"\bstd::(?:(?:multi)?(?:map|set)|(?:forward_)?list|deque)\s*<",
+            "node container on the per-packet path; use a vector, detail::Ring or a lane"),
+    },
 ]
 
 
@@ -349,6 +361,23 @@ SELF_TEST_TABLE = [
     ("no-adhoc-scenario", "bench/x.cpp", "scenarios::Testbed& tb = *tb_ptr;", False, False),  # ref ok
     ("no-adhoc-scenario", "bench/x.cpp",
      "sim::QueueBase::LinkConfig link;  // bb-lint: allow(no-adhoc-scenario)", False, False),
+    ("no-node-container", "src/sim/x.h", "std::deque<Queued> fifo_;", False, True),
+    ("no-node-container", "src/tcp/x.h", "std::map<std::int64_t, std::int64_t> m;", False, True),
+    ("no-node-container", "src/tcp/x.cpp", "std::multimap<int, int> m;", False, True),
+    ("no-node-container", "src/sim/x.cpp", "std::set<int> s;", False, True),
+    ("no-node-container", "src/sim/x.cpp", "std::multiset<int> s;", False, True),
+    ("no-node-container", "src/sim/x.cpp", "std::list<Packet> l;", False, True),
+    ("no-node-container", "src/sim/x.cpp", "std::forward_list<int> l;", False, True),
+    ("no-node-container", "src/sim/x.h", "detail::Ring<Queued> fifo_;", False, False),
+    ("no-node-container", "src/tcp/x.h", "std::vector<Segment> pending_;", False, False),
+    ("no-node-container", "src/sim/x.h", "std::unordered_map_like<int> m;", False, False),
+    ("no-node-container", "src/sim/x.cpp", "std::mapping<int> m;", False, False),  # substring
+    ("no-node-container", "src/sim/x.cpp", "// a std::map<int, int> in prose", False, False),
+    ("no-node-container", "src/scenarios/x.cpp", "std::map<std::string, int> m;",
+     False, False),  # out of scope
+    ("no-node-container", "src/probes/x.h", "std::map<int, int> m;", False, False),  # ditto
+    ("no-node-container", "src/sim/x.cpp",
+     "std::map<int, int> m;  // bb-lint: allow(no-node-container)", False, False),
 ]
 
 

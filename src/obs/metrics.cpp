@@ -8,7 +8,80 @@
 
 namespace bb::obs {
 
+// --- cell ownership ----------------------------------------------------------
+
+namespace detail {
+namespace {
+static_assert(kShards <= 64, "cell ownership is one 64-bit mask");
+
+// Bit i set: owned cell i belongs to a live thread.
+std::atomic<std::uint64_t> g_owned_cells{0};
+
+// Thread-exit release of the cell claimed_cell() handed out.  The release
+// store publishes the thread's last adds to the next owner's acquiring
+// claim, so the new owner's load-and-store continues from the exact value.
+struct CellRelease {
+    CellRelease() = default;
+    CellRelease(const CellRelease&) = delete;
+    CellRelease& operator=(const CellRelease&) = delete;
+    ~CellRelease() {
+        if (t_cell < kShards) {
+            g_owned_cells.fetch_and(~(std::uint64_t{1} << t_cell), std::memory_order_release);
+        }
+        // Adds from later thread-exit code land in the shared cell.
+        t_cell = kOverflowCell;
+    }
+};
+
+// Add `n` to cell `c` of any kind; the overflow cell is shared.
+void cell_add(std::atomic<std::uint64_t>& v, std::uint32_t c, std::uint64_t n) noexcept {
+    if (c < kShards) {
+        owned_add(v, n);
+    } else {
+        v.fetch_add(n, std::memory_order_relaxed);
+    }
+}
+}  // namespace
+
+std::uint32_t claimed_cell() noexcept {
+    if (t_cell != kUnclaimed) return t_cell;
+    constexpr std::uint64_t kAll =
+        kShards == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << kShards) - 1;
+    std::uint64_t owned = g_owned_cells.load(std::memory_order_relaxed);
+    std::uint32_t cell = kOverflowCell;
+    while (owned != kAll) {
+        const auto free = static_cast<std::uint32_t>(__builtin_ctzll(~owned & kAll));
+        if (g_owned_cells.compare_exchange_weak(owned, owned | (std::uint64_t{1} << free),
+                                                std::memory_order_acquire,
+                                                std::memory_order_relaxed)) {
+            cell = free;
+            break;
+        }
+    }
+    t_cell = cell;
+    // Constructed on this thread's first claim only; its destructor runs at
+    // thread exit.
+    thread_local const CellRelease release;
+    return cell;
+}
+}  // namespace detail
+
+// --- Counter -----------------------------------------------------------------
+
+void Counter::inc_unowned(std::uint64_t n) noexcept {
+    const std::uint32_t c = detail::claimed_cell();
+    detail::cell_add(cells_[c].v, c, n);
+}
+
 // --- Histogram ---------------------------------------------------------------
+
+void Histogram::record_unowned(std::uint64_t v) noexcept {
+    const std::uint32_t c = detail::claimed_cell();
+    Shard& s = shards_[c];
+    detail::cell_add(s.count, c, 1);
+    detail::cell_add(s.sum, c, v);
+    detail::cell_add(s.buckets[bucket_index(v)], c, 1);
+}
 
 Histogram::Histogram(std::string name) : name_{std::move(name)} {
     for (Shard& s : shards_) {

@@ -2,12 +2,18 @@
 // histograms for the measurement machinery itself (events dispatched, queue
 // drops, reports scored, task latencies).
 //
-// Hot-path design: each metric is striped over kShards cache-line-padded
-// cells; a thread picks its own cell once (thread-local index, distinct for
-// the first kShards threads) and increments it with a relaxed atomic add, so
-// concurrent writers never touch the same cache line until snapshot() merges
-// the shards.  Every mutating call first branches on the cached obs::enabled()
-// bool (BB_OBS=off), so a disabled build pays one predictable branch.
+// Hot-path design (DESIGN.md §10): each metric is striped over kShards
+// cache-line-padded cells plus one shared overflow cell.  A live thread owns
+// one cell exclusively — no other thread writes it while the owner lives —
+// so an add is a relaxed load and store, with no locked instruction.  The
+// cell index sits in a trivially initialised thread-local, so the fast path
+// is one TLS load and a compare; the first add on a thread claims a free
+// cell (or, with kShards threads already alive, the overflow cell, which
+// takes a relaxed fetch_add), and thread exit releases it for the next
+// thread, whose adds continue from the cell's value.  snapshot() merges the
+// cells; every value is exact with respect to completed adds.  Every
+// mutating call first branches on the cached obs::enabled() bool
+// (BB_OBS=off), so a disabled build pays one predictable branch.
 //
 // Metrics live for the whole process: registration hands out references that
 // never move or die, so call sites can cache them (typically in a
@@ -29,19 +35,25 @@
 
 namespace bb::obs {
 
-inline constexpr std::size_t kShards = 32;  // power of two
+inline constexpr std::size_t kShards = 32;  // owned cells; at most 64
 
 namespace detail {
-inline std::atomic<std::size_t> g_next_shard{0};
-}  // namespace detail
+// Cell index of a thread past its release at exit, or of any thread that
+// found all kShards cells owned: the shared overflow cell.
+inline constexpr std::uint32_t kOverflowCell = kShards;
+inline constexpr std::uint32_t kUnclaimed = ~std::uint32_t{0};
+// This thread's cell.  Constant-initialised, so reading it needs no guard.
+inline thread_local std::uint32_t t_cell = kUnclaimed;
+// This thread's cell, claimed on first use: a free owned cell, or
+// kOverflowCell if none is free.  The claim is released at thread exit.
+std::uint32_t claimed_cell() noexcept;
 
-// Stable per-thread stripe: the first kShards threads get distinct cells,
-// later threads wrap around (increments stay exact, just shared).
-[[nodiscard]] inline std::size_t shard_index() noexcept {
-    thread_local const std::size_t idx =
-        detail::g_next_shard.fetch_add(1, std::memory_order_relaxed) & (kShards - 1);
-    return idx;
+// Add `n` to an owned cell: it has one writer, so a plain load and store is
+// exact.
+inline void owned_add(std::atomic<std::uint64_t>& v, std::uint64_t n) noexcept {
+    v.store(v.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
 }
+}  // namespace detail
 
 // Monotonic counter.  value() is exact with respect to completed inc() calls.
 class Counter {
@@ -51,7 +63,11 @@ public:
 
     void inc(std::uint64_t n = 1) noexcept {
         if (!enabled()) return;
-        cells_[shard_index()].v.fetch_add(n, std::memory_order_relaxed);
+        if (const std::uint32_t c = detail::t_cell; c < kShards) [[likely]] {
+            detail::owned_add(cells_[c].v, n);
+        } else {
+            inc_unowned(n);
+        }
     }
 
     [[nodiscard]] std::uint64_t value() const noexcept {
@@ -65,13 +81,15 @@ public:
 private:
     friend class Registry;
     explicit Counter(std::string name) : name_{std::move(name)} {}
+    // Out of line: the first add on a thread, and adds on the overflow cell.
+    void inc_unowned(std::uint64_t n) noexcept;
 
     struct alignas(64) Cell {
         std::atomic<std::uint64_t> v{0};
     };
 
     std::string name_;
-    Cell cells_[kShards];
+    Cell cells_[kShards + 1];  // owned cells, then the overflow cell
 };
 
 // Last-write-wins double value (queue depth, live loss rate).
@@ -123,10 +141,14 @@ public:
     void record(std::int64_t value) noexcept {
         if (!enabled()) return;
         const std::uint64_t v = value < 0 ? 0 : static_cast<std::uint64_t>(value);
-        Shard& s = shards_[shard_index()];
-        s.count.fetch_add(1, std::memory_order_relaxed);
-        s.sum.fetch_add(v, std::memory_order_relaxed);
-        s.buckets[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
+        if (const std::uint32_t c = detail::t_cell; c < kShards) [[likely]] {
+            Shard& s = shards_[c];
+            detail::owned_add(s.count, 1);
+            detail::owned_add(s.sum, v);
+            detail::owned_add(s.buckets[bucket_index(v)], 1);
+        } else {
+            record_unowned(v);
+        }
     }
 
     [[nodiscard]] static std::size_t bucket_index(std::uint64_t v) noexcept {
@@ -171,6 +193,9 @@ public:
 private:
     friend class Registry;
     explicit Histogram(std::string name);
+    // Out of line: the first record on a thread, and records on the overflow
+    // cell.
+    void record_unowned(std::uint64_t v) noexcept;
 
     struct alignas(64) Shard {
         std::atomic<std::uint64_t> count{0};
@@ -179,7 +204,7 @@ private:
     };
 
     std::string name_;
-    Shard shards_[kShards];
+    Shard shards_[kShards + 1];  // owned cells, then the overflow cell
 };
 
 // Name -> metric, one per process.  Lookup takes a mutex; the returned

@@ -9,11 +9,11 @@ AdaptiveBadabingTool::AdaptiveBadabingTool(sim::Scheduler& sched,
                                            sim::PacketSink& out, Rng rng)
     : sched_{&sched},
       cfg_{cfg},
-      out_{&out},
+      train_{sched, out, sim::flow_id_block(0xAD, cfg.flow), cfg.packets_per_probe,
+             cfg.intra_probe_gap, cfg.slot_width},
       rng_{std::move(rng)},
       design_{cfg.p, cfg.improved, cfg.extended_fraction},
-      rule_{cfg.stopping},
-      next_id_{sim::flow_id_block(0xAD, cfg.flow)} {
+      rule_{cfg.stopping} {
     sched_->schedule_at(cfg_.start, [this] { slot_tick(); });
     sched_->schedule_at(cfg_.start + cfg_.evaluation_interval, [this] { evaluate(); });
 }
@@ -48,27 +48,12 @@ void AdaptiveBadabingTool::slot_tick() {
 
 void AdaptiveBadabingTool::emit_probe(core::SlotIndex slot) {
     ++probes_sent_;
-    for (int k = 0; k < cfg_.packets_per_probe; ++k) {
-        sim::Packet pkt;
-        pkt.id = ++next_id_;
-        pkt.flow = cfg_.flow;
-        pkt.kind = sim::PacketKind::probe;
-        pkt.size_bytes = cfg_.packet_bytes;
-        pkt.seq = slot;
-        pkt.probe_pkt = k;
-        pkt.sent_at = sched_->now();
-        if (k == 0) {
-            out_->accept(pkt);
-        } else {
-            // Parked in the per-replica pool; re-stamped at emission time.
-            const sim::PacketPool::Handle h = sched_->packet_pool().put(pkt);
-            sched_->schedule_after(cfg_.intra_probe_gap * k, [this, h] {
-                sim::Packet p = sched_->packet_pool().take(h);
-                p.sent_at = sched_->now();
-                out_->accept(p);
-            });
-        }
-    }
+    sim::Packet pkt;
+    pkt.flow = cfg_.flow;
+    pkt.kind = sim::PacketKind::probe;
+    pkt.size_bytes = cfg_.packet_bytes;
+    pkt.seq = slot;
+    train_.send(pkt);
 }
 
 void AdaptiveBadabingTool::accept(const sim::Packet& pkt) {

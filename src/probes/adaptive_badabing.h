@@ -17,6 +17,7 @@
 #include "core/types.h"
 #include "core/validation.h"
 #include "probes/badabing.h"
+#include "probes/probe_train.h"
 #include "sim/packet.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
@@ -44,6 +45,8 @@ struct AdaptiveBadabingConfig {
 
 class AdaptiveBadabingTool final : public sim::PacketSink {
 public:
+    // Throws std::invalid_argument unless a probe's train ends within its
+    // slot: (packets_per_probe − 1) × intra_probe_gap < slot_width.
     AdaptiveBadabingTool(sim::Scheduler& sched, const AdaptiveBadabingConfig& cfg,
                          sim::PacketSink& out, Rng rng);
 
@@ -78,11 +81,10 @@ private:
 
     sim::Scheduler* sched_;
     AdaptiveBadabingConfig cfg_;
-    sim::PacketSink* out_;
+    ProbeTrain train_;
     Rng rng_;
     core::ProbeProcessConfig design_;  // the per-slot start draw's parameters
     core::StoppingRule rule_;
-    std::uint64_t next_id_;
 
     core::SlotIndex current_slot_{0};
     std::vector<core::Experiment> experiments_;

@@ -13,9 +13,9 @@ BadabingTool::BadabingTool(sim::Scheduler& sched, const BadabingConfig& cfg,
                            sim::PacketSink& out, Rng rng)
     : sched_{&sched},
       cfg_{cfg},
-      out_{&out},
-      probe_lane_{sched, [this] { emit_probe(design_.probe_slots[next_probe_++]); }},
-      next_id_{sim::flow_id_block(0xBA, cfg.flow)} {
+      probe_lane_{sched, [this] { emit_probe(); }},
+      train_{sched, out, sim::flow_id_block(0xBA, cfg.flow), cfg.packets_per_probe,
+             cfg.intra_probe_gap, cfg.slot_width} {
     core::ProbeProcessConfig pcfg;
     pcfg.p = cfg_.p;
     pcfg.improved = cfg_.improved;
@@ -30,37 +30,20 @@ BadabingTool::BadabingTool(sim::Scheduler& sched, const BadabingConfig& cfg,
     }
 }
 
-void BadabingTool::emit_probe(core::SlotIndex slot) {
+void BadabingTool::emit_probe() {
     ++probes_sent_;
     // bb-det: allow(no-mutable-static) — obs registry cache, telemetry only
     static obs::Counter& sent_ctr = obs::counter("probes.badabing.probes_sent");
     sent_ctr.inc();
-    for (int k = 0; k < cfg_.packets_per_probe; ++k) {
-        sim::Packet pkt;
-        pkt.id = ++next_id_;
-        pkt.flow = cfg_.flow;
-        pkt.kind = sim::PacketKind::probe;
-        pkt.size_bytes = cfg_.packet_bytes;
-        pkt.seq = slot;
-        pkt.probe_pkt = k;
-        pkt.sent_at = sched_->now();
-        pkt.ecn_ect = cfg_.ecn_probes;
-        ++packets_sent_;
-        bytes_sent_ += cfg_.packet_bytes;
-        // Back-to-back emission: successive packets leave `intra_probe_gap`
-        // apart, per the capabilities of the paper's hosts (~30 us).
-        if (k == 0) {
-            out_->accept(pkt);
-        } else {
-            // Parked in the per-replica pool; re-stamped at emission time.
-            const sim::PacketPool::Handle h = sched_->packet_pool().put(pkt);
-            sched_->schedule_after(cfg_.intra_probe_gap * k, [this, h] {
-                sim::Packet p = sched_->packet_pool().take(h);
-                p.sent_at = sched_->now();
-                out_->accept(p);
-            });
-        }
-    }
+    packets_sent_ += static_cast<std::uint64_t>(cfg_.packets_per_probe);
+    bytes_sent_ += std::int64_t{cfg_.packet_bytes} * cfg_.packets_per_probe;
+    sim::Packet pkt;
+    pkt.flow = cfg_.flow;
+    pkt.kind = sim::PacketKind::probe;
+    pkt.size_bytes = cfg_.packet_bytes;
+    pkt.seq = static_cast<std::int64_t>(next_probe_++);  // the record index
+    pkt.ecn_ect = cfg_.ecn_probes;
+    train_.send(pkt);
 }
 
 void BadabingTool::accept(const sim::Packet& pkt) {
@@ -69,10 +52,9 @@ void BadabingTool::accept(const sim::Packet& pkt) {
     static obs::Counter& recv_ctr = obs::counter("probes.badabing.packets_received");
     recv_ctr.inc();
     ++packets_received_;
-    const auto& slots = design_.probe_slots;
-    const auto it = std::lower_bound(slots.begin(), slots.end(), pkt.seq);
-    if (it == slots.end() || *it != pkt.seq) return;  // not a designed probe slot
-    SlotRecord& rec = records_[static_cast<std::size_t>(it - slots.begin())];
+    const auto k = static_cast<std::uint64_t>(pkt.seq);
+    if (k >= records_.size()) return;  // not one of this design's probes
+    SlotRecord& rec = records_[k];
     ++rec.received;
     if (pkt.ecn_ce) rec.ce = true;
     const TimeNs skew =
@@ -111,16 +93,28 @@ void BadabingTool::emit_reports(const core::MarkingConfig& marking,
     core::CongestionMarker marker{marking};
     const std::vector<core::SlotMark> marks = marker.mark(probe_outcomes);
 
-    // One mark per probed slot, in slot order.
-    core::score_experiments_into(
-        design_.experiments,
-        [&marks](core::SlotIndex s) {
-            const auto it = std::lower_bound(
-                marks.begin(), marks.end(), s,
-                [](const core::SlotMark& m, core::SlotIndex key) { return m.slot < key; });
-            return it != marks.end() && it->slot == s && it->congested;
-        },
-        sink);
+    // One mark per probed slot, in slot order, parallel to the design's
+    // probe slots.  Experiments come in start-slot order and each probes
+    // consecutive designed slots, so one forward cursor finds every
+    // experiment's first mark, and its other slots are the marks after it.
+    BB_CHECK_MSG(marks.size() == design_.probe_slots.size(),
+                 "badabing: one mark per designed probe slot");
+    std::size_t first = 0;
+    for (const core::Experiment& e : design_.experiments) {
+        while (first < marks.size() && marks[first].slot < e.start_slot) ++first;
+        const auto last = first + static_cast<std::size_t>(e.probes()) - 1;
+        BB_CHECK_MSG(last < marks.size() && marks[last].slot == e.start_slot + e.probes() - 1,
+                     "badabing: experiment slots are not consecutive designed slots");
+        const auto congested = [&marks, first](std::size_t k) {
+            return marks[first + k].congested;
+        };
+        if (e.kind == core::ExperimentKind::basic) {
+            sink.consume({e.kind, core::basic_code(congested(0), congested(1))});
+        } else {
+            sink.consume(
+                {e.kind, core::extended_code(congested(0), congested(1), congested(2))});
+        }
+    }
 }
 
 BadabingResult BadabingTool::analyze(const core::MarkingConfig& marking,
@@ -164,36 +158,24 @@ double BadabingTool::offered_load_fraction(std::int64_t link_rate_bps) const noe
 
 FixedIntervalProber::FixedIntervalProber(sim::Scheduler& sched, const Config& cfg,
                                          sim::PacketSink& out)
-    : sched_{&sched}, cfg_{cfg}, out_{&out}, next_id_{sim::flow_id_block(0xB1, cfg.flow)} {
+    : sched_{&sched},
+      cfg_{cfg},
+      train_{sched, out, sim::flow_id_block(0xB1, cfg.flow), cfg.packets_per_probe,
+             cfg.intra_probe_gap, cfg.interval} {
     sched_->schedule_at(cfg_.start, [this] { emit(); });
 }
 
 void FixedIntervalProber::emit() {
     if (sched_->now() >= cfg_.stop) return;
-    const auto probe_index = static_cast<std::int64_t>(send_times_.size());
+    sim::Packet pkt;
+    pkt.flow = cfg_.flow;
+    pkt.kind = sim::PacketKind::probe;
+    pkt.size_bytes = cfg_.packet_bytes;
+    pkt.seq = static_cast<std::int64_t>(send_times_.size());
     send_times_.push_back(sched_->now());
     received_.push_back(0);
     max_owd_.push_back(TimeNs::zero());
-    for (int k = 0; k < cfg_.packets_per_probe; ++k) {
-        sim::Packet pkt;
-        pkt.id = ++next_id_;
-        pkt.flow = cfg_.flow;
-        pkt.kind = sim::PacketKind::probe;
-        pkt.size_bytes = cfg_.packet_bytes;
-        pkt.seq = probe_index;
-        pkt.probe_pkt = k;
-        pkt.sent_at = sched_->now();
-        if (k == 0) {
-            out_->accept(pkt);
-        } else {
-            const sim::PacketPool::Handle h = sched_->packet_pool().put(pkt);
-            sched_->schedule_after(cfg_.intra_probe_gap * k, [this, h] {
-                sim::Packet p = sched_->packet_pool().take(h);
-                p.sent_at = sched_->now();
-                out_->accept(p);
-            });
-        }
-    }
+    train_.send(pkt);
     sched_->schedule_after(cfg_.interval, [this] { emit(); });
 }
 

@@ -20,6 +20,7 @@
 #include "core/report_sink.h"
 #include "core/types.h"
 #include "core/validation.h"
+#include "probes/probe_train.h"
 #include "sim/packet.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
@@ -72,7 +73,9 @@ struct BadabingResult {
 class BadabingTool final : public sim::PacketSink {
 public:
     // Probes are emitted into `out`; bind this object into the far-side
-    // demux under `cfg.flow` so it receives them.
+    // demux under `cfg.flow` so it receives them.  Throws
+    // std::invalid_argument unless a probe's train ends within its slot:
+    // (packets_per_probe − 1) × intra_probe_gap < slot_width.
     BadabingTool(sim::Scheduler& sched, const BadabingConfig& cfg, sim::PacketSink& out,
                  Rng rng);
 
@@ -118,17 +121,17 @@ private:
         bool ce{false};
     };
 
-    void emit_probe(core::SlotIndex slot);
+    void emit_probe();
 
     sim::Scheduler* sched_;
     BadabingConfig cfg_;
-    sim::PacketSink* out_;
     sim::EventLane probe_lane_;  // the pre-drawn probe schedule
+    ProbeTrain train_;
     core::ProbeDesign design_;
     std::size_t next_probe_{0};  // index into design_.probe_slots
-    std::uint64_t next_id_;
 
-    // Parallel to design_.probe_slots: records_[k] is the k-th probe's.
+    // Parallel to design_.probe_slots: records_[k] is the k-th probe's, and
+    // the k-th probe's packets carry k in their `seq`.
     std::vector<SlotRecord> records_;
     std::uint64_t probes_sent_{0};
     std::uint64_t packets_sent_{0};
@@ -150,6 +153,8 @@ public:
         TimeNs stop{TimeNs::max()};
     };
 
+    // Throws std::invalid_argument unless a probe's train ends before the
+    // next probe: (packets_per_probe − 1) × intra_probe_gap < interval.
     FixedIntervalProber(sim::Scheduler& sched, const Config& cfg, sim::PacketSink& out);
 
     FixedIntervalProber(const FixedIntervalProber&) = delete;
@@ -166,8 +171,7 @@ private:
 
     sim::Scheduler* sched_;
     Config cfg_;
-    sim::PacketSink* out_;
-    std::uint64_t next_id_;
+    ProbeTrain train_;
 
     std::vector<TimeNs> send_times_;
     std::vector<int> received_;

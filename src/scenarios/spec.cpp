@@ -374,6 +374,11 @@ void parse_probe(Ctx& ctx, Section& top, ScenarioSpec& spec) {
     bb_sec.time_ms("receiver_clock_offset_ms", bc.receiver_clock_offset);
     bb_sec.number("receiver_clock_skew_ppm", bc.receiver_clock_skew_ppm, -1e6, 1e6);
     bb_sec.finish();
+    // A probe's train must end within its slot (probes::ProbeTrain).
+    if (ctx.ok() && bc.intra_probe_gap * (bc.packets_per_probe - 1) >= bc.slot_width) {
+        ctx.fail(bb_sec.line(), "probe.badabing.intra_probe_gap_us",
+                 "(packets_per_probe - 1) x intra_probe_gap_us must be shorter than slot_ms");
+    }
 
     Section zing{ctx, probe.get("zing"), "probe.zing", probe.line()};
     zing.time_ms("mean_interval_ms", spec.zing.mean_interval, /*min_exclusive=*/true);

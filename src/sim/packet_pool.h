@@ -3,11 +3,11 @@
 // A Packet is a 72-byte value; capturing one by value in a scheduler closure
 // blows past the inline event buffer and forces a heap allocation per event.
 // Parking the packet here instead lets the closure carry a 32-bit handle, so
-// the event stays inline (a probe's trailing packets use this; fixed-delay
-// deliveries ride a PacketLane instead).  Each Scheduler (one per replica —
-// replicas never share simulation state) owns one pool, so no
-// synchronization is needed and slots are recycled for the lifetime of the
-// run: the steady state performs zero allocations.
+// the event stays inline.  No simulator component parks packets any more:
+// fixed-delay deliveries and a probe's trailing packets ride PacketLanes
+// inline.  Each Scheduler still owns one pool because perfbench reports its
+// capacity().  A pool is single-threaded (one per replica) and recycles its
+// slots, so the steady state performs zero allocations.
 #ifndef BB_SIM_PACKET_POOL_H
 #define BB_SIM_PACKET_POOL_H
 

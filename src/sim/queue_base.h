@@ -7,7 +7,6 @@
 #define BB_SIM_QUEUE_BASE_H
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -180,7 +179,7 @@ private:
     std::int64_t capacity_bytes_;
     PacketSink* downstream_;
 
-    std::deque<Queued> fifo_;
+    detail::Ring<Queued> fifo_;  // buffered packets, head first
     std::int64_t queued_bytes_{0};
     std::int64_t max_queued_bytes_{0};
     std::int64_t in_flight_bytes_{0};

@@ -213,7 +213,6 @@ void Scheduler::lane_close(const Lane* lane, std::size_t dropped) noexcept {
 void Scheduler::reserve(std::size_t events) {
     arena_.reserve(events);
     heap_.reserve(events);
-    packets_.reserve(events);
 }
 
 void Scheduler::run_until(TimeNs t_end) {

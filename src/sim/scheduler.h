@@ -28,10 +28,11 @@
 //     schedule_at.
 //   * Events an owner schedules in non-decreasing time order bypass the heap
 //     on a lane: a FIFO ring the owner holds.  A PacketLane carries packets
-//     inline (fixed-delay links, queue propagation); an EventLane carries
-//     bare (time, seq) keys and runs the one handler its owner installed (a
-//     queue's transmission completion, BADABING's probe schedule), so its
-//     entries take no arena slot and no closure.  Lane entries take the same
+//     inline (fixed-delay links, queue propagation, a probe's trailing
+//     packets); an EventLane carries bare (time, seq) keys and runs the one
+//     handler its owner installed (a queue's transmission completion,
+//     BADABING's probe schedule), so its entries take no arena slot and no
+//     closure.  Lane entries take the same
 //     insertion sequence a heap push would, and run_until() dispatches the
 //     (time, seq) minimum over the heap top and every lane front, so
 //     dispatch order is exactly that of one heap.  Lane entries are never
@@ -223,8 +224,8 @@ public:
     // Run until the event queue drains completely.
     void run() { run_until(TimeNs::max()); }
 
-    // Pre-size the event arena and ready queue (and the packet pool) so the
-    // steady state performs no allocations at all.
+    // Pre-size the event arena and ready queue so the steady state performs
+    // no allocations at all.
     void reserve(std::size_t events);
 
     // Heap tickets (cancelled-but-uncompacted ones included) plus lane
@@ -239,8 +240,9 @@ public:
     [[nodiscard]] std::uint64_t executed_events() const noexcept { return executed_; }
     [[nodiscard]] std::uint64_t cancelled_events() const noexcept { return cancelled_; }
 
-    // Parking space for packets an owner re-emits from a heap event (a
-    // probe's trailing packets).
+    // A packet pool no simulator component parks in any more (every packet
+    // in flight rides a lane inline); it stays only because perfbench
+    // reports its capacity(), which reads 0.
     [[nodiscard]] PacketPool& packet_pool() noexcept { return packets_; }
 
     // Deep invariant walker (BB_AUDIT tier, DESIGN.md §10): heap order,

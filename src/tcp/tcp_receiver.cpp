@@ -1,5 +1,7 @@
 #include "tcp/tcp_receiver.h"
 
+#include <algorithm>
+
 namespace bb::tcp {
 
 TcpReceiver::TcpReceiver(sim::Scheduler& sched, sim::FlowId flow, sim::PacketSink& ack_path,
@@ -29,20 +31,23 @@ void TcpReceiver::accept(const sim::Packet& pkt) {
         if (start > rcv_next_) {
             ++ooo_;
             // Store the hole-filling segment (dedup by start; lengths equal).
-            pending_.emplace(start, len);
+            const auto at = std::lower_bound(
+                pending_.begin(), pending_.end(), start,
+                [](const Segment& s, std::int64_t key) { return s.start < key; });
+            if (at == pending_.end() || at->start != start) pending_.insert(at, {start, len});
         } else {
             rcv_next_ = start + len;
             in_order = true;
         }
         // Drain any now-contiguous buffered segments.
-        for (auto it = pending_.begin(); it != pending_.end();) {
-            if (it->first <= rcv_next_) {
-                rcv_next_ = std::max(rcv_next_, it->first + it->second);
-                it = pending_.erase(it);
-            } else {
-                break;
-            }
+        auto done = pending_.begin();
+        for (; done != pending_.end() && done->start <= rcv_next_; ++done) {
+            rcv_next_ = std::max(rcv_next_, done->start + done->len);
         }
+        pending_.erase(pending_.begin(), done);
+        // A filled hole returns the store's memory: a web run keeps thousands
+        // of finished receivers alive, and their kept capacity would add up.
+        if (pending_.empty() && pending_.capacity() > 0) pending_ = std::vector<Segment>{};
     }
 
     // Duplicate or out-of-order data must be acknowledged immediately so the

@@ -8,7 +8,7 @@
 #define BB_TCP_TCP_RECEIVER_H
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "sim/packet.h"
 #include "sim/scheduler.h"
@@ -53,8 +53,16 @@ private:
     Options opts_;
     std::uint64_t next_ack_id_;  // per-flow id block, like the sender's
 
-    std::int64_t rcv_next_{0};                      // next expected byte
-    std::map<std::int64_t, std::int64_t> pending_;  // out-of-order: start -> length
+    struct Segment {
+        std::int64_t start;
+        std::int64_t len;
+    };
+
+    std::int64_t rcv_next_{0};  // next expected byte
+    // Out-of-order segments, sorted by start, one per start.  A flat vector:
+    // the reassembly window is small, so an insert or drain is a short move,
+    // and a reordering episode allocates only as the vector doubles.
+    std::vector<Segment> pending_;
     std::uint64_t segments_{0};
     std::uint64_t ooo_{0};
     std::uint64_t acks_sent_{0};

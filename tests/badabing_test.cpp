@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
+#include "core/probe_process.h"
 #include "measure/loss_monitor.h"
 #include "scenarios/experiment.h"
 #include "scenarios/testbed.h"
@@ -143,6 +148,127 @@ TEST(FixedIntervalProber, EmitsOnSchedule) {
         // OWD = prop delay + transmission; roughly 20 ms here.
         EXPECT_GT(po.max_owd, milliseconds(19));
         EXPECT_LT(po.max_owd, milliseconds(25));
+    }
+}
+
+TEST(FixedIntervalProber, TrailingPacketsLeaveGapApartStampedWhenTheyLeave) {
+    sim::Scheduler sched;
+    struct Log final : sim::PacketSink {
+        sim::Scheduler* sched;
+        std::vector<sim::Packet> got;
+        std::vector<TimeNs> at;
+        void accept(const sim::Packet& p) override {
+            got.push_back(p);
+            at.push_back(sched->now());
+        }
+    } log;
+    log.sched = &sched;
+    probes::FixedIntervalProber::Config cfg;
+    cfg.interval = milliseconds(1);
+    cfg.packets_per_probe = 4;
+    cfg.intra_probe_gap = microseconds(200);
+    cfg.stop = microseconds(2500);
+    probes::FixedIntervalProber prober{sched, cfg, log};
+    sched.run();
+    ASSERT_EQ(log.got.size(), 12u);  // probes at 0, 1 and 2 ms
+    for (std::size_t i = 0; i < log.got.size(); ++i) {
+        const auto probe = static_cast<std::int64_t>(i / 4);
+        const auto k = static_cast<std::int32_t>(i % 4);
+        EXPECT_EQ(log.got[i].seq, probe);
+        EXPECT_EQ(log.got[i].probe_pkt, k);
+        EXPECT_EQ(log.at[i], milliseconds(probe) + microseconds(200) * k);
+        EXPECT_EQ(log.got[i].sent_at, log.at[i]);
+        if (i > 0) {
+            EXPECT_EQ(log.got[i].id, log.got[i - 1].id + 1);
+        }
+    }
+    EXPECT_EQ(sched.packet_pool().capacity(), 0u);
+}
+
+// A train that reaches the next probe would push its lane out of time order;
+// every prober rejects it up front.
+TEST(ProbeTrain, TrainReachingTheProbeSpacingIsRejected) {
+    sim::Scheduler sched;
+    sim::CountingSink out;
+    probes::BadabingConfig bc;
+    bc.total_slots = 100;
+    bc.packets_per_probe = 3;
+    bc.intra_probe_gap = microseconds(2500);  // 2 x 2.5 ms == the 5 ms slot
+    EXPECT_THROW((probes::BadabingTool{sched, bc, out, Rng{1}}), std::invalid_argument);
+    bc.intra_probe_gap = microseconds(2499);
+    EXPECT_NO_THROW((probes::BadabingTool{sched, bc, out, Rng{1}}));
+
+    probes::FixedIntervalProber::Config fc;
+    fc.interval = milliseconds(1);
+    fc.packets_per_probe = 11;
+    fc.intra_probe_gap = microseconds(100);  // 10 x 100 us == the interval
+    EXPECT_THROW((probes::FixedIntervalProber{sched, fc, out}), std::invalid_argument);
+    fc.packets_per_probe = 10;
+    EXPECT_NO_THROW((probes::FixedIntervalProber{sched, fc, out}));
+}
+
+// A path that loses or delays each probe packet at random, so marking sees
+// both rules fire.
+class RandomPath final : public sim::PacketSink {
+public:
+    RandomPath(sim::Scheduler& sched, Rng rng) : sched_{&sched}, rng_{std::move(rng)} {}
+    void connect(sim::PacketSink& far) { far_ = &far; }
+    void accept(const sim::Packet& pkt) override {
+        if (rng_.bernoulli(0.04)) return;
+        const TimeNs delay = microseconds(rng_.uniform_int(10'000, 60'000));
+        sched_->schedule_after(delay, [this, pkt] { far_->accept(pkt); });
+    }
+
+private:
+    sim::Scheduler* sched_;
+    Rng rng_;
+    sim::PacketSink* far_{nullptr};
+};
+
+// The forward merge in emit_reports against the per-query lower_bound search
+// it replaced, on random basic and improved designs.
+TEST(Badabing, EmitReportsMatchesLowerBoundOracle) {
+    Rng draw{2026};
+    for (int trial = 0; trial < 24; ++trial) {
+        probes::BadabingConfig cfg;
+        cfg.p = 0.05 + 0.85 * draw.uniform01();
+        cfg.improved = trial % 2 == 1;
+        cfg.extended_fraction = draw.uniform01();
+        cfg.total_slots = 500 + draw.uniform_int(0, 1500);
+        sim::Scheduler sched;
+        RandomPath path{sched, Rng{draw.next_u64()}};
+        probes::BadabingTool tool{sched, cfg, path, Rng{draw.next_u64()}};
+        path.connect(tool);
+        sched.run();
+
+        core::MarkingConfig marking;
+        marking.tau = milliseconds(draw.uniform_int(0, 20));
+        marking.alpha = 0.05 + 0.3 * draw.uniform01();
+
+        core::VectorSink<core::ExperimentResult> merged;
+        tool.emit_reports(marking, merged);
+
+        core::CongestionMarker marker{marking};
+        const std::vector<core::SlotMark> marks = marker.mark(tool.outcomes());
+        const auto oracle = core::score_experiments(
+            tool.design().experiments, [&marks](core::SlotIndex s) {
+                const auto it = std::lower_bound(
+                    marks.begin(), marks.end(), s,
+                    [](const core::SlotMark& m, core::SlotIndex key) { return m.slot < key; });
+                return it != marks.end() && it->slot == s && it->congested;
+            });
+
+        const std::vector<core::ExperimentResult> got = merged.take();
+        ASSERT_EQ(got.size(), oracle.size()) << "trial " << trial;
+        std::size_t congested_reports = 0;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].kind, oracle[i].kind) << "trial " << trial << " report " << i;
+            EXPECT_EQ(got[i].code, oracle[i].code) << "trial " << trial << " report " << i;
+            if (got[i].code != 0) ++congested_reports;
+        }
+        // The path must exercise both outcomes for the comparison to bite.
+        EXPECT_GT(congested_reports, 0u) << "trial " << trial;
+        EXPECT_LT(congested_reports, got.size()) << "trial " << trial;
     }
 }
 

@@ -184,6 +184,98 @@ TEST(Registry, SnapshotWhileWritingNeverTearsAndEndsExact) {
     EXPECT_EQ(c.value(), before + kWriters * kPerThread);
 }
 
+// Cell ownership under thread churn: a thread owns its cell until it exits,
+// then the cell passes to a later thread, which continues from its value.
+TEST(Counter, ChurnedThreadsReuseReleasedCellsAndSumExactly) {
+    ObsOn guard;
+    Counter& c = counter("test.counter.churn");
+    Histogram& h = histogram("test.histogram.churn");
+    const std::uint64_t before = c.value();
+    const std::uint64_t h_before = h.snapshot().count;
+
+    constexpr int kThreads = 3 * static_cast<int>(kShards);
+    constexpr std::uint64_t kPerThread = 1'000;
+    std::atomic<bool> stop{false};
+    std::thread reader{[&] {
+        std::uint64_t last = 0;
+        while (!stop.load(std::memory_order_relaxed)) {
+            const std::uint64_t v = c.value();
+            EXPECT_GE(v, last);
+            last = v;
+        }
+    }};
+    int on_overflow = 0;
+    for (int t = 0; t < kThreads; ++t) {
+        std::uint32_t cell = 0;
+        std::thread w{[&] {
+            for (std::uint64_t i = 0; i < kPerThread; ++i) {
+                c.inc();
+                h.record(static_cast<std::int64_t>(i));
+            }
+            cell = detail::t_cell;
+        }};
+        w.join();
+        if (cell >= kShards) ++on_overflow;
+    }
+    stop.store(true, std::memory_order_relaxed);
+    reader.join();
+
+    EXPECT_EQ(on_overflow, 0) << "an exited thread's cell was not released";
+    EXPECT_EQ(c.value() - before, kThreads * kPerThread);
+    EXPECT_EQ(h.snapshot().count - h_before, kThreads * kPerThread);
+}
+
+TEST(Counter, MoreLiveThreadsThanCellsShareTheOverflowCellExactly) {
+    ObsOn guard;
+    Counter& c = counter("test.counter.overflow");
+    Histogram& h = histogram("test.histogram.overflow");
+    const std::uint64_t before = c.value();
+    const std::uint64_t h_before = h.snapshot().count;
+
+    constexpr int kThreads = static_cast<int>(kShards) + 8;
+    constexpr std::uint64_t kPerThread = 5'000;
+    std::atomic<int> claimed{0};
+    std::atomic<int> on_overflow{0};
+    std::atomic<bool> done{false};
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&] {
+            c.inc();  // claims this thread's cell
+            h.record(1);
+            if (detail::t_cell >= kShards) on_overflow.fetch_add(1);
+            // Hold the cell until every worker has claimed one, so all are
+            // alive at once.
+            claimed.fetch_add(1);
+            while (claimed.load() < kThreads) std::this_thread::yield();
+            for (std::uint64_t i = 1; i < kPerThread; ++i) {
+                c.inc();
+                h.record(static_cast<std::int64_t>(i));
+            }
+        });
+    }
+    std::thread reader{[&] {
+        std::uint64_t last = 0;
+        while (!done.load(std::memory_order_relaxed)) {
+            const Registry::Snapshot snap = Registry::instance().snapshot();
+            for (const auto& [name, value] : snap.counters) {
+                if (name == "test.counter.overflow") {
+                    EXPECT_GE(value, last);
+                    EXPECT_LE(value, before + kThreads * kPerThread);
+                    last = value;
+                }
+            }
+        }
+    }};
+    for (auto& w : workers) w.join();
+    done.store(true, std::memory_order_relaxed);
+    reader.join();
+
+    EXPECT_GE(on_overflow.load(), kThreads - static_cast<int>(kShards));
+    EXPECT_EQ(c.value() - before, kThreads * kPerThread);
+    EXPECT_EQ(h.snapshot().count - h_before, kThreads * kPerThread);
+}
+
 TEST(MetricsJson, ContainsRegisteredMetricsAndProcessStats) {
     ObsOn guard;
     counter("test.json.counter").inc(5);

@@ -151,6 +151,27 @@ TEST(SpecErrors, ProbeAndTrafficRanges) {
     expect_error(R"({"traffic": {"cbr_background_load": 1.5}})", "cbr_background_load");
 }
 
+TEST(SpecErrors, ProbeTrainMustEndWithinItsSlot) {
+    // (3 - 1) x 2500 us reaches the 5 ms slot: the next probe could start
+    // before this one's last packet left.
+    const auto r = parse("{\"probe\": {\n  \"badabing\": {\"packets_per_probe\": 3,\n"
+                         "    \"intra_probe_gap_us\": 2500}}}");
+    ASSERT_FALSE(r.ok);
+    EXPECT_EQ(r.error,
+              "spec.json:2: probe.badabing.intra_probe_gap_us: (packets_per_probe - 1) x "
+              "intra_probe_gap_us must be shorter than slot_ms");
+    expect_error(R"({"probe": {"badabing": {"packets_per_probe": 2, "intra_probe_gap_us": 5000}}})",
+                 "shorter than slot_ms");
+    expect_error(R"({"probe": {"badabing": {"slot_ms": 1, "intra_probe_gap_us": 500}}})",
+                 "shorter than slot_ms");
+    const auto ok = parse(R"({"probe": {"badabing": {"packets_per_probe": 3,
+                                                     "intra_probe_gap_us": 2499}}})");
+    EXPECT_TRUE(ok.ok) << ok.error;
+    const auto single = parse(R"({"probe": {"badabing": {"packets_per_probe": 1,
+                                                         "intra_probe_gap_us": 9000}}})");
+    EXPECT_TRUE(single.ok) << single.error;
+}
+
 TEST(SpecErrors, TruthKnobConflict) {
     expect_error(R"({"truth": {"delay_based": true, "bounded_memory": true}})",
                  "unknown key \"bounded_memory\"");

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "scenarios/testbed.h"
 #include "tcp/rtt_estimator.h"
 #include "tcp/tcp_flow.h"
+#include "tcp/tcp_receiver.h"
+#include "util/rng.h"
 
 namespace bb {
 namespace {
@@ -179,6 +185,158 @@ TEST(TcpReceiver, DuplicateSegmentsDoNotDoubleCount) {
     rx.accept(seg);  // retransmitted duplicate
     EXPECT_EQ(rx.bytes_delivered(), 1000);
     EXPECT_EQ(ack_sink.last().ack_seq, 1000);
+}
+
+// Oracle for the reassembly differential below: TcpReceiver's accept path as
+// it was with a std::map out-of-order store.
+class MapReceiverOracle final : public sim::PacketSink {
+public:
+    MapReceiverOracle(sim::Scheduler& sched, sim::FlowId flow, sim::PacketSink& ack_path,
+                      tcp::TcpReceiver::Options opts)
+        : sched_{&sched}, flow_{flow}, ack_path_{&ack_path}, opts_{opts} {}
+    ~MapReceiverOracle() override { disarm(); }
+
+    void accept(const sim::Packet& pkt) override {
+        if (pkt.kind != sim::PacketKind::data || pkt.flow != flow_) return;
+        if (pkt.ecn_ce) ce_pending_ = true;
+        const std::int64_t start = pkt.seq;
+        const std::int64_t len = pkt.size_bytes;
+        bool in_order = false;
+        if (start + len > rcv_next_) {
+            if (start > rcv_next_) {
+                ++ooo_;
+                pending_.emplace(start, len);
+            } else {
+                rcv_next_ = start + len;
+                in_order = true;
+            }
+            for (auto it = pending_.begin(); it != pending_.end() && it->first <= rcv_next_;) {
+                rcv_next_ = std::max(rcv_next_, it->first + it->second);
+                it = pending_.erase(it);
+            }
+        }
+        if (!in_order || opts_.ack_every <= 1 || ++unacked_ >= opts_.ack_every) {
+            send_ack(pkt.sent_at);
+        } else if (!armed_) {
+            armed_ = true;
+            const TimeNs echo = pkt.sent_at;
+            timer_ = sched_->schedule_after(opts_.delayed_ack_timeout, [this, echo] {
+                armed_ = false;
+                send_ack(echo);
+            });
+        }
+    }
+    [[nodiscard]] std::int64_t bytes_delivered() const noexcept { return rcv_next_; }
+    [[nodiscard]] std::uint64_t out_of_order_segments() const noexcept { return ooo_; }
+
+private:
+    void disarm() {
+        if (armed_) sched_->cancel(timer_);
+        armed_ = false;
+    }
+    void send_ack(TimeNs echo) {
+        disarm();
+        unacked_ = 0;
+        sim::Packet ack;
+        ack.flow = flow_;
+        ack.kind = sim::PacketKind::ack;
+        ack.ack_seq = rcv_next_;
+        ack.sent_at = sched_->now();
+        ack.tstamp_echo = echo;
+        ack.ecn_echo = ce_pending_;
+        ce_pending_ = false;
+        ack_path_->accept(ack);
+    }
+
+    sim::Scheduler* sched_;
+    sim::FlowId flow_;
+    sim::PacketSink* ack_path_;
+    tcp::TcpReceiver::Options opts_;
+    std::int64_t rcv_next_{0};
+    std::map<std::int64_t, std::int64_t> pending_;
+    std::uint64_t ooo_{0};
+    bool ce_pending_{false};
+    int unacked_{0};
+    bool armed_{false};
+    sim::EventId timer_{0};
+};
+
+struct AckLog final : sim::PacketSink {
+    struct Ack {
+        std::int64_t ack_seq;
+        TimeNs sent_at;
+        TimeNs echo;
+        bool ece;
+        bool operator==(const Ack&) const = default;
+    };
+    std::vector<Ack> acks;
+    void accept(const sim::Packet& p) override {
+        acks.push_back({p.ack_seq, p.sent_at, p.tstamp_echo, p.ecn_echo});
+    }
+};
+
+// Randomized differential of the flat reassembly store against the map it
+// replaced: permuted arrival orders, duplicates, lost segments that leave
+// holes, variable lengths, CE marks, and delayed ACKs on and off.  Both
+// receivers see every segment at the same simulated instant; their ACK
+// streams (ack number, time, timestamp echo, ECN echo) and tallies must agree
+// after every arrival.
+TEST(TcpReceiver, FlatReassemblyMatchesMapOracle) {
+    Rng rng{0x7C9};
+    for (int trial = 0; trial < 60; ++trial) {
+        const int n = 1 + static_cast<int>(rng.uniform_int(0, 80));
+        std::vector<sim::Packet> segs;
+        std::int64_t next = 0;
+        for (int i = 0; i < n; ++i) {
+            sim::Packet seg;
+            seg.flow = 9;
+            seg.kind = sim::PacketKind::data;
+            seg.seq = next;
+            seg.size_bytes = static_cast<std::int32_t>(rng.uniform_int(100, 1500));
+            next += seg.size_bytes;
+            segs.push_back(seg);
+        }
+        // Arrival order: each segment delivered 0-3 times (0 = lost for good,
+        // on a few trials), then a random permutation of all deliveries.
+        std::vector<sim::Packet> arrivals;
+        const bool lossy = trial % 4 == 3;
+        for (const sim::Packet& seg : segs) {
+            const auto copies = rng.uniform_int(lossy ? 0 : 1, 3);
+            for (std::int64_t c = 0; c < copies; ++c) arrivals.push_back(seg);
+        }
+        for (std::size_t i = arrivals.size(); i > 1; --i) {
+            const auto j = static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+            std::swap(arrivals[i - 1], arrivals[j]);
+        }
+
+        tcp::TcpReceiver::Options opts;
+        opts.ack_every = trial % 2 == 0 ? 1 : static_cast<int>(rng.uniform_int(2, 4));
+        opts.delayed_ack_timeout = milliseconds(rng.uniform_int(5, 200));
+        sim::Scheduler sched;
+        AckLog flat_acks;
+        AckLog oracle_acks;
+        tcp::TcpReceiver rx{sched, 9, flat_acks, opts};
+        MapReceiverOracle oracle{sched, 9, oracle_acks, opts};
+        TimeNs t = TimeNs::zero();
+        for (sim::Packet pkt : arrivals) {
+            t = t + milliseconds(rng.uniform_int(0, 100));
+            sched.run_until(t);
+            pkt.sent_at = t - milliseconds(30);
+            pkt.ecn_ce = rng.bernoulli(0.1);
+            rx.accept(pkt);
+            oracle.accept(pkt);
+            ASSERT_EQ(rx.bytes_delivered(), oracle.bytes_delivered()) << "trial " << trial;
+            ASSERT_EQ(rx.out_of_order_segments(), oracle.out_of_order_segments())
+                << "trial " << trial;
+            ASSERT_EQ(flat_acks.acks, oracle_acks.acks) << "trial " << trial;
+        }
+        sched.run();  // pending delayed ACKs fire
+        EXPECT_EQ(flat_acks.acks, oracle_acks.acks) << "trial " << trial;
+        if (!lossy) {
+            EXPECT_EQ(rx.bytes_delivered(), next) << "trial " << trial;
+        }
+    }
 }
 
 }  // namespace
