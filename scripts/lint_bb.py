@@ -6,14 +6,17 @@ Rules (see DESIGN.md §10 for rationale):
   no-std-function     std::function is banned in src/sim and src/core — hot
                       paths use util::UniqueFunction (single allocation-free
                       dispatch, move-only).
-  no-raw-random       rand()/srand()/std::random_device and raw <random>
+  no-raw-random       rand()/srand()/std::random_device, raw <random>
                       engines (std::mt19937/mt19937_64, minstd_rand/0,
-                      default_random_engine) are banned everywhere except
+                      default_random_engine), std::*_distribution and
+                      std::generate_canonical are banned everywhere except
                       util/rng.h: all randomness flows through the
-                      deterministically fork-seeded util::Rng.  A raw engine
-                      in a queue discipline or the lossy link would silently
-                      break replica reproducibility and the seed-pinned
-                      golden tests.
+                      deterministically fork-seeded util::Rng and the draws
+                      it owns.  A raw engine in a queue discipline or the
+                      lossy link would silently break replica
+                      reproducibility and the seed-pinned golden tests; a
+                      std:: distribution bypasses the draws Rng pins bit for
+                      bit.
   no-direct-io        printf/fprintf/puts/fputs/std::cout/std::cerr are banned
                       in src/ except the two sanctioned emitters (obs/log.cpp,
                       obs/trace.cpp) — output goes through obs::log or the
@@ -182,7 +185,8 @@ RULES = [
         "scope": lambda p: in_dirs(p, "src", "tools", "bench") and p != "src/util/rng.h",
         "check": grep_rule(
             r"\b(?:std::)?s?rand\s*\(|\bstd::random_device\b"
-            r"|\bstd::(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine)\b",
+            r"|\bstd::(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine)\b"
+            r"|\bstd::(?:\w+_distribution|generate_canonical)\b",
             "raw randomness; all draws go through the seeded util::Rng"),
     },
     {
@@ -304,6 +308,17 @@ SELF_TEST_TABLE = [
     ("no-raw-random", "bench/x.cpp", "std::random_device rd;", False, True),
     ("no-raw-random", "src/util/rng.h", "std::random_device rd;", False, False),  # exempt
     ("no-raw-random", "src/core/x.cpp", "int operand = f();", False, False),  # substring trap
+    ("no-raw-random", "src/sim/x.cpp", "std::exponential_distribution<double> d{1.0};", False,
+     True),
+    ("no-raw-random", "tools/x.cpp", "std::uniform_int_distribution<int> d{0, 9};", False, True),
+    ("no-raw-random", "bench/x.cpp", "double u = std::generate_canonical<double, 53>(g);", False,
+     True),
+    ("no-raw-random", "src/util/rng.h", "std::normal_distribution<double> d{0.0, 1.0};", False,
+     False),  # exempt: Rng owns its draws
+    ("no-raw-random", "tests/x.cpp", "std::exponential_distribution<double> d{1.0};", False,
+     False),  # out of scope: tests use them as oracles
+    ("no-raw-random", "src/core/x.cpp", "double exponential_distribution_mean(double m);", False,
+     False),  # not the std:: template
     ("no-direct-io", "src/core/x.cpp", 'std::printf("%d", 1);', False, True),
     ("no-direct-io", "src/core/x.cpp", "std::cout << 1;", False, True),
     ("no-direct-io", "src/obs/log.cpp", 'fprintf(stderr, "x");', False, False),  # sanctioned sink

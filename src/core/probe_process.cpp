@@ -28,56 +28,45 @@ ProbeDesign design_probe_process(Rng& rng, SlotIndex total_slots,
         const std::optional<ExperimentKind> kind = draw_experiment_start(rng, cfg);
         if (!kind) continue;
         const Experiment e{i, *kind};
+        const SlotIndex end = i + e.probes();
         // Keep every experiment fully inside the measurement window.
-        if (i + e.probes() > total_slots) continue;
+        if (end > total_slots) continue;
         design.experiments.push_back(e);
-        for (int k = 0; k < e.probes(); ++k) design.probe_slots.push_back(i + k);
+        // Starts only increase and each experiment covers a contiguous run
+        // of slots, so [i, back()] is already present: append what follows.
+        SlotIndex s = design.probe_slots.empty() ? i : std::max(i, design.probe_slots.back() + 1);
+        for (; s < end; ++s) design.probe_slots.push_back(s);
     }
-    std::sort(design.probe_slots.begin(), design.probe_slots.end());
-    design.probe_slots.erase(
-        std::unique(design.probe_slots.begin(), design.probe_slots.end()),
-        design.probe_slots.end());
     return design;
 }
 
 StreamingExperimentScorer::StreamingExperimentScorer(Rng rng, const ProbeProcessConfig& cfg,
                                                      ReportSink& sink)
-    : rng_{std::move(rng)}, cfg_{cfg}, sink_{&sink} {
+    : cfg_{cfg}, sink_{&sink}, rng_{std::move(rng)} {
     validate(cfg_);
 }
 
 void StreamingExperimentScorer::step(bool congested) {
     // Same per-slot draw as design_probe_process.
-    if (const std::optional<ExperimentKind> kind = draw_experiment_start(rng_, cfg_)) {
-        // At most one experiment starts per slot and the longest spans three
-        // slots, so the fixed 3-entry buffer can never overflow — unless the
-        // completion logic below regresses.
-        BB_CHECK_MSG(static_cast<std::size_t>(pending_count_) < pending_.size(),
-                     "streaming scorer: pending-experiment buffer overflow");
-        pending_[static_cast<std::size_t>(pending_count_++)] = Pending{slot_, *kind, 0, 0};
-        ++started_;
-    }
+    const std::optional<ExperimentKind> kind = draw_experiment_start(rng_, cfg_);
+    const unsigned started = !kind ? kNone : (*kind == ExperimentKind::basic ? kBasic : kExtended);
+    starts_ = static_cast<std::uint8_t>(((starts_ << 2) | started) & 0x3F);
+    marks_ = static_cast<std::uint8_t>(((marks_ << 1) | (congested ? 1U : 0U)) & 0x7);
+    started_ += started != kNone ? 1 : 0;
 
-    // Fold this slot's state into every pending experiment; emit the ones it
-    // completes.  Pending entries are in start order, so completions (which
-    // can only come from the oldest entries) are emitted in start order too,
-    // matching the batch scorer.
-    int kept = 0;
-    for (int i = 0; i < pending_count_; ++i) {
-        Pending& p = pending_[static_cast<std::size_t>(i)];
-        p.code = static_cast<std::uint8_t>((p.code << 1) | (congested ? 1 : 0));
-        ++p.digits;
-        const int span = p.kind == ExperimentKind::basic ? 2 : 3;
-        if (p.digits == span) {
-            sink_->consume({p.kind, p.code});
-            ++completed_;
-        } else {
-            pending_[static_cast<std::size_t>(kept++)] = p;
-        }
+    // This slot completes the extended experiment started two slots ago and
+    // the basic one started one slot ago; emitting them in that order keeps
+    // the batch scorer's start order.
+    if ((starts_ >> 4) == kExtended) {
+        sink_->consume({ExperimentKind::extended, marks_});
+        ++completed_;
     }
-    pending_count_ = kept;
+    if (((starts_ >> 2) & 0x3) == kBasic) {
+        sink_->consume({ExperimentKind::basic, static_cast<std::uint8_t>(marks_ & 0x3)});
+        ++completed_;
+    }
     ++slot_;
-    BB_DCHECK_MSG(completed_ + static_cast<std::uint64_t>(pending_count_) == started_,
+    BB_DCHECK_MSG(completed_ + static_cast<std::uint64_t>(experiments_pending()) == started_,
                   "streaming scorer: started/completed/pending accounting drifted");
 }
 

@@ -6,7 +6,6 @@
 #ifndef BB_CORE_PROBE_PROCESS_H
 #define BB_CORE_PROBE_PROCESS_H
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -101,27 +100,31 @@ public:
     [[nodiscard]] SlotIndex slots_seen() const noexcept { return slot_; }
     [[nodiscard]] std::uint64_t experiments_started() const noexcept { return started_; }
     [[nodiscard]] std::uint64_t experiments_completed() const noexcept { return completed_; }
-    // Experiments started but still awaiting slots (dropped if never fed).
-    [[nodiscard]] int experiments_pending() const noexcept { return pending_count_; }
+    // Experiments started but still awaiting slots (dropped if never fed):
+    // the one the newest slot started, plus an extended one the slot before
+    // it started.
+    [[nodiscard]] int experiments_pending() const noexcept {
+        return ((starts_ & 0x3) != kNone ? 1 : 0) + (((starts_ >> 2) & 0x3) == kExtended ? 1 : 0);
+    }
 
 private:
-    struct Pending {
-        SlotIndex start{0};
-        ExperimentKind kind{ExperimentKind::basic};
-        std::uint8_t code{0};
-        int digits{0};
-    };
+    // Start kinds in the `starts_` register.
+    static constexpr unsigned kNone = 0;
+    static constexpr unsigned kBasic = 1;
+    static constexpr unsigned kExtended = 2;
 
-    Rng rng_;
     ProbeProcessConfig cfg_;
     ReportSink* sink_;
     SlotIndex slot_{0};
     std::uint64_t started_{0};
     std::uint64_t completed_{0};
-    // Experiments span at most 3 slots, so at most 3 can be pending at once
-    // (starts at slots s-2, s-1, s); kept sorted by start slot.
-    std::array<Pending, 3> pending_{};
-    int pending_count_{0};
+    // Shift registers over the last three slots, newest in the low bits: the
+    // kind of experiment each slot started (2 bits a slot) and its congestion
+    // mark (1 bit a slot).  Experiments span at most three slots, so nothing
+    // older can still be pending.
+    std::uint8_t starts_{0};
+    std::uint8_t marks_{0};
+    Rng rng_;  // last, see util/rng.h
 };
 
 }  // namespace bb::core

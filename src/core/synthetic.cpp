@@ -20,8 +20,8 @@ std::vector<bool> synth_congestion_series(Rng& rng, SlotIndex total_slots,
 }
 
 SyntheticSeriesGen::SyntheticSeriesGen(Rng rng, double mean_on_slots, double mean_off_slots)
-    : rng_{std::move(rng)}, mean_on_slots_{mean_on_slots}, mean_off_slots_{mean_off_slots},
-      on_{false} {
+    : mean_on_slots_{mean_on_slots}, mean_off_slots_{mean_off_slots}, on_{false},
+      rng_{std::move(rng)} {
     if (mean_on_slots_ < 1.0 || mean_off_slots_ < 1.0) {
         throw std::invalid_argument{"synthetic series: sojourn means must be >= 1 slot"};
     }

@@ -32,11 +32,11 @@ public:
 private:
     [[nodiscard]] SlotIndex draw_sojourn(double mean);
 
-    Rng rng_;
     double mean_on_slots_;
     double mean_off_slots_;
     bool on_;
     SlotIndex remaining_{0};
+    Rng rng_;  // last, see util/rng.h
 };
 
 // Exact frequency / mean-duration of a slot series (oracle bookkeeping).

@@ -11,9 +11,9 @@ AdaptiveBadabingTool::AdaptiveBadabingTool(sim::Scheduler& sched,
       cfg_{cfg},
       train_{sched, out, sim::flow_id_block(0xAD, cfg.flow), cfg.packets_per_probe,
              cfg.intra_probe_gap, cfg.slot_width},
-      rng_{std::move(rng)},
       design_{cfg.p, cfg.improved, cfg.extended_fraction},
-      rule_{cfg.stopping} {
+      rule_{cfg.stopping},
+      rng_{std::move(rng)} {
     sched_->schedule_at(cfg_.start, [this] { slot_tick(); });
     sched_->schedule_at(cfg_.start + cfg_.evaluation_interval, [this] { evaluate(); });
 }

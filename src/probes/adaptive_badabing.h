@@ -82,7 +82,6 @@ private:
     sim::Scheduler* sched_;
     AdaptiveBadabingConfig cfg_;
     ProbeTrain train_;
-    Rng rng_;
     core::ProbeProcessConfig design_;  // the per-slot start draw's parameters
     core::StoppingRule rule_;
 
@@ -102,6 +101,7 @@ private:
     core::StoppingRule::Decision decision_{core::StoppingRule::Decision::keep_going};
     TimeNs stopped_at_{TimeNs::zero()};
     std::uint64_t probes_sent_{0};
+    Rng rng_;  // last, see util/rng.h
 };
 
 }  // namespace bb::probes

@@ -8,8 +8,8 @@ StingProber::StingProber(sim::Scheduler& sched, const Config& cfg, sim::PacketSi
     : sched_{&sched},
       cfg_{cfg},
       out_{&out},
-      rng_{std::move(rng)},
-      next_id_{sim::flow_id_block(0x57, cfg.flow)} {
+      next_id_{sim::flow_id_block(0x57, cfg.flow)},
+      rng_{std::move(rng)} {
     sched_->schedule_at(cfg_.start, [this] { start_burst(); });
 }
 

@@ -100,7 +100,6 @@ private:
     sim::Scheduler* sched_;
     Config cfg_;
     sim::PacketSink* out_;
-    Rng rng_;
     std::uint64_t next_id_;
 
     bool in_burst_{false};
@@ -123,6 +122,7 @@ private:
     std::uint64_t burst_start_holes_{0};
     std::uint64_t burst_start_retx_{0};
     core::Sink<StingBurstReport>* burst_sink_{nullptr};
+    Rng rng_;  // last, see util/rng.h
 };
 
 }  // namespace bb::probes

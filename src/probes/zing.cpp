@@ -5,7 +5,11 @@
 namespace bb::probes {
 
 ZingProber::ZingProber(sim::Scheduler& sched, const Config& cfg, sim::PacketSink& out, Rng rng)
-    : sched_{&sched}, cfg_{cfg}, out_{&out}, rng_{std::move(rng)}, next_id_{sim::flow_id_block(0xC0, cfg.flow)} {
+    : sched_{&sched},
+      cfg_{cfg},
+      out_{&out},
+      next_id_{sim::flow_id_block(0xC0, cfg.flow)},
+      rng_{std::move(rng)} {
     sched_->schedule_at(cfg_.start, [this] { emit(); });
 }
 

@@ -66,13 +66,13 @@ private:
     sim::Scheduler* sched_;
     Config cfg_;
     sim::PacketSink* out_;
-    Rng rng_;
     std::uint64_t next_id_;
 
     std::vector<TimeNs> send_times_;   // indexed by probe sequence
     std::vector<bool> received_;       // indexed by probe sequence
     std::vector<TimeNs> owd_;          // one-way delay of received probes
     std::int64_t bytes_sent_{0};
+    Rng rng_;  // last, see util/rng.h
 };
 
 // Online form of the ZING loss-run analysis: consume probe outcomes in send

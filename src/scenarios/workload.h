@@ -74,11 +74,11 @@ private:
     void build_web(Testbed& tb);
 
     WorkloadConfig cfg_;
-    Rng rng_;
     std::vector<std::unique_ptr<tcp::TcpFlow>> tcp_flows_;
     std::vector<std::unique_ptr<traffic::CbrSource>> cbr_;
     std::vector<std::unique_ptr<traffic::EpisodicBurstSource>> bursts_;
     std::unique_ptr<traffic::WebSessionGenerator> web_;
+    Rng rng_;  // last, see util/rng.h
 };
 
 }  // namespace bb::scenarios

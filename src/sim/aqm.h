@@ -41,7 +41,6 @@ private:
     void update_probability();
 
     PieParams params_;
-    Rng rng_;
     double drop_prob_{0.0};
     TimeNs qdelay_old_{TimeNs::zero()};
     TimeNs burst_left_{TimeNs::zero()};
@@ -49,6 +48,7 @@ private:
     std::uint64_t early_drops_{0};
     std::uint64_t early_marks_{0};
     std::uint64_t updates_{0};
+    Rng rng_;  // last, see util/rng.h
 };
 
 // Controlled Delay.  No tail policy beyond the physical buffer; at the head

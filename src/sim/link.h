@@ -81,7 +81,6 @@ private:
     void update_average();
 
     RedParams params_;
-    Rng rng_;
     double avg_{0.0};
     std::int64_t count_since_drop_{-1};
     TimeNs idle_since_{TimeNs::zero()};
@@ -89,6 +88,7 @@ private:
     std::uint64_t early_drops_{0};
     std::uint64_t forced_drops_{0};
     std::uint64_t early_marks_{0};
+    Rng rng_;  // last, see util/rng.h
 };
 
 }  // namespace bb::sim

@@ -60,13 +60,13 @@ private:
     PacketLane lane_;  // the extra_delay hop
     Config cfg_;
     PacketSink* downstream_;
-    Rng rng_;
     bool bad_{false};
     TimeNs state_until_{TimeNs::zero()};  // current state holds until here
     std::uint64_t arrivals_{0};
     std::uint64_t drops_{0};
     std::uint64_t flips_{0};
     std::vector<DropHook> drop_hooks_;
+    Rng rng_;  // last, see util/rng.h
 };
 
 }  // namespace bb::sim

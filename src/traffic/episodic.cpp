@@ -9,11 +9,11 @@ EpisodicBurstSource::EpisodicBurstSource(sim::Scheduler& sched, const Config& cf
     : sched_{&sched},
       cfg_{cfg},
       out_{&out},
-      rng_{std::move(rng)},
       burst_rate_bps_{cfg.burst_rate_bps > 0 ? cfg.burst_rate_bps
                                              : 2 * cfg.bottleneck_rate_bps},
       packet_interval_{transmission_time(cfg.packet_bytes, burst_rate_bps_)},
-      next_id_{sim::flow_id_block(0xE9, cfg.flow)} {
+      next_id_{sim::flow_id_block(0xE9, cfg.flow)},
+      rng_{std::move(rng)} {
     if (cfg_.episode_durations.empty()) {
         throw std::invalid_argument{"EpisodicBurstSource: need at least one duration"};
     }

@@ -60,12 +60,12 @@ private:
     sim::Scheduler* sched_;
     Config cfg_;
     sim::PacketSink* out_;
-    Rng rng_;
     std::int64_t burst_rate_bps_;
     TimeNs packet_interval_;
     std::uint64_t bursts_{0};
     std::uint64_t sent_{0};
     std::uint64_t next_id_;
+    Rng rng_;  // last, see util/rng.h
 };
 
 }  // namespace bb::traffic

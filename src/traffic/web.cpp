@@ -15,9 +15,9 @@ WebSessionGenerator::WebSessionGenerator(sim::Scheduler& sched, const Config& cf
       reverse_{&reverse},
       fwd_demux_{&fwd_demux},
       rev_demux_{&rev_demux},
-      rng_{std::move(rng)},
       next_flow_{cfg.first_flow},
-      session_rate_{cfg.session_rate_per_s} {
+      session_rate_{cfg.session_rate_per_s},
+      rng_{std::move(rng)} {
     sched_->schedule_at(cfg_.start, [this] { schedule_next_session(); });
     if (cfg_.target_offered_bps > 0) {
         sched_->schedule_at(cfg_.start + cfg_.adjust_interval, [this] { adjust_rate(); });

@@ -66,7 +66,6 @@ private:
     sim::PacketSink* reverse_;
     sim::FlowDemux* fwd_demux_;
     sim::FlowDemux* rev_demux_;
-    Rng rng_;
 
     sim::FlowId next_flow_;
     std::uint64_t sessions_{0};
@@ -76,6 +75,7 @@ private:
     double session_rate_{0.0};
     std::int64_t offered_at_last_adjust_{0};
     std::vector<std::unique_ptr<tcp::TcpFlow>> flows_;
+    Rng rng_;  // last, see util/rng.h
 };
 
 }  // namespace bb::traffic

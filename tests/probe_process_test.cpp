@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -229,6 +230,46 @@ TEST(ScoreExperiments, DeterministicGivenDesignAndMarks) {
     ASSERT_EQ(d1.experiments.size(), d2.experiments.size());
     for (std::size_t i = 0; i < d1.experiments.size(); ++i) {
         EXPECT_EQ(d1.experiments[i].start_slot, d2.experiments[i].start_slot);
+    }
+}
+
+// The designer appends each experiment's slots past the current back()
+// instead of sorting; this holds it to the sort + unique it replaced, over
+// random configs including the degenerate window lengths.
+TEST(ProbeProcess, AppendedSlotsMatchSortUniqueOracle) {
+    Rng meta{0x5107};
+    for (int trial = 0; trial < 400; ++trial) {
+        ProbeProcessConfig cfg;
+        cfg.p = trial % 10 == 0 ? 1.0 : 1.0 - meta.uniform01();  // (0, 1]
+        cfg.improved = trial % 2 == 1;
+        cfg.extended_fraction = std::array{0.0, 0.5, 1.0}[static_cast<std::size_t>(trial % 3)];
+        const SlotIndex slots = trial % 5 < 4 ? trial % 5 : meta.uniform_int(4, 3'000);
+        const std::uint64_t seed = meta.next_u64();
+
+        Rng rng{seed};
+        const ProbeDesign d = design_probe_process(rng, slots, cfg);
+
+        Rng oracle_rng{seed};
+        std::vector<Experiment> experiments;
+        std::vector<SlotIndex> probe_slots;
+        for (SlotIndex i = 0; i < slots; ++i) {
+            const auto kind = draw_experiment_start(oracle_rng, cfg);
+            if (!kind) continue;
+            const Experiment e{i, *kind};
+            if (i + e.probes() > slots) continue;
+            experiments.push_back(e);
+            for (int k = 0; k < e.probes(); ++k) probe_slots.push_back(i + k);
+        }
+        std::sort(probe_slots.begin(), probe_slots.end());
+        probe_slots.erase(std::unique(probe_slots.begin(), probe_slots.end()), probe_slots.end());
+
+        ASSERT_EQ(d.experiments.size(), experiments.size()) << "trial " << trial;
+        for (std::size_t i = 0; i < experiments.size(); ++i) {
+            ASSERT_EQ(d.experiments[i].start_slot, experiments[i].start_slot) << "trial " << trial;
+            ASSERT_EQ(d.experiments[i].kind, experiments[i].kind) << "trial " << trial;
+        }
+        ASSERT_EQ(d.probe_slots, probe_slots) << "trial " << trial << " slots " << slots;
+        EXPECT_EQ(rng.next_u64(), oracle_rng.next_u64()) << "trial " << trial;
     }
 }
 

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
+#include <string>
 
 #include "util/stats.h"
 
@@ -166,6 +171,178 @@ TEST(Rng, NormalMoments) {
     for (int i = 0; i < 100'000; ++i) s.add(r.normal(5.0, 2.0));
     EXPECT_NEAR(s.mean(), 5.0, 0.05);
     EXPECT_NEAR(s.stddev(), 2.0, 0.05);
+}
+
+// --- bit identity with the standard library ---------------------------------
+//
+// Rng implements its engine and its uniform/exponential draws itself; these
+// tests hold them to std::mt19937_64 and the libstdc++ distributions bit for
+// bit, so no seed-pinned golden can move when the implementation does.
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+// A URBG that yields one fixed value: feeds generate_canonical a chosen word.
+struct FixedUrbg {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return std::numeric_limits<result_type>::max(); }
+    result_type operator()() const { return value; }
+    std::uint64_t value;
+};
+
+constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+
+TEST(RngBits, ConversionMatchesBuiltinOnEdgeValues) {
+    // 0xFFFFFFFFFFFFFC00 is the first value that rounds to 2^64, where the
+    // unit-interval clamp fires; the one before it is the last that stays
+    // below 1 unclamped.
+    const std::uint64_t edges[] = {0,
+                                   1,
+                                   kTwo53 - 1,
+                                   kTwo53,
+                                   kTwo53 + 1,
+                                   kTwo63 - 1,
+                                   kTwo63,
+                                   kTwo63 + 1,
+                                   0xFFFFFFFFFFFFFBFFULL,
+                                   0xFFFFFFFFFFFFFC00ULL,
+                                   ~std::uint64_t{0}};
+    for (const std::uint64_t x : edges) {
+        EXPECT_EQ(bits(u64_to_double(x)), bits(static_cast<double>(x))) << std::hex << x;
+        FixedUrbg g{x};
+        EXPECT_EQ(bits(unit_interval(x)), bits(std::generate_canonical<double, 53>(g)))
+            << std::hex << x;
+    }
+    const double below_one = std::nextafter(1.0, 0.0);
+    EXPECT_EQ(unit_interval(0xFFFFFFFFFFFFFBFFULL), below_one);  // rounds, no clamp
+    EXPECT_EQ(u64_to_double(0xFFFFFFFFFFFFFC00ULL), 0x1p64);     // rounds up to 2^64 ...
+    EXPECT_EQ(unit_interval(0xFFFFFFFFFFFFFC00ULL), below_one);  // ... so the clamp fires
+    EXPECT_EQ(unit_interval(~std::uint64_t{0}), below_one);
+    EXPECT_EQ(unit_interval(0), 0.0);
+}
+
+TEST(RngBits, ConversionMatchesBuiltinOnRandomValues) {
+    // Every magnitude: shifting a raw word right by 0..63 bits walks the
+    // leading one through every position, so each rounding regime is hit.
+    std::mt19937_64 src{0xC0FFEE};
+    for (int i = 0; i < 10'000'000; ++i) {
+        const std::uint64_t x = src() >> (i & 63);
+        ASSERT_EQ(bits(u64_to_double(x)), bits(static_cast<double>(x))) << std::hex << x;
+    }
+}
+
+TEST(RngBits, EngineMatchesStdMt19937_64) {
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489}, std::uint64_t{20051021},
+          ~std::uint64_t{0}}) {
+        detail::Mt19937_64 ours{seed};
+        std::mt19937_64 ref{seed};
+        for (int i = 0; i < 2'000'000; ++i) {
+            ASSERT_EQ(ours(), ref()) << "seed " << seed << " draw " << i;
+        }
+    }
+}
+
+// Every Rng method against std::mt19937_64 plus the matching std::
+// distribution, interleaved so each method starts wherever the previous one
+// left the engine.  Each round makes at least 9 raw draws.
+TEST(RngBits, EveryMethodMatchesStdOracle) {
+    constexpr int kRounds = 300'000;
+    for (const std::uint64_t seed : {std::uint64_t{7}, std::uint64_t{2005},
+                                     std::uint64_t{0xBADA0}, std::uint64_t{1} << 40}) {
+        Rng ours{seed};
+        std::mt19937_64 ref{seed};
+        std::uniform_real_distribution<double> unit{0.0, 1.0};
+        for (int i = 0; i < kRounds; ++i) {
+            const double p = static_cast<double>(i % 101) / 100.0;
+            const double mean = 0.001 + static_cast<double>(i % 37);
+            const double alpha = 0.5 + static_cast<double>(i % 7) * 0.4;
+            const std::int64_t lo = -(i % 13);
+            const std::int64_t hi = lo + (i % 1000);
+            const std::uint64_t salt = static_cast<std::uint64_t>(i);
+
+            ASSERT_EQ(bits(ours.uniform01()), bits(unit(ref))) << "uniform01, round " << i;
+            ASSERT_EQ(ours.bernoulli(p), std::bernoulli_distribution{p}(ref))
+                << "bernoulli, round " << i;
+            ASSERT_EQ(bits(ours.exponential(mean)),
+                      bits(std::exponential_distribution<double>{1.0 / mean}(ref)))
+                << "exponential, round " << i;
+            const double u = 1.0 - unit(ref);
+            ASSERT_EQ(bits(ours.pareto(alpha, 1000.0)), bits(1000.0 / std::pow(u, 1.0 / alpha)))
+                << "pareto, round " << i;
+            ASSERT_EQ(bits(ours.normal(5.0, 2.0)),
+                      bits(std::normal_distribution<double>{5.0, 2.0}(ref)))
+                << "normal, round " << i;
+            std::uniform_int_distribution<std::int64_t> ints{lo, hi};
+            ASSERT_EQ(ours.uniform_int(lo, hi), ints(ref))
+                << "uniform_int, round " << i;
+            ASSERT_EQ(ours.fork_seed(salt), ref() ^ (salt * 0x9e3779b97f4a7c15ULL))
+                << "fork_seed, round " << i;
+            ASSERT_EQ(ours.next_u64(), ref()) << "next_u64, round " << i;
+        }
+    }
+}
+
+// The first draws of every method from one seed, as literals: a toolchain
+// or engine change that moves any of them fails here first, before it moves
+// a golden.
+TEST(RngBits, FirstDrawsArePinned) {
+    constexpr std::uint64_t kSeed = 2005;
+    {
+        Rng r{kSeed};
+        EXPECT_EQ(r.next_u64(), 0x3f95540812128a64ULL);
+        EXPECT_EQ(r.next_u64(), 0x2889d2b27aaeb4b5ULL);
+        EXPECT_EQ(r.next_u64(), 0x810899ccb8d5a220ULL);
+    }
+    {
+        Rng r{kSeed};
+        EXPECT_EQ(r.fork_seed(5), 0x288034976e66e60dULL);
+        EXPECT_EQ(r.fork_seed(5), 0x3f9cb22d06dad8dcULL);
+    }
+    {
+        Rng r{kSeed};
+        EXPECT_EQ(r.uniform01(), 0x1.fcaaa04090945p-3);
+        EXPECT_EQ(r.uniform01(), 0x1.444e9593d575ap-3);
+        EXPECT_EQ(r.uniform01(), 0x1.0211339971ab4p-1);
+    }
+    {
+        Rng r{kSeed};
+        EXPECT_EQ(r.uniform(2.0, 3.0), 0x1.1fcaaa0409094p+1);
+        EXPECT_EQ(r.uniform(2.0, 3.0), 0x1.1444e9593d576p+1);
+    }
+    {
+        Rng r{kSeed};
+        std::string draws;
+        for (int i = 0; i < 16; ++i) draws += r.bernoulli(0.3) ? '1' : '0';
+        EXPECT_EQ(draws, "1100111000000000");
+    }
+    {
+        Rng r{kSeed};
+        EXPECT_EQ(r.exponential(10.0), 0x1.6d75497c4598p+1);
+        EXPECT_EQ(r.exponential(10.0), 0x1.b95487aec0271p+0);
+    }
+    {
+        Rng r{kSeed};
+        EXPECT_EQ(r.exponential(milliseconds(10)).ns(), 2'855'142);
+        EXPECT_EQ(r.exponential(milliseconds(10)).ns(), 1'723'946);
+    }
+    {
+        Rng r{kSeed};
+        EXPECT_EQ(r.pareto(1.2, 12000.0), 0x1.dbbb5f5efda66p+13);
+        EXPECT_EQ(r.pareto(1.2, 12000.0), 0x1.b0ef6d1e25f75p+13);
+    }
+    {
+        Rng r{kSeed};
+        EXPECT_EQ(r.normal(5.0, 2.0), 0x1.d8fa2cfafcc4ep+1);
+        EXPECT_EQ(r.normal(5.0, 2.0), 0x1.1801005e266cep+3);
+    }
+    {
+        Rng r{kSeed};
+        EXPECT_EQ(r.uniform_int(0, 1000), 248);
+        EXPECT_EQ(r.uniform_int(0, 1000), 158);
+        EXPECT_EQ(r.uniform_int(0, 1000), 504);
+    }
 }
 
 }  // namespace

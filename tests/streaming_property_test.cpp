@@ -5,6 +5,9 @@
 // integer tallies and evaluate the same floating-point expressions.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/estimators.h"
@@ -145,6 +148,82 @@ TEST(StreamingEquivalence, ScorerPipelineMatchesBatchPipeline) {
         for (std::size_t i = 0; i < batch.size(); ++i) {
             ASSERT_EQ(stream.items()[i].kind, batch[i].kind) << "trial " << trial;
             ASSERT_EQ(stream.items()[i].code, batch[i].code) << "trial " << trial;
+        }
+    }
+}
+
+// The pending-list scorer the shift registers replaced: every started
+// experiment waits in start order, takes one congestion bit per slot, and is
+// reported once it holds as many bits as it has probes.
+class PendingListScorer {
+public:
+    void step(std::optional<ExperimentKind> kind, bool congested) {
+        if (kind) {
+            pending_.push_back({*kind, 0, 0});
+            ++started_;
+        }
+        std::vector<Pending> kept;
+        for (Pending p : pending_) {
+            p.code = static_cast<std::uint8_t>((p.code << 1) | (congested ? 1 : 0));
+            ++p.digits;
+            if (p.digits == (p.kind == ExperimentKind::basic ? 2 : 3)) {
+                emitted_.push_back({p.kind, p.code});
+            } else {
+                kept.push_back(p);
+            }
+        }
+        pending_ = std::move(kept);
+    }
+
+    [[nodiscard]] std::uint64_t started() const noexcept { return started_; }
+    [[nodiscard]] std::uint64_t completed() const noexcept { return emitted_.size(); }
+    [[nodiscard]] int pending() const noexcept { return static_cast<int>(pending_.size()); }
+    [[nodiscard]] const std::vector<ExperimentResult>& emitted() const noexcept {
+        return emitted_;
+    }
+
+private:
+    struct Pending {
+        ExperimentKind kind;
+        std::uint8_t code;
+        int digits;
+    };
+    std::vector<Pending> pending_;
+    std::vector<ExperimentResult> emitted_;
+    std::uint64_t started_{0};
+};
+
+TEST(StreamingEquivalence, ScorerCountersMatchPendingListOracleEveryStep) {
+    Rng meta{0x5C0E};
+    for (int trial = 0; trial < 300; ++trial) {
+        ProbeProcessConfig cfg;
+        cfg.p = trial % 10 == 0 ? 1.0 : 1.0 - meta.uniform01();  // (0, 1]
+        cfg.improved = trial % 2 == 1;
+        cfg.extended_fraction = std::array{0.0, 0.5, 1.0}[static_cast<std::size_t>(trial % 3)];
+        const SlotIndex slots = trial % 5 < 4 ? trial % 5 : meta.uniform_int(4, 2'000);
+        const std::uint64_t seed = meta.next_u64();
+        const double rho = meta.uniform01();
+
+        VectorSink<ExperimentResult> sink;
+        StreamingExperimentScorer scorer{Rng{seed}, cfg, sink};
+        Rng oracle_rng{seed};
+        PendingListScorer oracle;
+        for (SlotIndex s = 0; s < slots; ++s) {
+            const bool congested = meta.bernoulli(rho);
+            scorer.step(congested);
+            oracle.step(draw_experiment_start(oracle_rng, cfg), congested);
+            ASSERT_EQ(scorer.experiments_started(), oracle.started())
+                << "trial " << trial << " slot " << s;
+            ASSERT_EQ(scorer.experiments_completed(), oracle.completed())
+                << "trial " << trial << " slot " << s;
+            ASSERT_EQ(scorer.experiments_pending(), oracle.pending())
+                << "trial " << trial << " slot " << s;
+            ASSERT_EQ(sink.items().size(), oracle.emitted().size())
+                << "trial " << trial << " slot " << s;
+        }
+        for (std::size_t i = 0; i < oracle.emitted().size(); ++i) {
+            ASSERT_EQ(sink.items()[i].kind, oracle.emitted()[i].kind) << "trial " << trial;
+            ASSERT_EQ(sink.items()[i].code, oracle.emitted()[i].code) << "trial " << trial;
         }
     }
 }

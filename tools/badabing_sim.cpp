@@ -156,7 +156,11 @@ int main(int argc, char** argv) {
     auto loaded = cli.spec();
     if (!loaded) return 1;
     scenarios::ScenarioSpec& spec = *loaded;
-    spec.tool = scenarios::ScenarioSpec::ProbeTool::badabing;
+    if (spec.tool != scenarios::ScenarioSpec::ProbeTool::badabing) {
+        std::fprintf(stderr, "%s: probe.tool is \"%s\"; badabing_sim runs only badabing\n",
+                     cli.spec_path->c_str(), scenarios::to_string(spec.tool));
+        return 1;
+    }
     if (flags.is_set("p")) spec.badabing.p = *p;
     if (flags.is_set("improved")) spec.badabing.improved = *improved;
     if (flags.is_set("red")) {

@@ -25,6 +25,15 @@ int main(int argc, char** argv) {
     auto loaded = cli.spec();
     if (!loaded) return 1;
     scenarios::ScenarioSpec& spec = *loaded;
+    // A spec without a probe section parses as badabing, the DSL default, so
+    // that tool runs ZING here; a spec asking for another prober or for none
+    // is refused rather than run with a substitute.
+    if (spec.tool == scenarios::ScenarioSpec::ProbeTool::sting ||
+        spec.tool == scenarios::ScenarioSpec::ProbeTool::none) {
+        std::fprintf(stderr, "%s: probe.tool is \"%s\"; zing_sim runs only zing\n",
+                     cli.spec_path->c_str(), scenarios::to_string(spec.tool));
+        return 1;
+    }
     spec.tool = scenarios::ScenarioSpec::ProbeTool::zing;
     probes::ZingProber::Config& zc = spec.zing;
     if (flags.is_set("hz")) zc.mean_interval = seconds(1.0 / *hz);
