@@ -29,6 +29,12 @@ void cluster_drop(std::optional<LossEpisode>& open, TimeNs at, TimeNs gap, Close
     open = LossEpisode{at, at, 1};
 }
 
+// The delay rule's merge: `next` absorbs the episode before it.
+void absorb(LossEpisode& next, const LossEpisode& prev) {
+    next.start = prev.start;
+    next.drops += prev.drops;
+}
+
 // Number of whole slots in the window [begin, end); 0 for a degenerate one.
 std::int64_t window_slots(TimeNs slot_width, TimeNs begin, TimeNs end) {
     if (end <= begin || slot_width.ns() <= 0) return 0;
@@ -65,43 +71,16 @@ std::vector<LossEpisode> extract_episodes(const std::vector<TimeNs>& drop_times,
 std::vector<LossEpisode> extract_episodes_delay_based(
     const std::vector<TimeNs>& drop_times, const std::vector<DelayedDeparture>& departures,
     TimeNs delay_floor, TimeNs gap) {
-    // First cluster by gap as usual, then trim/merge based on whether the
-    // departures between consecutive drops kept the queue near-full.  Two
-    // adjacent clusters are merged when every departure between them stayed
-    // above the delay floor (the queue never really drained).
-    std::vector<LossEpisode> clusters = extract_episodes(drop_times, gap);
-    if (clusters.size() < 2) return clusters;
-
-    BB_DCHECK_MSG(std::is_sorted(departures.begin(), departures.end(),
-                                 [](const DelayedDeparture& a, const DelayedDeparture& b) {
-                                     return a.at < b.at;
-                                 }),
-                  "episode extraction: departures must be time-ordered");
-
-    const auto queue_stayed_full = [&](TimeNs from, TimeNs to) {
-        auto it = std::lower_bound(departures.begin(), departures.end(), from,
-                                   [](const DelayedDeparture& d, TimeNs t) { return d.at < t; });
-        bool saw_any = false;
-        for (; it != departures.end() && it->at <= to; ++it) {
-            saw_any = true;
-            if (it->queueing_delay < delay_floor) return false;
+    EpisodeAccumulator acc{{.gap = gap, .delay_floor = delay_floor}};
+    auto dep = departures.begin();
+    for (const TimeNs t : drop_times) {
+        for (; dep != departures.end() && dep->at <= t; ++dep) {
+            acc.add_departure(dep->at, dep->queueing_delay);
         }
-        return saw_any;
-    };
-
-    std::vector<LossEpisode> merged;
-    merged.push_back(clusters.front());
-    for (std::size_t i = 1; i < clusters.size(); ++i) {
-        LossEpisode& prev = merged.back();
-        const LossEpisode& next = clusters[i];
-        if (queue_stayed_full(prev.end, next.start)) {
-            prev.end = next.end;
-            prev.drops += next.drops;
-        } else {
-            merged.push_back(next);
-        }
+        acc.add_drop(t);
     }
-    return merged;
+    for (; dep != departures.end(); ++dep) acc.add_departure(dep->at, dep->queueing_delay);
+    return acc.episodes();
 }
 
 TruthSummary summarize_truth(const std::vector<LossEpisode>& episodes, TimeNs slot_width,
@@ -129,8 +108,70 @@ std::vector<bool> congestion_slots(const std::vector<LossEpisode>& episodes, Tim
 
 void EpisodeAccumulator::add_drop(TimeNs at) {
     ++drops_seen_;
-    cluster_drop(open_, at, cfg_.gap,
-                 [this](const LossEpisode& e) { fold_episode(closed_, e); });
+    if (!cfg_.delay_floor) {
+        cluster_drop(open_, at, cfg_.gap, [this](const LossEpisode& e) { close(e); });
+        return;
+    }
+    BB_DCHECK_MSG(!last_tick_.any || at >= last_departure_,
+                  "episode delineation: drops and departures must arrive in time order");
+    if (pending_ && at > open_->start) decide_pending();
+    // A cluster the gap rule ends waits for its merge decision; the
+    // departures since its last drop are the first part of the run between.
+    cluster_drop(open_, at, cfg_.gap, [this](const LossEpisode& e) {
+        BB_DCHECK(!pending_);
+        pending_ = e;
+        pending_run_ = since_drop_;
+    });
+    // The run after this drop starts with the departures already seen at
+    // its own nanosecond.
+    since_drop_ = last_tick_.any && last_departure_ == at ? last_tick_ : DelayRun{};
+}
+
+void EpisodeAccumulator::add_departure(TimeNs at, TimeNs queueing_delay) {
+    if (!cfg_.delay_floor) return;
+    BB_DCHECK_MSG((!last_tick_.any || at >= last_departure_) && (!open_ || at >= open_->end),
+                  "episode delineation: drops and departures must arrive in time order");
+    if (pending_ && at > open_->start) decide_pending();
+    const bool meets_floor = queueing_delay >= *cfg_.delay_floor;
+    if (at != last_departure_) last_tick_ = DelayRun{};
+    last_departure_ = at;
+    last_tick_.add(meets_floor);
+    since_drop_.add(meets_floor);
+    if (pending_) pending_run_.add(meets_floor);
+}
+
+void EpisodeAccumulator::decide_pending() {
+    if (pending_run_.merges()) {
+        absorb(*open_, *pending_);
+    } else {
+        close(*pending_);
+    }
+    pending_.reset();
+}
+
+void EpisodeAccumulator::close(const LossEpisode& e) {
+    fold_episode(closed_, e);
+    closed_episodes_.push_back(e);
+}
+
+template <typename F>
+void EpisodeAccumulator::for_each_unclosed(F&& f) const {
+    if (!open_) return;
+    LossEpisode last = *open_;
+    if (pending_) {
+        if (pending_run_.merges()) {
+            absorb(last, *pending_);
+        } else {
+            f(*pending_);
+        }
+    }
+    f(last);
+}
+
+std::vector<LossEpisode> EpisodeAccumulator::episodes() const {
+    std::vector<LossEpisode> out = closed_episodes_;
+    for_each_unclosed([&out](const LossEpisode& e) { out.push_back(e); });
+    return out;
 }
 
 void EpisodeAccumulator::fold_episode(Fold& fold, const LossEpisode& e) const {
@@ -151,7 +192,7 @@ TruthSummary EpisodeAccumulator::finalize() const {
     if (total_slots <= 0) return s;
 
     Fold fold = closed_;
-    if (open_) fold_episode(fold, *open_);
+    for_each_unclosed([&](const LossEpisode& e) { fold_episode(fold, e); });
 
     const std::int64_t congested = std::min(fold.congested_slots, total_slots);
     s.frequency = static_cast<double>(congested) / static_cast<double>(total_slots);

@@ -34,8 +34,11 @@ struct LossEpisode {
 // The delay-based heuristic the paper uses to delineate episodes under bursty
 // web-like traffic: an episode is a maximal segment whose first and last
 // events are drops and in which the queueing delay of every departure between
-// them stays above `delay_floor` (paper: within 10 ms of the 100 ms maximum,
-// i.e. >= 90 ms).
+// them stays at or above `delay_floor` (paper: within 10 ms of the 100 ms
+// maximum, i.e. >= 90 ms).  Gap-rule clusters i-1 and i merge when at least
+// one departure has `at` in [end of i-1, start of i], both ends inclusive,
+// and every such departure meets the floor.  A batch wrapper over
+// EpisodeAccumulator, which runs the rule online.
 struct DelayedDeparture {
     TimeNs at;
     TimeNs queueing_delay;
@@ -71,13 +74,20 @@ struct TruthSummary {
 [[nodiscard]] std::vector<std::pair<std::int64_t, std::int64_t>> episode_slot_intervals(
     const std::vector<LossEpisode>& episodes, TimeNs slot_width, TimeNs window_begin);
 
-// Online gap-rule episode clustering plus truth summarization over a fixed
-// observation window, in O(1) memory: feed drop timestamps one at a time (in
-// time order) instead of storing the full drop log.  extract_episodes runs
-// the same clustering step and summarize_truth is a loop over add_episode(),
-// so finalize() equals extract_episodes + summarize_truth over the same
-// drops.  (The delay-based web heuristic needs the departure record; its
-// episodes are summarized through add_episode.)
+// Online episode delineation plus truth summarization over a fixed
+// observation window: feed drops (and, for the delay rule, departures) one
+// at a time in time order instead of storing the per-packet record.  Memory
+// grows with the number of episodes, not packets.  extract_episodes runs the
+// same clustering step, extract_episodes_delay_based is a loop over this
+// class, and summarize_truth is a loop over add_episode(), so finalize()
+// equals summarize_truth over episodes(), which equals the batch extraction
+// over the same drops and departures.
+//
+// With `delay_floor` set, the merge of a new gap cluster into the previous
+// one waits until simulated time passes the new cluster's first drop: a
+// departure at that nanosecond counts whether it is dispatched before or
+// after the drop.  finalize() and episodes() decide a pending merge on the
+// departures seen so far, so both may be called mid-run.
 class EpisodeAccumulator {
 public:
     struct Config {
@@ -85,18 +95,27 @@ public:
         TimeNs slot_width{milliseconds(5)};
         TimeNs window_begin{TimeNs::zero()};
         TimeNs window_end{TimeNs::zero()};
+        std::optional<TimeNs> delay_floor{};  // set: the delay-based heuristic
     };
 
     explicit EpisodeAccumulator(Config cfg) : cfg_{cfg} {}
 
-    // Drop timestamps must be non-decreasing (the natural event order).
+    // Drops and departures must arrive in time order (the simulator's event
+    // order); within one nanosecond they may interleave in any order.
     void add_drop(TimeNs at);
 
-    // Fold an already-delineated episode (e.g. one from the delay-based
-    // heuristic) into the summary.
-    void add_episode(const LossEpisode& e) { fold_episode(closed_, e); }
+    // One departure from the monitored queue and its queueing delay.  Only
+    // the delay rule reads departures; without a delay floor this is a no-op.
+    void add_departure(TimeNs at, TimeNs queueing_delay);
+
+    // Fold an already-delineated episode into the summary and the episode
+    // list.
+    void add_episode(const LossEpisode& e) { close(e); }
 
     [[nodiscard]] TruthSummary finalize() const;
+
+    // Every episode so far in time order, the open one included.
+    [[nodiscard]] std::vector<LossEpisode> episodes() const;
 
     [[nodiscard]] std::uint64_t drops_seen() const noexcept { return drops_seen_; }
     [[nodiscard]] const Config& config() const noexcept { return cfg_; }
@@ -109,13 +128,42 @@ private:
         std::uint64_t drops{0};
     };
 
+    // Departures seen over some time range: whether there was any, and
+    // whether every one of them met the delay floor.
+    struct DelayRun {
+        bool any{false};
+        bool full{true};
+        void add(bool meets_floor) noexcept {
+            any = true;
+            full = full && meets_floor;
+        }
+        [[nodiscard]] bool merges() const noexcept { return any && full; }
+    };
+
     // The window filter and slot clamping of the truth summary.
     void fold_episode(Fold& fold, const LossEpisode& e) const;
+    void close(const LossEpisode& e);
+    void decide_pending();
+    // Calls f on the episodes not yet closed, in time order, with a pending
+    // merge decided on the departures seen so far.
+    template <typename F>
+    void for_each_unclosed(F&& f) const;
 
     Config cfg_;
     std::optional<LossEpisode> open_;
     std::uint64_t drops_seen_{0};
     Fold closed_{};
+    std::vector<LossEpisode> closed_episodes_;
+
+    // Delay rule state.  `pending_` is the previous episode while the merge
+    // of `open_` into it waits on departures at open_->start; `pending_run_`
+    // covers the departures from pending_->end on.  `since_drop_` covers the
+    // departures from open_->end on, `last_tick_` those at `last_departure_`.
+    std::optional<LossEpisode> pending_;
+    DelayRun pending_run_;
+    DelayRun since_drop_;
+    DelayRun last_tick_;
+    TimeNs last_departure_{TimeNs::zero()};
 };
 
 }  // namespace bb::measure

@@ -1,43 +1,43 @@
 #include "measure/loss_monitor.h"
 
+#include "util/contract.h"
+
 namespace bb::measure {
 
 LossMonitor::LossMonitor(sim::Scheduler& sched, sim::QueueBase& queue, Options opts)
     : queue_{&queue}, opts_{opts} {
     (void)sched;
-    if (opts_.streaming_truth) truth_acc_.emplace(*opts_.streaming_truth);
+    if (opts_.streaming_truth) {
+        truth_acc_.emplace(*opts_.streaming_truth);
+        feeds_departures_ = opts_.streaming_truth->delay_floor.has_value();
+    }
     queue.on_drop([this](const sim::QueueEvent& ev) {
-        const bool is_probe = ev.pkt.kind == sim::PacketKind::probe;
-        if (is_probe) {
-            ++probe_drops_;
-        } else {
-            ++cross_drops_;
-        }
-        if (is_probe && !opts_.count_probe_traffic) return;
-        ++drops_count_;
-        if (truth_acc_) truth_acc_->add_drop(ev.at);
-        drops_.push_back(ev.at);
+        observe_drop(ev.at, ev.pkt.kind == sim::PacketKind::probe);
     });
     queue.on_dequeue([this](const sim::QueueEvent& ev) {
-        ++successes_;
-        if (opts_.record_departures) {
-            departures_.push_back(DelayedDeparture{ev.at, ev.at - ev.enqueued_at});
-        }
+        if (ev.pkt.kind != sim::PacketKind::probe || opts_.count_probe_traffic) ++successes_;
+        if (feeds_departures_) truth_acc_->add_departure(ev.at, ev.at - ev.enqueued_at);
     });
 }
 
-void LossMonitor::observe_external_drop(TimeNs at, bool is_probe) {
-    // Mirrors the on_drop hook body: external losses count toward the same
-    // truth record as queue drops.
+bool LossMonitor::observe_drop(TimeNs at, bool is_probe) {
     if (is_probe) {
         ++probe_drops_;
     } else {
         ++cross_drops_;
     }
-    if (is_probe && !opts_.count_probe_traffic) return;
+    if (is_probe && !opts_.count_probe_traffic) return false;
     ++drops_count_;
     if (truth_acc_) truth_acc_->add_drop(at);
     drops_.push_back(at);
+    return true;
+}
+
+void LossMonitor::observe_external_drop(TimeNs at, bool is_probe) {
+    // The packet's departure from the queue counted in S; it is lost now.
+    if (!observe_drop(at, is_probe)) return;
+    BB_DCHECK_MSG(successes_ > 0, "external drop of a packet that never left the queue");
+    --successes_;
 }
 
 double LossMonitor::router_loss_rate() const noexcept {

@@ -15,21 +15,20 @@
 
 namespace bb::measure {
 
-// Records every drop and, optionally, per-packet queueing delays at the
-// bottleneck.  Registration happens in the constructor; the monitor must
-// outlive the queue's last event.
+// Records every drop at the bottleneck and counts its departures.
+// Registration happens in the constructor; the monitor must outlive the
+// queue's last event.
 //
-// A departure's delay is the queue's own figure: dequeue time minus the
-// enqueue time the queue reports with each departure (sojourn plus
-// transmission time), so logging it costs one vector append per packet.
-// Packets already buffered when the monitor attaches are logged too.
-//
-// With `streaming_truth` configured the monitor also feeds each drop into an
-// online EpisodeAccumulator as it happens.
+// With `streaming_truth` configured the monitor also feeds each drop, and
+// for the delay-based rule each departure with its queueing delay, into an
+// online EpisodeAccumulator as it happens; no per-packet departure record is
+// kept.  A departure's delay is the queue's own figure: dequeue time minus
+// the enqueue time the queue reports with each departure (sojourn plus
+// transmission time).  Packets already buffered when the monitor attaches
+// count too.
 class LossMonitor {
 public:
     struct Options {
-        bool record_departures{false};  // needed for the delay-based heuristic
         bool count_probe_traffic{true};  // include probe packets in "truth"
         std::optional<EpisodeAccumulator::Config> streaming_truth;
     };
@@ -41,16 +40,18 @@ public:
     LossMonitor(const LossMonitor&) = delete;
     LossMonitor& operator=(const LossMonitor&) = delete;
 
-    // Fold in a loss that happened somewhere other than the monitored queue
-    // (e.g. a GilbertElliottLink downstream of it), so ground truth covers
-    // the whole path.  Calls must be non-decreasing in time relative to the
-    // queue's own drops; links downstream of the queue satisfy this
-    // naturally because their drops fire at later simulated instants.
+    // Fold in the loss of a packet that departed the monitored queue and died
+    // downstream of it (e.g. on a GilbertElliottLink), so ground truth covers
+    // the whole path.  The packet leaves S for L in the router loss rate.
+    // Calls must come at the simulated instant of the loss, which downstream
+    // links satisfy naturally.
     void observe_external_drop(TimeNs at, bool is_probe);
 
     [[nodiscard]] const std::vector<TimeNs>& drop_times() const noexcept { return drops_; }
+    // Always empty: departures feed the truth accumulator and are not
+    // logged.  Kept only because perfbench/harness.cpp reports its size.
     [[nodiscard]] const std::vector<DelayedDeparture>& departures() const noexcept {
-        return departures_;
+        return no_departures_;
     }
     [[nodiscard]] std::uint64_t drops_total() const noexcept { return drops_count_; }
     [[nodiscard]] std::uint64_t cross_traffic_drops() const noexcept {
@@ -58,7 +59,9 @@ public:
     }
     [[nodiscard]] std::uint64_t probe_drops() const noexcept { return probe_drops_; }
 
-    // Router-centric loss rate over the run: L / (S + L) (paper §3).
+    // Router-centric loss rate over the run: L / (S + L) (paper §3), each
+    // counted packet once: S is the departures not lost downstream, and
+    // excluded probe traffic enters neither.
     [[nodiscard]] double router_loss_rate() const noexcept;
 
     // Episode extraction with the gap rule.
@@ -66,25 +69,23 @@ public:
         return extract_episodes(drops_, gap);
     }
 
-    // Episode extraction with the delay-based (web traffic) heuristic.
-    [[nodiscard]] std::vector<LossEpisode> episodes_delay_based(TimeNs delay_floor,
-                                                                TimeNs gap) const {
-        return extract_episodes_delay_based(drops_, departures_, delay_floor, gap);
-    }
-
-    // The online gap-rule truth accumulator, or nullptr when not configured.
-    // finalize() on it is bit-identical to episodes(gap) + summarize_truth
-    // over the configured window.
+    // The online truth accumulator, or nullptr when not configured.  With no
+    // delay floor, its episodes() equal episodes(gap) over the same drops.
     [[nodiscard]] const EpisodeAccumulator* streaming_truth() const noexcept {
         return truth_acc_ ? &*truth_acc_ : nullptr;
     }
 
 private:
+    // The drop tally shared by queue and external drops; false when the
+    // drop is excluded probe traffic.
+    bool observe_drop(TimeNs at, bool is_probe);
+
     sim::QueueBase* queue_;
     Options opts_;
     std::vector<TimeNs> drops_;
-    std::vector<DelayedDeparture> departures_;
+    std::vector<DelayedDeparture> no_departures_;
     std::optional<EpisodeAccumulator> truth_acc_;
+    bool feeds_departures_{false};  // the accumulator runs the delay rule
     std::uint64_t drops_count_{0};
     std::uint64_t cross_drops_{0};
     std::uint64_t probe_drops_{0};

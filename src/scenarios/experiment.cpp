@@ -1,6 +1,7 @@
 #include "scenarios/experiment.h"
 
 #include <cmath>
+#include <optional>
 
 #include "obs/trace.h"
 
@@ -25,14 +26,15 @@ namespace {
 measure::LossMonitor::Options monitor_options(const TruthConfig& truth_cfg,
                                               const WorkloadConfig& wl_cfg) {
     measure::LossMonitor::Options opts;
-    opts.record_departures = truth_cfg.delay_based;
     opts.count_probe_traffic = true;
-    // The gap-rule truth is maintained online; the delay-based heuristic
-    // needs the full drop/departure record instead.
-    if (!truth_cfg.delay_based) {
-        opts.streaming_truth = measure::EpisodeAccumulator::Config{
-            truth_cfg.episode_gap, truth_cfg.slot_width, TimeNs::zero(), wl_cfg.duration};
-    }
+    // Both truth rules run online, over the workload window.
+    opts.streaming_truth = measure::EpisodeAccumulator::Config{
+        .gap = truth_cfg.episode_gap,
+        .slot_width = truth_cfg.slot_width,
+        .window_begin = TimeNs::zero(),
+        .window_end = wl_cfg.duration,
+        .delay_floor = truth_cfg.delay_based ? std::optional{truth_cfg.delay_floor}
+                                             : std::nullopt};
     return opts;
 }
 
@@ -122,16 +124,11 @@ void Experiment::run() {
 }
 
 std::vector<measure::LossEpisode> Experiment::episodes() const {
-    if (truth_cfg_.delay_based) {
-        return monitor_->episodes_delay_based(truth_cfg_.delay_floor, truth_cfg_.episode_gap);
-    }
-    return monitor_->episodes(truth_cfg_.episode_gap);
+    return monitor_->streaming_truth()->episodes();
 }
 
 measure::TruthSummary Experiment::truth() const {
-    if (const auto* acc = monitor_->streaming_truth()) return acc->finalize();
-    return measure::summarize_truth(episodes(), truth_cfg_.slot_width, TimeNs::zero(),
-                                    workload_cfg_.duration);
+    return monitor_->streaming_truth()->finalize();
 }
 
 core::MarkingConfig Experiment::default_marking(double p) const {

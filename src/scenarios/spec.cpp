@@ -412,6 +412,13 @@ void parse_truth(Ctx& ctx, Section& top, ScenarioSpec& spec) {
     truth.time_ms("slot_ms", spec.truth.slot_width, /*min_exclusive=*/true);
     truth.time_ms("episode_gap_ms", spec.truth.episode_gap, /*min_exclusive=*/true);
     truth.boolean("delay_based", spec.truth.delay_based);
+    // The floor only means something to the delay-based rule; accepting it
+    // elsewhere would split the cache key of one run.
+    if (const JsonValue* floor = truth.get("delay_floor_ms");
+        floor != nullptr && !spec.truth.delay_based) {
+        ctx.fail(floor->line, "truth.delay_floor_ms", "requires \"delay_based\": true");
+        return;
+    }
     truth.time_ms("delay_floor_ms", spec.truth.delay_floor);
     truth.finish();
 }

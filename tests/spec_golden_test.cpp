@@ -568,8 +568,8 @@ TEST(SpecGolden, ShippedTable7GroupedMatchesPerCellRuns) {
 // and web TCP paths (ACKs on the reverse link, retransmission timers, flow
 // churn) are pinned here the way Fig 9 and Table 7 pin the CBR path.  The
 // truth pins cover what the hash chain cannot see: the web spec's truth is
-// delay-based, read off the bottleneck's departure log, which never reaches
-// the chain.
+// delay-based, folded online from the bottleneck's drops and departures,
+// which never reach the chain.
 struct TcpPathPin {
     const char* spec;
     const char* state_hash;

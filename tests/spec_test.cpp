@@ -177,6 +177,17 @@ TEST(SpecErrors, TruthKnobConflict) {
                  "unknown key \"bounded_memory\"");
 }
 
+TEST(SpecErrors, DelayFloorRequiresDelayBasedTruth) {
+    const auto r = parse("{\"truth\": {\n  \"delay_floor_ms\": 80}}");
+    ASSERT_FALSE(r.ok);
+    EXPECT_EQ(r.error, "spec.json:2: truth.delay_floor_ms: requires \"delay_based\": true");
+    expect_error(R"({"truth": {"delay_based": false, "delay_floor_ms": 90}})",
+                 "truth.delay_floor_ms: requires \"delay_based\": true");
+    const auto ok = parse(R"({"truth": {"delay_floor_ms": 80, "delay_based": true}})");
+    ASSERT_TRUE(ok.ok) << ok.error;
+    EXPECT_EQ(ok.spec.truth.delay_floor, milliseconds(80));
+}
+
 TEST(SpecErrors, Figure3SectionRequiresFigure3Topology) {
     expect_error(R"({"figure3": {"oc12_factor": 4}})",
                  "requires \"topology\": \"figure3\"");
