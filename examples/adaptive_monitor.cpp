@@ -54,8 +54,9 @@ int main() {
                 tool.experiments_started());
     std::printf("frequency estimate : %.4f\n", snap.frequency.value);
     std::printf("duration estimate  : %.3f s (basic) / %.3f s (improved)\n",
-                snap.duration_basic.valid ? snap.duration_basic.slots * 0.005 : 0.0,
-                snap.duration_improved.valid ? snap.duration_improved.slots * 0.005 : 0.0);
+                snap.duration_basic.valid ? snap.duration_basic.seconds(cfg.slot_width) : 0.0,
+                snap.duration_improved.valid ? snap.duration_improved.seconds(cfg.slot_width)
+                                             : 0.0);
     std::printf("validation         : pair asymmetry %.3f, violations %.4f\n",
                 snap.validation.pair_asymmetry, snap.validation.violation_fraction);
     return 0;

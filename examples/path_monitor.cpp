@@ -94,7 +94,7 @@ int main() {
             : decision == core::StoppingRule::Decision::stop_invalid ? "STOP (invalid)"
                                                                      : "keep going";
         std::printf("%-8.0f | %-9.4f | %-11.3f | %-10.3f | %s\n", t.to_seconds(), freq.value,
-                    dur.valid ? dur.slots * 0.005 : 0.0, validation.pair_asymmetry,
+                    dur.valid ? dur.seconds(tool.slot_width()) : 0.0, validation.pair_asymmetry,
                     decision_str);
         if (decision != core::StoppingRule::Decision::keep_going) {
             stopped = true;

@@ -41,8 +41,7 @@ if [[ ! -d "$BUILD" ]]; then
   cmake -B "$BUILD" -S . >/dev/null
 fi
 cmake --build "$BUILD" -j "$JOBS" \
-  --target micro_core micro_sim micro_stream micro_obs micro_sched micro_record \
-           ablation_aqm
+  --target micro_core micro_sim micro_stream micro_obs micro_sched micro_record
 
 if [[ "$MODE" == compare ]]; then
   OUT="$BUILD/bench_current"
@@ -98,12 +97,6 @@ BB_BENCH_JSON="$OUT" "./$BUILD/bench/micro_sched"
 echo "==> bench: micro_record"
 BB_BENCH_JSON="$OUT" "./$BUILD/bench/micro_record"
 
-echo "==> bench: ablation_aqm"
-if [[ "$FAST" == 1 ]]; then
-  export BB_BENCH_ABLATION_DURATION_S="${BB_BENCH_ABLATION_DURATION_S:-20}"
-fi
-BB_BENCH_JSON="$OUT" "./$BUILD/bench/ablation_aqm"
-
 # Stamp every file this run wrote with where its numbers come from: host,
 # core count, build type, compiler and source revision ("-dirty" when the
 # working tree differs from it).
@@ -132,7 +125,7 @@ provenance = {
     "git_rev": rev,
 }
 for name in ("micro_core", "micro_sim", "micro_stream", "micro_obs", "micro_sched",
-             "micro_record", "ablation_aqm"):
+             "micro_record"):
     path = os.path.join(out, f"BENCH_{name}.json")
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)

@@ -57,10 +57,10 @@ void run_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analys
     sim.truth = exp.truth();
     hash_scope.reset();
     sim.offered_load = tool.offered_load_fraction(tb.bottleneck_rate_bps);
-    sim.queue_drops = exp.testbed().bottleneck().drops();
-    for (const auto& hop : exp.testbed().upstream_hops()) sim.queue_drops += hop->drops();
-    sim.episodes = sim.truth.episodes;
     const auto& queue = exp.testbed().bottleneck();
+    for (const auto& hop : exp.testbed().upstream_hops()) sim.upstream_drops += hop->drops();
+    sim.queue_drops = queue.drops() + sim.upstream_drops;
+    sim.episodes = sim.truth.episodes;
     const std::uint64_t ge_drops = exp.testbed().ge() ? exp.testbed().ge()->drops() : 0;
     if (queue.arrivals() > 0) {
         sim.path_loss_rate = static_cast<double>(queue.drops() + ge_drops) /

@@ -71,8 +71,9 @@ struct ReplicaResult {
     // replica's testbed; lets the obs counters be cross-checked against the
     // run summary exactly.
     std::uint64_t queue_drops{0};
-    // Path-level extras used by the sweep engine's per-cell reports (the AQM
-    // ablation keys).  Zero when the relevant instrumentation is off.
+    // Path-level extras the sweep engine writes into each cell's replica
+    // documents.  Zero when the relevant instrumentation is off.
+    std::uint64_t upstream_drops{0};  // the upstream hops' share of queue_drops
     std::size_t episodes{0};
     double path_loss_rate{0.0};      // (queue + GE drops) / queue arrivals
     double passive_loss_rate{0.0};   // Q-bit observer estimate of the same

@@ -247,7 +247,9 @@ std::string cell_result_json(const SweepCell& cell, const AggregateRow& row,
         w.key("est_duration_s").value_double(r.est_duration_s(slot_width), fmt);
         w.key("episodes").value_uint(r.episodes);
         w.key("queue_drops").value_uint(r.queue_drops);
+        w.key("upstream_drops").value_uint(r.upstream_drops);
         w.key("experiments").value_uint(r.result.experiments);
+        w.key("pair_asymmetry").value_double(r.result.validation.pair_asymmetry, fmt);
         w.key("path_loss_rate").value_double(r.path_loss_rate, fmt);
         w.key("passive_loss_rate").value_double(r.passive_loss_rate, fmt);
         w.key("qbit_merged_blocks").value_uint(r.qbit_merged_blocks);

@@ -158,7 +158,8 @@ private:
 
 // The per-cell result document (pretty JSON, %.17g doubles so cached values
 // round-trip exactly): config_hash, name, axes, aggregate stats, and the
-// per-replica trajectory including the path/passive loss-rate extras.
+// per-replica trajectory including the path/passive loss-rate, upstream-drop
+// and pair-asymmetry extras.
 [[nodiscard]] std::string cell_result_json(const SweepCell& cell,
                                            const AggregateRow& row,
                                            const std::vector<ReplicaResult>& replicas,

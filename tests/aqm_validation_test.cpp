@@ -1,7 +1,8 @@
 // End-to-end validation cells: BADABING at p = 0.3 against each queue
 // discipline (and against non-congestive Gilbert-Elliott loss), with
 // per-cell error bounds on the frequency estimator.  The bounds are loose —
-// the ablation bench measures the bias precisely; these tests pin that each
+// examples/ablation_aqm_sweep.json measures the bias precisely (its cells are
+// pinned in spec_golden_test.cpp); these tests pin that each
 // cell produces a sane, finite, same-order estimate so a regression in any
 // discipline/estimator pairing cannot slip through silently.
 #include <gtest/gtest.h>

@@ -170,6 +170,8 @@ TEST(ReplicaRunner, CellResultJsonContainsAggregateAndReplicas) {
     EXPECT_NE(doc.find("\"est_frequency\""), std::string::npos);
     EXPECT_NE(doc.find("\"replicas\": ["), std::string::npos);
     EXPECT_NE(doc.find("\"replica\": 1"), std::string::npos);
+    EXPECT_NE(doc.find("\"upstream_drops\": 0"), std::string::npos);
+    EXPECT_NE(doc.find("\"pair_asymmetry\""), std::string::npos);
     EXPECT_EQ(doc.find("nan"), std::string::npos);
     const JsonParse parsed = json_parse(doc, "<cell>");
     ASSERT_TRUE(parsed.ok) << parsed.error;

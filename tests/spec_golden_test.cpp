@@ -11,6 +11,8 @@
 // expanded) to keep the shipped configs loadable, and the shipped paper
 // Table 1-6 specs are run shortened and pinned to the numbers the
 // hand-wired table benches they replaced printed for the same durations.
+// The AQM ablation matrix is run as shipped and pinned, cell by cell, to what
+// the hand-written ablation bench it replaced printed.
 // The Fig 9 and Table 7 re-analysis sweeps are pinned, shortened, to what
 // bb_sweep printed for them before cells could share a simulation, and are
 // run both grouped and one cell at a time to show that sharing changes no
@@ -153,8 +155,8 @@ TEST(SpecGolden, Fig9AlphaSweepFromSpecs) {
 TEST(SpecGolden, ShippedExampleSpecsParseAndExpand) {
     const std::string dir = BB_EXAMPLES_DIR;
     for (const char* name : {"table4.json", "table5.json", "table6.json",
-                             "ablation_aqm_sweep.json", "sweep_smoke.json", "fig9.json",
-                             "table7.json"}) {
+                             "ablation_aqm_sweep.json", "ablation_multihop.json",
+                             "sweep_smoke.json", "fig9.json", "table7.json"}) {
         const auto r = load_sweep_spec_file(dir + "/" + name);
         ASSERT_TRUE(r.ok) << name << ": " << r.error;
         const auto e = expand_sweep(r.sweep, name);
@@ -560,6 +562,136 @@ TEST(SpecGolden, ShippedFig9GroupedMatchesPerCellRuns) {
 
 TEST(SpecGolden, ShippedTable7GroupedMatchesPerCellRuns) {
     expect_grouping_invisible("table7", short_table7(), 2);
+}
+
+// --- shipped AQM ablation matrix, full length --------------------------------
+
+// One cell of examples/ablation_aqm_sweep.json: its axis values and the
+// replica's truth, estimates, path/passive loss and Q-bit merged blocks.
+struct AblationPin {
+    const char* discipline;
+    const char* traffic;
+    bool ge;
+    double truth_freq;
+    double est_freq;
+    double truth_dur_s;
+    double est_dur_s;
+    std::uint64_t episodes;
+    double path_loss_rate;
+    double passive_loss_rate;
+    std::uint64_t qbit_merged_blocks;
+};
+
+// What the hand-written bench/ablation_aqm program this spec replaced
+// computed (captured at %.17g; its table printed them rounded), 120 s per
+// cell, seed 7.
+const AblationPin kShippedAblationAqm[16] = {
+    {"drop_tail", "cbr_uniform", false,
+     0.005875, 0.0072023725462505295, 0.072982907, 0.125, 9u,
+     0.041321748648833548, 0.041369863013698632, 0u},
+    {"drop_tail", "cbr_uniform", true,
+     0.018333333333333333, 0.031492727015958198, 0.082929049520000006, 0.15857142857142859, 25u,
+     0.04576862557296299, 0.045821917808219176, 0u},
+    {"drop_tail", "infinite_tcp", false,
+     0.054791666666666669, 0.058325095325518994, 0.12155769230769232, 0.094090909090909086, 52u,
+     0.0041034933809136536, 0.0041083591331269346, 0u},
+    {"drop_tail", "infinite_tcp", true,
+     0.055708333333333332, 0.059313656263239659, 0.10293209677419356, 0.069918032786885242, 62u,
+     0.011048771364915191, 0.011022135416666667, 2u},
+    {"red", "cbr_uniform", false,
+     0.016875000000000001, 0.01454596808360401, 0.24565466599999999, 0.025000000000000001, 8u,
+     0.043853047821030305, 0.043904109589041097, 0u},
+    {"red", "cbr_uniform", true,
+     0.028916666666666667, 0.043073012286400224, 0.13876655533333335, 0.27772727272727277, 24u,
+     0.048299924745159747, 0.048356164383561641, 0u},
+    {"red", "infinite_tcp", false,
+     0.15420833333333334, 0.048015816975003532, 0.25903675175714291, 0.041585365853658532, 70u,
+     0.0039105206950205825, 0.0032804568527918781, 0u},
+    {"red", "infinite_tcp", true,
+     0.13629166666666667, 0.078802429035446972, 0.21568282371621622, 0.060376344086021508, 74u,
+     0.010873962474715771, 0.010178134823611596, 0u},
+    {"pie", "cbr_uniform", false,
+     0.0065833333333333334, 0.0079084875017652878, 0.082324888777777785, 0.070000000000000007, 9u,
+     0.041344553145880369, 0.041392694063926941, 0u},
+    {"pie", "cbr_uniform", true,
+     0.019041666666666665, 0.03191639598926705, 0.086292162960000016, 0.15033333333333335, 25u,
+     0.045791430070009805, 0.045844748858447491, 0u},
+    {"pie", "infinite_tcp", false,
+     0.17266666666666666, 0.043214235277503177, 0.088712627307692332, 0.034772727272727275, 221u,
+     0.0044185573144190273, 0.0044218113444061419, 0u},
+    {"pie", "infinite_tcp", true,
+     0.16325000000000001, 0.082050557830814858, 0.13013479219310345, 0.072499999999999995, 145u,
+     0.0090413188270395701, 0.0090452261306532659, 0u},
+    {"codel", "cbr_uniform", false,
+     0.0089999999999999993, 0.0073435955373534808, 0.11527463866666668, 0.17166666666666669, 9u,
+     0.041504184625208093, 0.041552511415525115, 0u},
+    {"codel", "cbr_uniform", true,
+     0.021125000000000001, 0.031492727015958198, 0.096470069919999998, 0.18583333333333332, 25u,
+     0.045951061549337528, 0.046004566210045665, 0u},
+    {"codel", "infinite_tcp", false,
+     0.22466666666666665, 0.03346984889139952, 0.13224525252525263, 0.027941176470588233, 198u,
+     0.0035970201527786979, 0.0035996210925165772, 0u},
+    {"codel", "infinite_tcp", true,
+     0.19920833333333332, 0.038695099562208728, 0.12937273743016764, 0.037567567567567572, 179u,
+     0.0067491301380125527, 0.0067521652231845438, 0u},
+};
+
+TEST(SpecGolden, ShippedAblationAqmMatchesBenchGolden) {
+    JsonParse parsed =
+        json_parse_file(std::string{BB_EXAMPLES_DIR} + "/ablation_aqm_sweep.json");
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    const auto cells = expand_doc(parsed.value, "ablation_aqm_sweep.json");
+    ASSERT_EQ(cells.size(), 16u);
+    const auto run = run_cells("ablation_aqm", cells, "");
+    ASSERT_TRUE(run.ok) << run.error;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const JsonValue& result = run.cells[i].result;
+        const JsonValue* replicas = result.find("replicas");
+        ASSERT_TRUE(replicas != nullptr && replicas->items.size() == 1u) << "cell " << i;
+        const JsonValue& r = replicas->items[0];
+        const auto number = [&](const char* key) {
+            const JsonValue* v = r.find(key);
+            EXPECT_TRUE(v != nullptr && v->is_number()) << key;
+            return v != nullptr ? v->number_value : 0.0;
+        };
+        // Axis paths contain dots, so they are looked up as keys, not paths.
+        const JsonValue* axes = result.find("axes");
+        const auto axis = [&](const char* path) {
+            const JsonValue* v = axes != nullptr ? axes->find(path) : nullptr;
+            return v != nullptr ? v->string_value : std::string{};
+        };
+        const AblationPin got{nullptr, nullptr, false,
+                              number("true_frequency"), number("est_frequency"),
+                              number("true_duration_s"), number("est_duration_s"),
+                              static_cast<std::uint64_t>(number("episodes")),
+                              number("path_loss_rate"), number("passive_loss_rate"),
+                              static_cast<std::uint64_t>(number("qbit_merged_blocks"))};
+        if (golden_print()) {
+            std::printf("    {\"%s\", \"%s\", %s,\n     %.17g, %.17g, %.17g, %.17g, %lluu,\n"
+                        "     %.17g, %.17g, %lluu},\n",
+                        axis("link.discipline").c_str(), axis("traffic.kind").c_str(),
+                        axis("link.ge.enabled").c_str(), got.truth_freq, got.est_freq,
+                        got.truth_dur_s, got.est_dur_s,
+                        static_cast<unsigned long long>(got.episodes), got.path_loss_rate,
+                        got.passive_loss_rate,
+                        static_cast<unsigned long long>(got.qbit_merged_blocks));
+            continue;
+        }
+        const AblationPin& want = kShippedAblationAqm[i];
+        SCOPED_TRACE(std::string{want.discipline} + " / " + want.traffic +
+                     (want.ge ? " / GE on" : " / GE off"));
+        EXPECT_EQ(axis("link.discipline"), want.discipline);
+        EXPECT_EQ(axis("traffic.kind"), want.traffic);
+        EXPECT_EQ(axis("link.ge.enabled"), want.ge ? "true" : "false");
+        EXPECT_EQ(got.truth_freq, want.truth_freq);
+        EXPECT_EQ(got.est_freq, want.est_freq);
+        EXPECT_EQ(got.truth_dur_s, want.truth_dur_s);
+        EXPECT_EQ(got.est_dur_s, want.est_dur_s);
+        EXPECT_EQ(got.episodes, want.episodes);
+        EXPECT_EQ(got.path_loss_rate, want.path_loss_rate);
+        EXPECT_EQ(got.passive_loss_rate, want.passive_loss_rate);
+        EXPECT_EQ(got.qbit_merged_blocks, want.qbit_merged_blocks);
+    }
 }
 
 // --- TCP paths: shortened perfbench workload shapes -------------------------
