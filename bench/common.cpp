@@ -15,7 +15,7 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
 
 // Every bench preset is rendered as a scenario-DSL document (env overrides
 // substituted into the text) and parsed by the same layer that serves
-// bb_sweep, so the benches and spec-driven runs cannot drift apart.
+// bb sweep, so the benches and spec-driven runs cannot drift apart.
 scenarios::ScenarioSpec parse_preset(const std::string& traffic_json) {
     char buf[1024];
     std::snprintf(buf, sizeof buf,

@@ -44,11 +44,11 @@ if [[ "${BB_CI_SKIP_OBS:-0}" != 1 ]]; then
   echo "==> obs: sweep with --series-out/--progress-json, validated via util/json"
   obs_dir=$(mktemp -d)
   trap 'rm -rf "$obs_dir"' EXIT
-  ./build/tools/bb_sweep run examples/sweep_smoke.json \
+  ./build/tools/bb sweep examples/sweep_smoke.json \
       --out "$obs_dir/out" --series-out "$obs_dir/out" \
       --progress-json "$obs_dir/progress.json" >/dev/null
-  ./build/tools/json_check --quiet --require-key=schema "$obs_dir"/out/*.series.json
-  ./build/tools/json_check --quiet --require-key=eta_seconds "$obs_dir/progress.json"
+  ./build/tools/bb check --quiet --require-key=schema "$obs_dir"/out/*.series.json
+  ./build/tools/bb check --quiet --require-key=eta_seconds "$obs_dir/progress.json"
   rm -rf "$obs_dir"
 fi
 
@@ -56,12 +56,12 @@ if [[ "${BB_CI_SKIP_SWEEP:-0}" != 1 ]]; then
   echo "==> sweep: cold run of the example spec, then assert the warm run is 100% cache hits"
   sweep_dir=$(mktemp -d)
   trap 'rm -rf "$sweep_dir"' EXIT
-  ./build/tools/bb_sweep run examples/sweep_smoke.json \
+  ./build/tools/bb sweep examples/sweep_smoke.json \
       --out "$sweep_dir/out" --cache-dir "$sweep_dir/cache" \
     | tee "$sweep_dir/cold.log"
   grep -q 'cells: 2 total, computed 2, cached 0' "$sweep_dir/cold.log" \
     || { echo "ci: cold sweep did not compute both cells" >&2; exit 1; }
-  ./build/tools/bb_sweep run examples/sweep_smoke.json \
+  ./build/tools/bb sweep examples/sweep_smoke.json \
       --out "$sweep_dir/out" --cache-dir "$sweep_dir/cache" \
     | tee "$sweep_dir/warm.log"
   grep -q 'cells: 2 total, computed 0, cached 2' "$sweep_dir/warm.log" \
@@ -72,14 +72,14 @@ if [[ "${BB_CI_SKIP_DETERMINISM:-0}" != 1 ]]; then
   echo "==> determinism: identical run-state digests across threads and BB_OBS (DESIGN.md §14)"
   det_dir=$(mktemp -d)
   trap 'rm -rf "$det_dir"' EXIT
-  # Run `bb_sweep run SPEC --state-hash` at each given thread count x
+  # Run `bb sweep SPEC --state-hash` at each given thread count x
   # BB_OBS {off,on}; every merged digest must equal the first.
   same_digest() {
     local spec=$1 ref_digest="" digest threads obs
     shift
     for threads in "$@"; do
       for obs in off on; do
-        BB_OBS="$obs" ./build/tools/bb_sweep run "$spec" --state-hash \
+        BB_OBS="$obs" ./build/tools/bb sweep "$spec" --state-hash \
           --out "$det_dir/out" --threads "$threads" > "$det_dir/run.log"
         digest=$(sed -n 's/^state-hash   : \([0-9a-f]\{16\}\).*/\1/p' "$det_dir/run.log")
         [[ -n "$digest" ]] \

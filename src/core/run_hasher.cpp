@@ -27,7 +27,7 @@ std::string RunHasher::trace_json(std::uint64_t final_digest, std::uint64_t reco
                                   std::size_t ring_capacity,
                                   const std::vector<det::TraceRecord>& records) {
     // Columnar layout keeps large rings compact and trivially extractable by
-    // bb_diverge without a general JSON parser.
+    // bb diverge without a general JSON parser.
     JsonWriter w;
     w.begin_object();
     w.key("schema").value("bb.hashtrace.v1");

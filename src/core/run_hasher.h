@@ -3,7 +3,7 @@
 // A RunHasher owns one det::Chain — one replica's digest — and knows how to
 // (a) merge per-replica digests, in replica-index order, into the run digest
 // printed by --state-hash, and (b) serialise its bounded trace ring as a
-// bb.hashtrace.v1 JSON document for --hash-trace-out / tools/bb_diverge.
+// bb.hashtrace.v1 JSON document for --hash-trace-out / `bb diverge`.
 //
 // HashScope installs the hasher on the *current thread*: every det::fold()
 // site (scheduler dispatch, Rng draws, queue verdicts, report emissions)

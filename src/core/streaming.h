@@ -23,9 +23,10 @@ class Counter;
 namespace bb::core {
 
 // Frequency + basic/improved duration + validation over whatever has been
-// consumed so far: the engine behind BadabingTool::analyze() and the tools'
-// --stream mode.  Each consumed report also folds into the determinism hash
-// chain (DESIGN.md §14); sinks that must not fold use CountsSink instead.
+// consumed so far: the engine behind BadabingTool::analyze() and `bb run`'s
+// probe.streaming mode.  Each consumed report also folds into the
+// determinism hash chain (DESIGN.md §14); sinks that must not fold use
+// CountsSink instead.
 class StreamingAnalyzer final : public ReportSink {
 public:
     struct Result {

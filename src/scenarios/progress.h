@@ -2,7 +2,7 @@
 // wall time and a simple ETA.
 //
 // The tracker itself never reads a clock and never prints — the caller
-// measures each cell's wall time and decides where the report goes (bb_sweep
+// measures each cell's wall time and decides where the report goes (bb sweep
 // prints progress_line() to stderr and/or writes progress_json() to a file).
 // That keeps this layer clean of direct I/O (project lint no-direct-io) and
 // makes the ETA math unit-testable with injected times.

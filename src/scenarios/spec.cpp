@@ -507,8 +507,7 @@ SpecResult parse_scenario_spec(const JsonValue& doc, std::string_view source) {
     // instead of reporting "base" as an unknown key.
     if (const JsonValue* base = doc.find("base"); base != nullptr) {
         ctx.fail(base->line, "",
-                 "this is a sweep spec (it has a \"base\" section); run it with "
-                 "bb_sweep run");
+                 "this is a sweep spec (it has a \"base\" section); run it with bb sweep");
         out.error = ctx.error;
         return out;
     }

@@ -45,7 +45,7 @@ struct ScenarioSpec {
     probes::ZingProber::Config zing;
     probes::StingProber::Config sting;
     // Streaming analysis path (bounded-memory truth + O(1) report consumers),
-    // as exposed by the tools' --stream flag.
+    // run by `bb run` over a synthetic congestion series.
     bool streaming{false};
 
     // Marking overrides; unset means the paper's per-p defaults

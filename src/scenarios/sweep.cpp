@@ -212,6 +212,7 @@ std::string cell_result_json(const SweepCell& cell, const AggregateRow& row,
     // %.17g everywhere: cached cells must round-trip to the same doubles.
     const char* fmt = "%.17g";
     w.begin_object();
+    w.key("schema").value(kCellSchema);
     w.key("config_hash").value(cell.config_hash);
     w.key("name").value(cell.spec.name);
     w.key("axes").begin_object_inline();
@@ -262,13 +263,18 @@ std::string cell_result_json(const SweepCell& cell, const AggregateRow& row,
 
 namespace {
 
+// True when `doc` is an object whose member `key` is the string `want`.
+bool string_member_is(const JsonValue& doc, const char* key, std::string_view want) {
+    const JsonValue* v = doc.find(key);
+    return v != nullptr && v->is_string() && v->string_value == want;
+}
+
 // A cached series document counts only if it parses and carries the cell's
 // config hash (mirrors the result-file validation above it).
 bool series_cache_valid(const std::string& path, const std::string& config_hash) {
     if (!std::filesystem::exists(path)) return false;
     const JsonParse parsed = json_parse_file(path);
-    const JsonValue* hash = parsed.ok ? parsed.value.find("config_hash") : nullptr;
-    return hash != nullptr && hash->is_string() && hash->string_value == config_hash;
+    return parsed.ok && string_member_is(parsed.value, "config_hash", config_hash);
 }
 
 // The cell's canonical document without its top-level "analysis" object.
@@ -324,9 +330,16 @@ SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
     RunOutcome out;
     namespace fs = std::filesystem;
     for (const SweepCell& cell : cells) {
-        if (cell.spec.tool != ScenarioSpec::ProbeTool::badabing) {
-            out.error = "cell " + std::to_string(cell.index) + " (" + cell.config_hash +
-                        "): the sweep engine estimates with probe.tool = \"badabing\"";
+        // The streaming pipeline has no simulator to sweep; it is `bb run`'s.
+        const char* why = cell.spec.tool != ScenarioSpec::ProbeTool::badabing
+                              ? "the sweep engine estimates with probe.tool = \"badabing\""
+                          : cell.spec.streaming
+                              ? "probe.streaming: the sweep engine simulates every cell; run a "
+                                "streaming spec with bb run"
+                              : nullptr;
+        if (why != nullptr) {
+            out.error =
+                "cell " + std::to_string(cell.index) + " (" + cell.config_hash + "): " + why;
             return out;
         }
     }
@@ -368,9 +381,10 @@ SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
         const std::string path = cache_path(cell, ".json");
         if (path.empty() || !fs::exists(path)) continue;
         JsonParse cached = json_parse_file(path);
-        const JsonValue* hash = cached.ok ? cached.value.find("config_hash") : nullptr;
-        // A stale or corrupt cache entry is not an error: recompute.
-        if (hash == nullptr || !hash->is_string() || hash->string_value != cell.config_hash) {
+        // A stale, foreign-format or corrupt cache entry is not an error:
+        // recompute.
+        if (!cached.ok || !string_member_is(cached.value, "schema", kCellSchema) ||
+            !string_member_is(cached.value, "config_hash", cell.config_hash)) {
             continue;
         }
         // With recording on, the series file is part of the cell: a result

@@ -23,7 +23,10 @@
 // round-trip-precision) JSON document.  With a --cache-dir, finished cells
 // live in <cache>/<hash>.json and later runs verify the embedded hash and
 // skip the computation; editing an axis value only invalidates the cells
-// whose resolved documents actually changed.
+// whose resolved documents actually changed.  A cache entry also carries
+// the cell document's format tag (kCellSchema) and counts only when both the
+// tag and the hash match, so entries written by a build with another key set
+// are recomputed rather than served.
 //
 // Simulate once, analyse many: cells whose canonical documents are equal
 // once the top-level "analysis" object is removed differ only in how the
@@ -156,10 +159,14 @@ private:
     Config cfg_;
 };
 
+// Format tag of the per-cell result document.  Bump it whenever the
+// document's keys change: a cache entry with another tag is recomputed.
+inline constexpr const char* kCellSchema = "bb.cell.v1";
+
 // The per-cell result document (pretty JSON, %.17g doubles so cached values
-// round-trip exactly): config_hash, name, axes, aggregate stats, and the
-// per-replica trajectory including the path/passive loss-rate, upstream-drop
-// and pair-asymmetry extras.
+// round-trip exactly): schema, config_hash, name, axes, aggregate stats, and
+// the per-replica trajectory including the path/passive loss-rate,
+// upstream-drop and pair-asymmetry extras.
 [[nodiscard]] std::string cell_result_json(const SweepCell& cell,
                                            const AggregateRow& row,
                                            const std::vector<ReplicaResult>& replicas,

@@ -5,7 +5,7 @@
 // draws, queue verdicts, and report emissions.  Two runs of the same plan are
 // bit-identical iff their chains are — and because each record's digest
 // depends on every record before it, the *first* divergent record localises
-// the first divergent action (tools/bb_diverge bisects on exactly this).
+// the first divergent action (`bb diverge` bisects on exactly this).
 //
 // Layering: this header is the lowest rung (util) so that the header-only
 // Rng can fold draws without depending on core.  The public orchestration
@@ -73,7 +73,7 @@ public:
         capacity_ = trace_capacity;
         // Test-only divergence injection: BB_HASH_PERTURB=N XORs one bit into
         // the digest at record N.  Results are untouched; the chain diverges
-        // at exactly record N, which gives bb_diverge's integration test an
+        // at exactly record N, which gives bb diverge's integration test an
         // exact expected answer.
         if (const char* p = std::getenv("BB_HASH_PERTURB")) {
             perturb_at_ = std::strtoull(p, nullptr, 10);

@@ -1,6 +1,6 @@
 // Minimal command-line flag parsing for the shipped tools.
 //
-//   FlagSet flags{"badabing_sim", "simulate a BADABING measurement"};
+//   FlagSet flags{"bb run", "one simulated run of a dumbbell spec"};
 //   auto p = flags.add_double("p", 0.3, "probe rate per slot");
 //   auto out = flags.add_string("csv", "", "write probe outcomes to FILE");
 //   if (!flags.parse(argc, argv)) return 1;   // prints error/usage

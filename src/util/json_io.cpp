@@ -8,7 +8,7 @@ namespace bb {
 
 // Atomic publish: write the whole document to <path>.tmp, then rename over
 // the target.  rename(2) is atomic on POSIX, so a concurrent reader — e.g.
-// a dashboard polling bb_sweep's --progress-json, or a second sweep sharing
+// a dashboard polling bb sweep's --progress-json, or a second sweep sharing
 // the cache dir — sees either the previous complete file or the new one,
 // never a truncated prefix.
 bool write_text_file(const std::string& path, std::string_view content) {

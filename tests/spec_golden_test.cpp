@@ -14,7 +14,7 @@
 // The AQM ablation matrix is run as shipped and pinned, cell by cell, to what
 // the hand-written ablation bench it replaced printed.
 // The Fig 9 and Table 7 re-analysis sweeps are pinned, shortened, to what
-// bb_sweep printed for them before cells could share a simulation, and are
+// bb sweep printed for them before cells could share a simulation, and are
 // run both grouped and one cell at a time to show that sharing changes no
 // byte of any cell.
 // Regenerating those constants (only after an *intentional* behaviour change):
@@ -163,8 +163,9 @@ TEST(SpecGolden, ShippedExampleSpecsParseAndExpand) {
         ASSERT_TRUE(e.ok) << name << ": " << e.error;
         EXPECT_FALSE(e.cells.empty()) << name;
     }
-    // The ZING tables are single-run scenario specs (zing_sim --spec).
-    for (const char* name : {"table1.json", "table2.json", "table3.json"}) {
+    // The ZING tables are single-run scenario specs (bb run), one per row.
+    for (const char* name : {"table1.json", "table2.json", "table3.json", "table1_20hz.json",
+                             "table2_20hz.json", "table3_20hz.json"}) {
         const auto r = load_scenario_spec_file(dir + "/" + name);
         ASSERT_TRUE(r.ok) << name << ": " << r.error;
         EXPECT_EQ(r.spec.tool, ScenarioSpec::ProbeTool::zing) << name;
@@ -223,7 +224,7 @@ void expect_stat(const GoldenStat& got, const GoldenStat& want, const char* what
 }
 
 // Runs every p cell of examples/<name> (3 replicas, seed 7) at 20 s through
-// the same ReplicaRunner path bb_sweep uses, and compares (or prints) the
+// the same ReplicaRunner path bb sweep uses, and compares (or prints) the
 // aggregates.
 void check_badabing_table(const char* name, const char* label,
                           const GoldenTableRow (&want)[5]) {
@@ -410,7 +411,7 @@ GoldenStat cell_stat(const JsonValue& result, const std::string& stat) {
     return {number("mean"), number("ci_lo"), number("ci_hi")};
 }
 
-// Captured from bb_sweep run <short spec> --state-hash before cells could
+// Captured from bb sweep <short spec> --state-hash before cells could
 // share a simulation (same files, same shortening as below).
 constexpr const char* kShortFig9StateHash = "a1886419ce48dca7";
 const double kShortFig9EstFreq[45] = {
@@ -696,7 +697,7 @@ TEST(SpecGolden, ShippedAblationAqmMatchesBenchGolden) {
 
 // --- TCP paths: shortened perfbench workload shapes -------------------------
 
-// Captured from bb_sweep run tests/data/<spec> --state-hash; the long-lived
+// Captured from bb sweep tests/data/<spec> --state-hash; the long-lived
 // and web TCP paths (ACKs on the reverse link, retransmission timers, flow
 // churn) are pinned here the way Fig 9 and Table 7 pin the CBR path.  The
 // truth pins cover what the hash chain cannot see: the web spec's truth is
@@ -721,7 +722,7 @@ TEST(SpecGolden, TcpPathSpecsMatchStateHashPins) {
         SCOPED_TRACE(pin.spec);
         JsonParse parsed = json_parse_file(std::string{BB_TEST_DATA_DIR} + "/" + pin.spec);
         ASSERT_TRUE(parsed.ok) << parsed.error;
-        // A plain scenario spec is a one-cell sweep, as bb_sweep reads it.
+        // A plain scenario spec is a one-cell sweep, as bb sweep reads it.
         SweepSpec sweep;
         sweep.base = std::move(parsed.value);
         const auto grid = expand_sweep(sweep, pin.spec);
@@ -794,16 +795,19 @@ void print_zing_row(const char* label, const GoldenZingRow& r) {
                 static_cast<unsigned long long>(r.max_run));
 }
 
-// Runs examples/<name> at 120 s as shipped (10 Hz / 256 B) and with the
-// 20 Hz / 64 B probe of the table's second row (zing_sim --hz=20
-// --packet-bytes=64), each in its own run.
-void check_zing_table(const char* name, const char* label, const GoldenZingRow (&want)[2]) {
-    const auto r = parse_scenario_spec(shipped_doc(name, "traffic.duration_s", 120), name);
-    ASSERT_TRUE(r.ok) << r.error;
-    ScenarioSpec fast = r.spec;
-    fast.zing.mean_interval = milliseconds(50);
-    fast.zing.packet_bytes = 64;
-    const GoldenZingRow got[2] = {run_zing_row(r.spec), run_zing_row(fast)};
+// Runs the shipped examples/<table>.json (10 Hz / 256 B) and
+// examples/<table>_20hz.json (the 20 Hz / 64 B probe of the table's second
+// row) at 120 s, each in its own run.
+void check_zing_table(const char* table, const char* label, const GoldenZingRow (&want)[2]) {
+    GoldenZingRow got[2];
+    const std::string names[2] = {std::string{table} + ".json",
+                                  std::string{table} + "_20hz.json"};
+    for (int i = 0; i < 2; ++i) {
+        const auto r = parse_scenario_spec(
+            shipped_doc(names[i].c_str(), "traffic.duration_s", 120), names[i]);
+        ASSERT_TRUE(r.ok) << r.error;
+        got[i] = run_zing_row(r.spec);
+    }
     if (golden_print()) {
         std::printf("const GoldenZingRow %s[2] = {\n", label);
         print_zing_row("10 Hz, 256 B", got[0]);
@@ -848,15 +852,15 @@ const GoldenZingRow kShippedTable3[2] = {
 };
 
 TEST(SpecGolden, ShippedTable1SpecMatchesTableBench) {
-    check_zing_table("table1.json", "kShippedTable1", kShippedTable1);
+    check_zing_table("table1", "kShippedTable1", kShippedTable1);
 }
 
 TEST(SpecGolden, ShippedTable2SpecMatchesTableBench) {
-    check_zing_table("table2.json", "kShippedTable2", kShippedTable2);
+    check_zing_table("table2", "kShippedTable2", kShippedTable2);
 }
 
 TEST(SpecGolden, ShippedTable3SpecMatchesTableBench) {
-    check_zing_table("table3.json", "kShippedTable3", kShippedTable3);
+    check_zing_table("table3", "kShippedTable3", kShippedTable3);
 }
 #endif  // BB_EXAMPLES_DIR
 

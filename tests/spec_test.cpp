@@ -120,7 +120,7 @@ TEST(SpecErrors, TopLevelDiagnosticsHaveNoEmptyKeyPath) {
     EXPECT_EQ(parse(R"({"bogus": 1})").error, "spec.json:1: unknown key \"bogus\"");
     EXPECT_EQ(parse("{\n  \"base\": {},\n  \"axes\": {}\n}").error,
               "spec.json:2: this is a sweep spec (it has a \"base\" section); run it "
-              "with bb_sweep run");
+              "with bb sweep");
 }
 
 TEST(SpecErrors, OutOfRangeLinkParams) {

@@ -1,12 +1,14 @@
 // Sweep-engine tests: spec parsing and axis conflicts, grid expansion order,
 // config-hash stability/invalidation, the on-disk cell cache (cold run
 // computes, warm run hits, an edited axis value invalidates only the cells it
-// touches), cells that differ only in "analysis" sharing one simulation, and
-// the per-sweep summary CSV.
+// touches, an entry without this build's format tag is recomputed), cells
+// that differ only in "analysis" sharing one simulation, and the per-sweep
+// summary CSV.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <utility>
@@ -286,6 +288,65 @@ TEST_F(SweepRunnerCache, CorruptCacheEntryIsRecomputedNotTrusted) {
     EXPECT_EQ(again.cached, 1u);
 }
 
+TEST_F(SweepRunnerCache, CacheEntryCountsOnlyWithThisBuildsSchemaTag) {
+    const auto cold = run(kTwoCellSweep);
+    ASSERT_TRUE(cold.ok) << cold.error;
+
+    // Strip the format tag from one entry, as a build that predates it wrote
+    // them: same config hash, but its key set is not this build's.
+    const std::string tag = std::string{"  \"schema\": \""} + kCellSchema + "\",\n";
+    const fs::path entry = cache_dir_ / (cold.cells[0].config_hash + ".json");
+    std::ifstream in{entry};
+    std::string text{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+    in.close();
+    const auto at = text.find(tag);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.erase(at, tag.size());
+    ASSERT_TRUE(write_text_file(entry.string(), text));
+
+    const auto again = run(kTwoCellSweep);
+    ASSERT_TRUE(again.ok) << again.error;
+    EXPECT_FALSE(again.cells[0].cached);
+    EXPECT_TRUE(again.cells[1].cached);
+    EXPECT_EQ(json_canonical(again.cells[0].result), json_canonical(cold.cells[0].result));
+
+    // The recomputed entry is rewritten with the tag: now every cell hits.
+    const auto warm = run(kTwoCellSweep);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    EXPECT_EQ(warm.cached, 2u);
+}
+
+// The cell document's keys, pinned beside its format tag: a change to either
+// list must come with a new kCellSchema, or stale cache entries are served.
+TEST_F(SweepRunnerCache, CellDocumentKeySetIsPinnedToItsSchemaTag) {
+    EXPECT_STREQ(kCellSchema, "bb.cell.v1");
+    const auto cold = run(kTwoCellSweep);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    const auto keys = [](const JsonValue* v) {
+        std::vector<std::string> out;
+        if (v != nullptr) {
+            for (const auto& m : v->members) out.push_back(m.first);
+        }
+        return out;
+    };
+    const JsonValue& doc = cold.cells[0].result;
+    EXPECT_EQ(keys(&doc), (std::vector<std::string>{"schema", "config_hash", "name", "axes",
+                                                    "aggregate", "replicas"}));
+    EXPECT_EQ(keys(doc.find("aggregate")),
+              (std::vector<std::string>{"p", "replicas", "true_frequency", "est_frequency",
+                                        "true_duration_s", "est_duration_s",
+                                        "offered_load"}));
+    const JsonValue* replicas = doc.find("replicas");
+    ASSERT_NE(replicas, nullptr);
+    ASSERT_FALSE(replicas->items.empty());
+    EXPECT_EQ(keys(&replicas->items[0]),
+              (std::vector<std::string>{
+                  "replica", "seed", "true_frequency", "est_frequency", "true_duration_s",
+                  "est_duration_s", "episodes", "queue_drops", "upstream_drops", "experiments",
+                  "pair_asymmetry", "path_loss_rate", "passive_loss_rate",
+                  "qbit_merged_blocks"}));
+}
+
 TEST_F(SweepRunnerCache, PerCellResultFilesLandInOutDir) {
     const auto cold = run(kTwoCellSweep);
     ASSERT_TRUE(cold.ok) << cold.error;
@@ -372,7 +433,7 @@ TEST_F(SweepRunnerCache, ProgressHookFiresPerCellInOrder) {
 
 // Every publish goes through write_text_file's tmp+rename, so a concurrent
 // reader mid-sweep sees either nothing or a complete document — never a
-// truncated prefix.  This hook emulates bb_sweep's --progress-json sink and
+// truncated prefix.  This hook emulates bb sweep's --progress-json sink and
 // re-parses the file after EVERY cell, i.e. genuinely mid-sweep.
 TEST_F(SweepRunnerCache, MidSweepProgressJsonParsesAndNoTmpFilesRemain) {
     const auto r = load_sweep_spec_text(kTwoCellSweep, "sweep.json");
