@@ -106,6 +106,10 @@ if [[ "${BB_CI_SKIP_DETERMINISM:-0}" != 1 ]]; then
   # Web sessions over short TCP flows with delay-based truth (the
   # web_shortflows workload, shortened).
   same_digest tests/data/web_shortflows_short.json 1 4
+  # Synthetic replicas (probe.streaming): 8 streams of 200k slots, then the
+  # benchmark's stream_synth spec as shipped (128 streams of 200k slots).
+  same_digest tests/data/stream_replicas.json 1 4
+  same_digest perfbench/specs/stream_synth.json 1 4
   rm -rf "$det_dir"
 fi
 

@@ -26,13 +26,14 @@ void StreamingAnalyzer::consume(const ExperimentResult& r) {
     reports_ctr_->inc();
 }
 
-StreamingAnalyzer::Result StreamingAnalyzer::finalize() const {
+StreamingAnalyzer::Result StreamingAnalyzer::evaluate(const StateCounts& counts,
+                                                      EstimatorOptions opts) {
     Result res;
-    res.frequency = estimate_frequency(counts_, opts_);
-    res.duration_basic = estimate_duration_basic(counts_, opts_);
-    res.duration_improved = estimate_duration_improved(counts_, opts_);
-    res.validation = validate(counts_);
-    res.reports = reports();
+    res.frequency = estimate_frequency(counts, opts);
+    res.duration_basic = estimate_duration_basic(counts, opts);
+    res.duration_improved = estimate_duration_improved(counts, opts);
+    res.validation = validate(counts);
+    res.reports = counts.basic_total() + counts.extended_total();
     return res;
 }
 

@@ -5,7 +5,7 @@
 // so there is no second copy of the arithmetic to drift.
 //
 // The EstimatorOptions are fixed at construction: finalize() evaluates under
-// them.  Callers that want other options re-evaluate counts() directly.
+// them.  Callers that want other options pass counts() to evaluate().
 #ifndef BB_CORE_STREAMING_H
 #define BB_CORE_STREAMING_H
 
@@ -23,10 +23,10 @@ class Counter;
 namespace bb::core {
 
 // Frequency + basic/improved duration + validation over whatever has been
-// consumed so far: the engine behind BadabingTool::analyze() and `bb run`'s
-// probe.streaming mode.  Each consumed report also folds into the
-// determinism hash chain (DESIGN.md §14); sinks that must not fold use
-// CountsSink instead.
+// consumed so far: the engine behind BadabingTool::analyze() and the
+// synthetic (probe.streaming) replicas of ReplicaRunner.  Each consumed
+// report also folds into the determinism hash chain (DESIGN.md §14); sinks
+// that must not fold use CountsSink instead.
 class StreamingAnalyzer final : public ReportSink {
 public:
     struct Result {
@@ -47,7 +47,11 @@ public:
 
     void consume(const ExperimentResult& r) override;
 
-    [[nodiscard]] Result finalize() const;
+    [[nodiscard]] Result finalize() const { return evaluate(counts_, opts_); }
+
+    // The estimates of any tally under `opts`: finalize() is this on the
+    // analyzer's own counts and options.
+    [[nodiscard]] static Result evaluate(const StateCounts& counts, EstimatorOptions opts);
 
     [[nodiscard]] const StateCounts& counts() const noexcept { return counts_; }
     [[nodiscard]] std::uint64_t reports() const noexcept {

@@ -92,11 +92,6 @@ void for_each_trace_record(std::istream& in, OutcomeSink& sink) {
     }
 }
 
-void for_each_trace_record_file(const std::string& path, OutcomeSink& sink) {
-    auto in = open_in(path);
-    for_each_trace_record(in, sink);
-}
-
 std::vector<ProbeOutcome> read_trace(std::istream& in) {
     VectorSink<ProbeOutcome> sink;
     for_each_trace_record(in, sink);
@@ -132,11 +127,6 @@ void for_each_design_record(std::istream& in, Sink<Experiment>& sink) {
         e.kind = f[1] != 0 ? ExperimentKind::extended : ExperimentKind::basic;
         sink.consume(e);
     }
-}
-
-void for_each_design_record_file(const std::string& path, Sink<Experiment>& sink) {
-    auto in = open_in(path);
-    for_each_design_record(in, sink);
 }
 
 std::vector<Experiment> read_design(std::istream& in) {

@@ -37,7 +37,6 @@ void write_trace_file(const std::string& path, const std::vector<ProbeOutcome>& 
 // of any length can be consumed in O(1) memory.  read_trace is this plus a
 // VectorSink.  Throws on bad input like read_trace.
 void for_each_trace_record(std::istream& in, OutcomeSink& sink);
-void for_each_trace_record_file(const std::string& path, OutcomeSink& sink);
 
 // --- experiment designs -----------------------------------------------------
 void write_design(std::ostream& out, const std::vector<Experiment>& experiments);
@@ -47,7 +46,6 @@ void write_design_file(const std::string& path, const std::vector<Experiment>& e
 [[nodiscard]] std::vector<Experiment> read_design_file(const std::string& path);
 
 void for_each_design_record(std::istream& in, Sink<Experiment>& sink);
-void for_each_design_record_file(const std::string& path, Sink<Experiment>& sink);
 
 }  // namespace bb::core
 

@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <optional>
 
+#include "core/probe_process.h"
+#include "core/streaming.h"
+#include "core/synthetic.h"
+#include "obs/log.h"
+#include "obs/process_stats.h"
 #include "obs/trace.h"
 #include "util/contract.h"
 #include "util/stats.h"
@@ -12,8 +17,45 @@ namespace bb::scenarios {
 
 namespace {
 
-// One replica: build and simulate its world once, then analyse the probe
-// outcomes under every entry of `analyses` into results[a][index].  The
+// The synthetic replica's alternating-renewal process (mean episode and gap
+// lengths, in slots) and the slot cadence of its RSS snapshot log line.
+constexpr double kStreamMeanOnSlots = 20.0;
+constexpr double kStreamMeanOffSlots = 180.0;
+constexpr std::int64_t kSnapshotSlots = 10'000'000;
+
+// Replica `index`'s hash chain when plan.hashing is on (replica 0 keeps the
+// trace ring), else null.
+std::shared_ptr<core::RunHasher> replica_hasher(const ReplicaPlan& plan, std::size_t index) {
+    if (!plan.hashing) return nullptr;
+    return std::make_shared<core::RunHasher>(index == 0 ? plan.hash_trace_capacity : 0);
+}
+
+// Fill results[a][index] from `base` and `analyze(analyses[a], result)` for
+// every analysis, each folding into its own copy of the replica's chain.
+template <typename Analyze>
+void analyse_each(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analyses,
+                  const ReplicaResult& base, const std::shared_ptr<core::RunHasher>& hasher,
+                  std::vector<std::vector<ReplicaResult>>& results, Analyze&& analyze) {
+    for (std::size_t a = 0; a < analyses.size(); ++a) {
+        ReplicaResult& r = results[a][base.index];
+        r = base;
+        std::shared_ptr<core::RunHasher> chain;
+        std::optional<core::HashScope> chain_scope;
+        if (hasher) {
+            chain = std::make_shared<core::RunHasher>(*hasher);
+            chain_scope.emplace(*chain);
+        }
+        analyze(analyses[a], r.result);
+        if (chain) {
+            r.state_hash = chain->digest();
+            r.hash_records = chain->records();
+            if (base.index == 0 && plan.hash_trace_capacity > 0) r.hash_trace = chain;
+        }
+    }
+}
+
+// One simulated replica: build and simulate its world once, then analyse the
+// probe outcomes under every entry of `analyses` into results[a][index].  The
 // caller sizes `results`, so a worker allocates no result storage that
 // outlives its replica.
 void run_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analyses,
@@ -25,13 +67,9 @@ void run_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analys
     // on whichever worker thread it landed on; each analysis below folds into
     // its own copy of that chain.  The main thread never gets a scope, so
     // aggregation bootstrap draws stay out of the digest by construction.
-    std::shared_ptr<core::RunHasher> hasher;
+    const std::shared_ptr<core::RunHasher> hasher = replica_hasher(plan, index);
     std::optional<core::HashScope> hash_scope;
-    if (plan.hashing) {
-        hasher = std::make_shared<core::RunHasher>(
-            index == 0 ? plan.hash_trace_capacity : 0);
-        hash_scope.emplace(*hasher);
-    }
+    if (hasher) hash_scope.emplace(*hasher);
     TestbedConfig tb = plan.testbed;
     // RED's randomized drops get their own stream so queue and workload
     // randomness stay decoupled within a replica.
@@ -72,25 +110,73 @@ void run_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analys
     }
     if (recording) sim.series = recording->share();
 
-    for (std::size_t a = 0; a < analyses.size(); ++a) {
-        ReplicaResult& r = results[a][index];
-        r = sim;
-        std::shared_ptr<core::RunHasher> chain;
-        std::optional<core::HashScope> chain_scope;
-        if (hasher) {
-            chain = std::make_shared<core::RunHasher>(*hasher);
-            chain_scope.emplace(*chain);
-        }
-        const ReplicaAnalysis& analysis = analyses[a];
-        const core::MarkingConfig marking =
-            analysis.marking ? *analysis.marking : exp.default_marking(plan.probe.p);
-        r.result = tool.analyze(marking, analysis.estimator);
-        if (chain) {
-            r.state_hash = chain->digest();
-            r.hash_records = chain->records();
-            if (index == 0 && plan.hash_trace_capacity > 0) r.hash_trace = chain;
+    analyse_each(plan, analyses, sim, hasher, results,
+                 [&](const ReplicaAnalysis& analysis, probes::BadabingResult& out) {
+                     const core::MarkingConfig marking =
+                         analysis.marking ? *analysis.marking
+                                          : exp.default_marking(plan.probe.p);
+                     out = tool.analyze(marking, analysis.estimator);
+                 });
+}
+
+// One synthetic replica: generator -> streaming scorer -> online tallies, one
+// slot at a time, so no series, design or report vector is materialized and
+// resident memory does not grow with the slot count.  Every analysis is an
+// evaluation of the one stream's tallies under its estimator options.
+void run_stream_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analyses,
+                    std::size_t index, std::uint64_t seed,
+                    std::vector<std::vector<ReplicaResult>>& results) {
+    const obs::Span span{"replica", "scenarios", "replica",
+                         static_cast<std::int64_t>(index)};
+    // The generator's and the scorer's Rng draws and every report fold.
+    const std::shared_ptr<core::RunHasher> hasher = replica_hasher(plan, index);
+    std::optional<core::HashScope> hash_scope;
+    if (hasher) hash_scope.emplace(*hasher);
+    const std::int64_t slots = stream_slots(plan);
+    core::ProbeProcessConfig pcfg;
+    pcfg.p = plan.probe.p;
+    pcfg.improved = plan.probe.improved;
+    pcfg.extended_fraction = plan.probe.extended_fraction;
+    core::SyntheticSeriesGen gen{Rng{seed ^ 0x5EED5ULL}, kStreamMeanOnSlots,
+                                 kStreamMeanOffSlots};
+    core::SeriesTruthAccumulator truth;
+    core::StreamingAnalyzer analyzer;
+    core::StreamingExperimentScorer scorer{Rng{seed ^ 0xBADA0ULL}, pcfg, analyzer};
+    for (std::int64_t s = 0; s < slots; ++s) {
+        const bool congested = gen.next();
+        truth.consume(congested);
+        scorer.step(congested);
+        // Keyed on slot count (not wall clock) so the log stays deterministic.
+        if ((s + 1) % kSnapshotSlots == 0) {
+            obs::logf(obs::LogLevel::info,
+                      "replica %zu: snapshot slot %lld/%lld: reports_scored %llu, "
+                      "max RSS %lld KiB",
+                      index, static_cast<long long>(s + 1), static_cast<long long>(slots),
+                      static_cast<unsigned long long>(analyzer.reports()),
+                      static_cast<long long>(obs::process_stats().max_rss_kb));
         }
     }
+    hash_scope.reset();
+
+    const core::SeriesTruth t = truth.finalize();
+    ReplicaResult stream;
+    stream.index = index;
+    stream.seed = seed;
+    stream.truth.frequency = t.frequency;
+    stream.truth.mean_duration_s = t.mean_duration_slots * plan.probe.slot_width.to_seconds();
+    stream.truth.episodes = t.episodes;
+    stream.episodes = t.episodes;
+    stream.result.counts = analyzer.counts();
+    stream.result.experiments = scorer.experiments_completed();
+    analyse_each(plan, analyses, stream, hasher, results,
+                 [&](const ReplicaAnalysis& analysis, probes::BadabingResult& out) {
+                     const auto res =
+                         core::StreamingAnalyzer::evaluate(out.counts, analysis.estimator);
+                     out.frequency = res.frequency;
+                     out.duration_basic = res.duration_basic;
+                     out.duration_improved = res.duration_improved;
+                     out.validation = res.validation;
+                 });
 }
 
 AggregateStat collapse(const std::vector<double>& values, const ReplicaRunner::Config& cfg,
@@ -115,6 +201,11 @@ std::vector<std::uint64_t> ReplicaRunner::replica_seeds(std::uint64_t master_see
     return seeds;
 }
 
+std::int64_t stream_slots(const ReplicaPlan& plan) noexcept {
+    return plan.probe.total_slots > 0 ? static_cast<std::int64_t>(plan.probe.total_slots)
+                                      : plan.workload.duration / plan.probe.slot_width;
+}
+
 std::vector<ReplicaResult> ReplicaRunner::run(const ReplicaPlan& plan) const {
     return std::move(run(plan, {plan.analysis}).front());
 }
@@ -124,7 +215,8 @@ std::vector<std::vector<ReplicaResult>> ReplicaRunner::run(
     const auto seeds = replica_seeds(cfg_.master_seed, cfg_.replicas);
     std::vector<std::vector<ReplicaResult>> results(analyses.size(),
                                                     std::vector<ReplicaResult>(cfg_.replicas));
-    auto run_replica = [&](std::size_t i) { run_one(plan, analyses, i, seeds[i], results); };
+    const auto one = plan.streaming ? run_stream_one : run_one;
+    auto run_replica = [&](std::size_t i) { one(plan, analyses, i, seeds[i], results); };
 
     // Never spin up more workers than replicas.
     const std::size_t want = cfg_.threads == 0 ? ThreadPool::default_threads() : cfg_.threads;
@@ -161,7 +253,7 @@ AggregateRow ReplicaRunner::aggregate(const ReplicaPlan& plan,
     row.p = plan.probe.p;
     row.replicas = results.size();
 
-    std::vector<double> true_f, est_f, true_d, est_d, load;
+    std::vector<double> true_f, est_f, true_d, est_d, load, improved;
     true_f.reserve(results.size());
     est_f.reserve(results.size());
     true_d.reserve(results.size());
@@ -173,6 +265,9 @@ AggregateRow ReplicaRunner::aggregate(const ReplicaPlan& plan,
         true_d.push_back(r.truth.mean_duration_s);
         est_d.push_back(r.est_duration_s(plan.probe.slot_width));
         load.push_back(r.offered_load);
+        if (r.result.duration_improved.valid) {
+            improved.push_back(r.result.duration_improved.seconds(plan.probe.slot_width));
+        }
     }
 
     // One serial bootstrap stream per aggregation keeps the row a pure
@@ -183,6 +278,8 @@ AggregateRow ReplicaRunner::aggregate(const ReplicaPlan& plan,
     row.true_duration_s = collapse(true_d, cfg_, rng);
     row.est_duration_s = collapse(est_d, cfg_, rng);
     row.offered_load = collapse(load, cfg_, rng);
+    // Last, so the stats above keep the bootstrap draws they had before it.
+    if (!improved.empty()) row.est_duration_improved_s = collapse(improved, cfg_, rng);
     return row;
 }
 

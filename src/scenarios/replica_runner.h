@@ -7,21 +7,25 @@
 // (master_seed, replica_index) via Rng::fork, and aggregates the per-replica
 // results into mean / stddev / percentile-bootstrap confidence intervals.
 //
+// A replica is simulated (a testbed, workload and BADABING prober) or, for a
+// plan with `streaming`, synthetic: the §5.2.1 alternating-renewal
+// congestion series scored slot by slot in O(1) memory, where the truth is
+// exact.  Both land in the same ReplicaResult and aggregate the same way.
+//
 // Concurrency model: scenarios::Experiment is non-copyable and strictly
 // single-threaded; parallelism is across replicas only.  Each replica builds
-// its whole world (testbed, workload, prober) inside its task, and results
-// are stored by replica index.  Because seeds are computed serially before
-// any task is submitted and aggregation walks results in index order, the
-// output is bit-identical for any thread count — the scheduler can only
-// change *when* a replica runs, never *what* it computes.
+// its whole world (testbed, workload, prober, or synthetic stream) inside its
+// task, and results are stored by replica index.  Because seeds are computed
+// serially before any task is submitted and aggregation walks results in
+// index order, the output is bit-identical for any thread count — the
+// scheduler can only change *when* a replica runs, never *what* it computes.
 #ifndef BB_SCENARIOS_REPLICA_RUNNER_H
 #define BB_SCENARIOS_REPLICA_RUNNER_H
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
-
-#include <memory>
 
 #include "core/bootstrap.h"
 #include "core/run_hasher.h"
@@ -59,7 +63,16 @@ struct ReplicaPlan {
     bool hashing{false};
     // Bounded trace ring kept by replica 0 for --hash-trace-out (0 = none).
     std::size_t hash_trace_capacity{0};
+    // Synthetic replicas (probe.streaming): a congestion series of mean
+    // episode 20 and mean gap 180 slots feeds the streaming probe scorer
+    // (probe.p, improved, extended_fraction) for stream_slots(plan) slots.
+    // testbed, truth, probe marking and recording are not used.
+    bool streaming{false};
 };
+
+// A synthetic replica's length: probe.total_slots, or the workload duration
+// in slots when that is 0.
+[[nodiscard]] std::int64_t stream_slots(const ReplicaPlan& plan) noexcept;
 
 struct ReplicaResult {
     std::size_t index{0};
@@ -72,7 +85,8 @@ struct ReplicaResult {
     // run summary exactly.
     std::uint64_t queue_drops{0};
     // Path-level extras the sweep engine writes into each cell's replica
-    // documents.  Zero when the relevant instrumentation is off.
+    // documents.  Zero when the relevant instrumentation is off, and on a
+    // synthetic replica (as are offered_load and queue_drops).
     std::uint64_t upstream_drops{0};  // the upstream hops' share of queue_drops
     std::size_t episodes{0};
     double path_loss_rate{0.0};      // (queue + GE drops) / queue arrivals
@@ -109,6 +123,9 @@ struct AggregateRow {
     AggregateStat true_duration_s;
     AggregateStat est_duration_s;
     AggregateStat offered_load;
+    // The §5.3 improved duration over the replicas whose estimate is valid;
+    // unset when none is.
+    std::optional<AggregateStat> est_duration_improved_s;
 };
 
 class ReplicaRunner {

@@ -633,6 +633,7 @@ ReplicaPlan replica_plan_from(const ScenarioSpec& spec) {
     plan.probe = spec.badabing;
     if (spec.marking_alpha || spec.marking_tau) plan.analysis.marking = marking_for(spec);
     plan.analysis.estimator = spec.estimator;
+    plan.streaming = spec.streaming;
     return plan;
 }
 

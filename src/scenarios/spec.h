@@ -44,8 +44,10 @@ struct ScenarioSpec {
     probes::BadabingConfig badabing;
     probes::ZingProber::Config zing;
     probes::StingProber::Config sting;
-    // Streaming analysis path (bounded-memory truth + O(1) report consumers),
-    // run by `bb run` over a synthetic congestion series.
+    // Synthetic replicas instead of simulated ones: ReplicaRunner scores a
+    // §5.2.1 alternating-renewal congestion series slot by slot in O(1)
+    // memory (`bb sweep`), probe.badabing.total_slots long, or
+    // traffic.duration_s in slots when that is 0.
     bool streaming{false};
 
     // Marking overrides; unset means the paper's per-p defaults

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -219,12 +220,22 @@ std::string cell_result_json(const SweepCell& cell, const AggregateRow& row,
     for (const auto& [path, value] : cell.axis_values) w.key(path).value(value);
     w.end_object();
 
-    auto stat = [&](const char* name, const AggregateStat& s) {
+    // A number, or null for an estimate that does not exist.
+    auto number = [&](const char* key, bool valid, double v) {
+        w.key(key);
+        if (valid) {
+            w.value_double(v, fmt);
+        } else {
+            w.value_null();
+        }
+    };
+    auto stat = [&](const char* name, const std::optional<AggregateStat>& s) {
+        const AggregateStat v = s.value_or(AggregateStat{});
         w.key(name).begin_object_inline();
-        w.key("mean").value_double(s.mean, fmt);
-        w.key("stddev").value_double(s.stddev, fmt);
-        w.key("ci_lo").value_double(s.ci.lo, fmt);
-        w.key("ci_hi").value_double(s.ci.hi, fmt);
+        number("mean", s.has_value(), v.mean);
+        number("stddev", s.has_value(), v.stddev);
+        number("ci_lo", s.has_value(), v.ci.lo);
+        number("ci_hi", s.has_value(), v.ci.hi);
         w.end_object();
     };
     w.key("aggregate").begin_object();
@@ -235,6 +246,7 @@ std::string cell_result_json(const SweepCell& cell, const AggregateRow& row,
     stat("true_duration_s", row.true_duration_s);
     stat("est_duration_s", row.est_duration_s);
     stat("offered_load", row.offered_load);
+    stat("est_duration_improved_s", row.est_duration_improved_s);
     w.end_object();
 
     w.key("replicas").begin_array();
@@ -246,6 +258,10 @@ std::string cell_result_json(const SweepCell& cell, const AggregateRow& row,
         w.key("est_frequency").value_double(r.est_frequency(), fmt);
         w.key("true_duration_s").value_double(r.truth.mean_duration_s, fmt);
         w.key("est_duration_s").value_double(r.est_duration_s(slot_width), fmt);
+        const core::DurationEstimate& improved = r.result.duration_improved;
+        number("est_duration_improved_s", improved.valid, improved.seconds(slot_width));
+        number("r_hat", improved.valid && improved.r_hat.has_value(),
+               improved.r_hat.value_or(0.0));
         w.key("episodes").value_uint(r.episodes);
         w.key("queue_drops").value_uint(r.queue_drops);
         w.key("upstream_drops").value_uint(r.upstream_drops);
@@ -330,13 +346,19 @@ SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
     RunOutcome out;
     namespace fs = std::filesystem;
     for (const SweepCell& cell : cells) {
-        // The streaming pipeline has no simulator to sweep; it is `bb run`'s.
-        const char* why = cell.spec.tool != ScenarioSpec::ProbeTool::badabing
-                              ? "the sweep engine estimates with probe.tool = \"badabing\""
-                          : cell.spec.streaming
-                              ? "probe.streaming: the sweep engine simulates every cell; run a "
-                                "streaming spec with bb run"
-                              : nullptr;
+        const ScenarioSpec& spec = cell.spec;
+        const char* why =
+            spec.tool != ScenarioSpec::ProbeTool::badabing
+                ? "the sweep engine estimates with probe.tool = \"badabing\""
+            : spec.topology != ScenarioSpec::Topology::dumbbell
+                ? "only the dumbbell topology hosts a replica; topology is \"figure3\""
+            : !spec.streaming ? nullptr
+            : stream_slots(replica_plan_from(spec)) < 1
+                ? "probe.streaming needs at least one slot (probe.badabing.total_slots, or "
+                  "traffic.duration_s of at least one slot_ms)"
+            : cfg_.recording.enabled
+                ? "probe.streaming: a synthetic stream has no sim-time series to record"
+                : nullptr;
         if (why != nullptr) {
             out.error =
                 "cell " + std::to_string(cell.index) + " (" + cell.config_hash + "): " + why;

@@ -32,7 +32,14 @@
 // once the top-level "analysis" object is removed differ only in how the
 // probe outcomes are marked and estimated.  SweepRunner runs each such group
 // of uncached cells as one simulation per replica and analyses it once per
-// member, with results and digests bit-identical to one run per cell.
+// member, with results and digests bit-identical to one run per cell.  A
+// probe.streaming cell runs synthetic replicas (ReplicaPlan::streaming): its
+// group shares one stream per replica and re-evaluates the stream's tallies
+// under each member's estimator options.
+//
+// A cell is refused, naming it, when it is no BADABING replica: another
+// probe.tool, a figure3 topology, a zero-slot stream, or a stream under
+// series recording.
 #ifndef BB_SCENARIOS_SWEEP_H
 #define BB_SCENARIOS_SWEEP_H
 
@@ -134,8 +141,8 @@ public:
         std::vector<CellOutcome> cells;
         std::size_t computed{0};
         std::size_t cached{0};
-        // Simulations run: one per group of computed cells that differ only
-        // in their "analysis" objects.
+        // Simulations (or synthetic streams) run: one per group of computed
+        // cells that differ only in their "analysis" objects.
         std::size_t simulated{0};
         // Hashed-cell digests folded in cell order (Config::state_hash).
         std::size_t hashed_cells{0};
@@ -161,12 +168,13 @@ private:
 
 // Format tag of the per-cell result document.  Bump it whenever the
 // document's keys change: a cache entry with another tag is recomputed.
-inline constexpr const char* kCellSchema = "bb.cell.v1";
+inline constexpr const char* kCellSchema = "bb.cell.v2";
 
 // The per-cell result document (pretty JSON, %.17g doubles so cached values
 // round-trip exactly): schema, config_hash, name, axes, aggregate stats, and
-// the per-replica trajectory including the path/passive loss-rate,
-// upstream-drop and pair-asymmetry extras.
+// the per-replica trajectory including the §5.3 improved duration and its
+// r_hat (null when invalid), the path/passive loss-rate, upstream-drop and
+// pair-asymmetry extras.  An invalid basic duration is written as 0.
 [[nodiscard]] std::string cell_result_json(const SweepCell& cell,
                                            const AggregateRow& row,
                                            const std::vector<ReplicaResult>& replicas,

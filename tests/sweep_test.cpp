@@ -2,10 +2,12 @@
 // config-hash stability/invalidation, the on-disk cell cache (cold run
 // computes, warm run hits, an edited axis value invalidates only the cells it
 // touches, an entry without this build's format tag is recomputed), cells
-// that differ only in "analysis" sharing one simulation, and the per-sweep
-// summary CSV.
+// that differ only in "analysis" sharing one simulation, the per-sweep
+// summary CSV, and synthetic (probe.streaming) cells: equal to the synthetic
+// recipe run by hand, grouped by analysis, and refused where they cannot run.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -14,6 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/probe_process.h"
+#include "core/streaming.h"
+#include "core/synthetic.h"
 #include "obs/control.h"
 #include "scenarios/sweep.h"
 #include "util/json_io.h"
@@ -319,7 +324,7 @@ TEST_F(SweepRunnerCache, CacheEntryCountsOnlyWithThisBuildsSchemaTag) {
 // The cell document's keys, pinned beside its format tag: a change to either
 // list must come with a new kCellSchema, or stale cache entries are served.
 TEST_F(SweepRunnerCache, CellDocumentKeySetIsPinnedToItsSchemaTag) {
-    EXPECT_STREQ(kCellSchema, "bb.cell.v1");
+    EXPECT_STREQ(kCellSchema, "bb.cell.v2");
     const auto cold = run(kTwoCellSweep);
     ASSERT_TRUE(cold.ok) << cold.error;
     const auto keys = [](const JsonValue* v) {
@@ -334,17 +339,17 @@ TEST_F(SweepRunnerCache, CellDocumentKeySetIsPinnedToItsSchemaTag) {
                                                     "aggregate", "replicas"}));
     EXPECT_EQ(keys(doc.find("aggregate")),
               (std::vector<std::string>{"p", "replicas", "true_frequency", "est_frequency",
-                                        "true_duration_s", "est_duration_s",
-                                        "offered_load"}));
+                                        "true_duration_s", "est_duration_s", "offered_load",
+                                        "est_duration_improved_s"}));
     const JsonValue* replicas = doc.find("replicas");
     ASSERT_NE(replicas, nullptr);
     ASSERT_FALSE(replicas->items.empty());
     EXPECT_EQ(keys(&replicas->items[0]),
               (std::vector<std::string>{
                   "replica", "seed", "true_frequency", "est_frequency", "true_duration_s",
-                  "est_duration_s", "episodes", "queue_drops", "upstream_drops", "experiments",
-                  "pair_asymmetry", "path_loss_rate", "passive_loss_rate",
-                  "qbit_merged_blocks"}));
+                  "est_duration_s", "est_duration_improved_s", "r_hat", "episodes",
+                  "queue_drops", "upstream_drops", "experiments", "pair_asymmetry",
+                  "path_loss_rate", "passive_loss_rate", "qbit_merged_blocks"}));
 }
 
 TEST_F(SweepRunnerCache, PerCellResultFilesLandInOutDir) {
@@ -592,6 +597,149 @@ TEST_F(SweepRunnerCache, StateHashCoversComputedCellsOnlyAndIsReproducible) {
     for (std::size_t i = 0; i < again.cells.size(); ++i) {
         EXPECT_EQ(again.cells[i].state_hash, cold.cells[i].state_hash);
     }
+}
+
+// --- synthetic (probe.streaming) cells --------------------------------------
+
+// 4 replicas of 20,000 slots each (100 s at 5 ms).
+constexpr const char* kStreamCell = R"({
+  "name": "s",
+  "traffic": {"duration_s": 100},
+  "probe": {"tool": "badabing", "streaming": true, "badabing": {"p": 0.3}},
+  "run": {"replicas": 4, "seed": 1}
+})";
+
+std::string g17(double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+double number_at(const JsonValue& doc, const char* key) {
+    const JsonValue* v = doc.find(key);
+    EXPECT_TRUE(v != nullptr && v->is_number()) << key;
+    return v != nullptr && v->is_number() ? v->number_value : -1.0;
+}
+
+// A streaming cell's replica i is the synthetic recipe run by hand on the
+// replica's positional seed: mean on/off 20/180 slots, generator seeded
+// seed ^ 0x5EED5, scorer seeded seed ^ 0xBADA0.
+TEST_F(SweepRunnerCache, StreamingCellEqualsTheSyntheticRecipe) {
+    const SpecResult spec = load_scenario_spec_text(kStreamCell, "s.json");
+    ASSERT_TRUE(spec.ok) << spec.error;
+    const TimeNs slot = spec.spec.badabing.slot_width;
+    const std::int64_t slots = spec.spec.workload.duration / slot;
+    ASSERT_EQ(slots, 20'000);
+
+    std::uint64_t digest = 0;
+    for (const std::size_t threads : {1u, 4u}) {
+        fs::remove_all(cache_dir_);
+        const auto r = load_sweep_spec_text(R"({"base": )" + std::string{kStreamCell} + "}",
+                                            "s.json");
+        ASSERT_TRUE(r.ok) << r.error;
+        const auto e = expand_sweep(r.sweep, "s.json");
+        ASSERT_TRUE(e.ok) << e.error;
+        SweepRunner::Config cfg;
+        cfg.out_dir = out_dir_.string();
+        cfg.cache_dir = cache_dir_.string();
+        cfg.threads = threads;
+        cfg.state_hash = true;
+        SweepRunner runner{std::move(cfg)};
+        const auto out = runner.run("s", e.cells);
+        ASSERT_TRUE(out.ok) << out.error;
+        ASSERT_EQ(out.cells.size(), 1u);
+        if (threads == 1) digest = out.merged_state_hash;
+        EXPECT_EQ(out.merged_state_hash, digest) << threads << " threads";
+
+        const JsonValue* reps = out.cells[0].result.find("replicas");
+        ASSERT_NE(reps, nullptr);
+        ASSERT_EQ(reps->items.size(), 4u);
+        const auto seeds = ReplicaRunner::replica_seeds(spec.spec.seed, 4);
+        for (std::size_t i = 0; i < seeds.size(); ++i) {
+            core::ProbeProcessConfig pcfg;
+            pcfg.p = spec.spec.badabing.p;
+            pcfg.improved = spec.spec.badabing.improved;
+            pcfg.extended_fraction = spec.spec.badabing.extended_fraction;
+            core::SyntheticSeriesGen gen{Rng{seeds[i] ^ 0x5EED5ULL}, 20.0, 180.0};
+            core::SeriesTruthAccumulator truth;
+            core::StreamingAnalyzer analyzer{spec.spec.estimator};
+            core::StreamingExperimentScorer scorer{Rng{seeds[i] ^ 0xBADA0ULL}, pcfg, analyzer};
+            for (std::int64_t k = 0; k < slots; ++k) {
+                const bool c = gen.next();
+                truth.consume(c);
+                scorer.step(c);
+            }
+            const core::SeriesTruth t = truth.finalize();
+            const auto res = analyzer.finalize();
+            const double slot_s = slot.to_seconds();
+
+            const JsonValue& rep = reps->items[i];
+            EXPECT_EQ(g17(number_at(rep, "true_frequency")), g17(t.frequency));
+            EXPECT_EQ(g17(number_at(rep, "est_frequency")), g17(res.frequency.value));
+            EXPECT_EQ(g17(number_at(rep, "true_duration_s")),
+                      g17(t.mean_duration_slots * slot_s));
+            ASSERT_TRUE(res.duration_basic.valid);
+            EXPECT_EQ(g17(number_at(rep, "est_duration_s")),
+                      g17(res.duration_basic.slots * slot_s));
+            EXPECT_EQ(number_at(rep, "episodes"), static_cast<double>(t.episodes));
+            EXPECT_EQ(number_at(rep, "experiments"),
+                      static_cast<double>(scorer.experiments_completed()));
+        }
+    }
+}
+
+// Streaming cells that differ only in "analysis" share one stream per
+// replica, and each equals the cell run on its own.
+TEST_F(SweepRunnerCache, StreamingAnalysisCellsShareOneStream) {
+    constexpr const char* kBase = R"({
+      "traffic": {"duration_s": 100},
+      "probe": {"tool": "badabing", "streaming": true,
+                "badabing": {"p": 0.3, "improved": true}},
+      "analysis": {"pairs_from_extended": %s},
+      "run": {"replicas": 2, "seed": 3}
+    })";
+    const auto grouped = run(R"({"name": "g", "base": {
+      "traffic": {"duration_s": 100},
+      "probe": {"tool": "badabing", "streaming": true,
+                "badabing": {"p": 0.3, "improved": true}},
+      "run": {"replicas": 2, "seed": 3}},
+      "axes": {"analysis.pairs_from_extended": [false, true]}})");
+    ASSERT_TRUE(grouped.ok) << grouped.error;
+    EXPECT_EQ(grouped.computed, 2u);
+    EXPECT_EQ(grouped.simulated, 1u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        fs::remove_all(cache_dir_);
+        char text[512];
+        std::snprintf(text, sizeof text, kBase, i == 0 ? "false" : "true");
+        const auto alone = run(R"({"name": "g", "base": )" + std::string{text} + "}");
+        ASSERT_TRUE(alone.ok) << alone.error;
+        const JsonValue& a = alone.cells[0].result;
+        const JsonValue& g = grouped.cells[i].result;
+        EXPECT_EQ(json_canonical(*a.find("replicas")), json_canonical(*g.find("replicas")));
+        EXPECT_EQ(json_canonical(*a.find("aggregate")), json_canonical(*g.find("aggregate")));
+        // The improved design yields a valid §5.3 estimate on 20,000 slots.
+        const JsonValue* improved = json_get_path(g, "aggregate.est_duration_improved_s.mean");
+        ASSERT_NE(improved, nullptr);
+        EXPECT_TRUE(improved->is_number());
+    }
+}
+
+TEST_F(SweepRunnerCache, CellsThatAreNoBadabingReplicaAreRefusedByName) {
+    const auto figure3 = run(R"({"base": {"topology": "figure3",
+      "traffic": {"kind": "cbr_uniform", "duration_s": 5}}})");
+    ASSERT_FALSE(figure3.ok);
+    EXPECT_NE(figure3.error.find("cell 0 ("), std::string::npos) << figure3.error;
+    EXPECT_NE(figure3.error.find("only the dumbbell topology"), std::string::npos)
+        << figure3.error;
+    const auto empty = run(R"({"base": {"traffic": {"duration_s": 0.001},
+      "probe": {"streaming": true}}})");
+    ASSERT_FALSE(empty.ok);
+    EXPECT_NE(empty.error.find("at least one slot"), std::string::npos) << empty.error;
+    const auto recorded =
+        run(R"({"base": )" + std::string{kStreamCell} + "}", /*recording=*/true);
+    ASSERT_FALSE(recorded.ok);
+    EXPECT_NE(recorded.error.find("no sim-time series"), std::string::npos) << recorded.error;
+    EXPECT_FALSE(fs::exists(out_dir_));
 }
 
 }  // namespace

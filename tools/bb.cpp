@@ -249,7 +249,8 @@ int sweep_main(int argc, char** argv) {
     }
     // The cells line is load-bearing: ci.sh greps "computed N" / "cached N"
     // to assert warm-cache behaviour.  "simulated N" counts the simulations
-    // run: computed cells that differ only in "analysis" share one.
+    // (or synthetic streams) run: computed cells that differ only in
+    // "analysis" share one.
     std::printf("\ncells: %zu total, computed %zu, cached %zu, simulated %zu\n",
                 outcome.cells.size(), outcome.computed, outcome.cached, outcome.simulated);
     if (hash.on()) {

@@ -1,7 +1,9 @@
 // bb estimate: offline analysis of a probe trace + design written by
 // `bb run` (or a real receiver writing the same format): congestion marking,
-// loss estimates, bootstrap confidence intervals, validation, and delay
-// statistics — without re-running any simulation.
+// loss estimates, the Markov fit, a stationarity check, bootstrap confidence
+// intervals, validation, and delay statistics — without re-running any
+// simulation.  Trace and design are read whole: the marker's tau/alpha rule
+// needs every probe, and the fit, check and bootstrap the report sequence.
 //
 //   $ bb run tests/data/run_badabing.json --trace=run.csv --design=run.design
 //   $ bb estimate --trace=run.csv --design=run.design --slot-ms=5
@@ -27,65 +29,13 @@
 
 namespace {
 
-// Output lines both modes print identically.
-void print_duration(const bb::core::StreamingAnalyzer::Result& res, bb::TimeNs slot) {
-    std::printf("duration     : %.4f s (basic)",
-                res.duration_basic.valid ? res.duration_basic.seconds(slot) : 0.0);
-    if (res.duration_improved.valid) {
-        std::printf("  |  %.4f s (improved, r_hat %.3f)", res.duration_improved.seconds(slot),
-                    res.duration_improved.r_hat.value_or(0.0));
-    }
-    std::printf("\n");
-}
-
-void print_validation(const bb::core::ValidationReport& v) {
-    std::printf("validation   : pair asymmetry %.3f, violations %.4f -> %s\n",
-                v.pair_asymmetry, v.violation_fraction, v.acceptable() ? "OK" : "SUSPECT");
-}
-
-void print_delays(const bb::core::DelaySummary& delays) {
-    if (delays.valid()) {
-        std::printf("delays       : base %.4f s, queueing p95 %.4f s, loss-conditional "
-                    "%.4f s\n",
-                    delays.base_delay.to_seconds(), delays.p95_queueing_s,
-                    delays.loss_conditional_queueing_s);
-    }
-}
-
-// The marker needs the full probe record (two-pass tau/alpha rule), but the
-// design is scored record by record into the analyzer — no experiment or
-// report vector is materialized.
+// Marks, scores and prints one recorded trace.  The report vector is kept
+// beside the analyzer: the Markov fit, the stationarity check and the
+// bootstrap need the report sequence.
 template <typename MarkFn>
-void analyze_stream(const std::string& design_path,
-                    const std::vector<bb::core::ProbeOutcome>& probes, bb::TimeNs slot,
-                    MarkFn&& is_congested, bb::core::StreamingAnalyzer& analyzer) {
-    using namespace bb::core;
-    std::uint64_t n_experiments = 0;
-    auto score = make_fn_sink<Experiment>([&](const Experiment& e) {
-        ++n_experiments;
-        score_experiments_into({&e, 1}, is_congested, analyzer);
-    });
-    for_each_design_record_file(design_path, score);
-
-    const auto res = analyzer.finalize();
-    std::printf("trace        : %zu probes, %llu experiments (streamed)\n", probes.size(),
-                static_cast<unsigned long long>(n_experiments));
-    std::printf("frequency    : %.5f  (online moment estimator, Sec 5.2.2)\n",
-                res.frequency.value);
-    print_duration(res, slot);
-    print_validation(res.validation);
-    print_delays(summarize_delays(probes));
-    std::printf("note         : bootstrap/markov/stationarity need the full report "
-                "sequence; run without --stream for those\n");
-}
-
-// Batch mode keeps the report vector beside the analyzer: the Markov fit,
-// the stationarity check and the bootstrap need the report sequence.
-template <typename MarkFn>
-void analyze_batch(const std::string& design_path,
-                   const std::vector<bb::core::ProbeOutcome>& probes, bb::TimeNs slot,
-                   MarkFn&& is_congested, bb::core::StreamingAnalyzer& analyzer,
-                   std::int64_t replicates, std::uint64_t seed) {
+void analyze(const std::string& design_path, const std::vector<bb::core::ProbeOutcome>& probes,
+             bb::TimeNs slot, MarkFn&& is_congested, bb::core::StreamingAnalyzer& analyzer,
+             std::int64_t replicates, std::uint64_t seed) {
     using namespace bb;
     using namespace bb::core;
     const auto experiments = read_design_file(design_path);
@@ -101,16 +51,30 @@ void analyze_batch(const std::string& design_path,
                                     ? 0
                                     : experiments.back().start_slot + 3;
     const auto stationarity = check_stationarity(experiments, results, last_slot);
+    const auto delays = summarize_delays(probes);
 
     std::printf("trace        : %zu probes, %zu experiments\n", probes.size(),
                 experiments.size());
     std::printf("frequency    : %.5f  (moment estimator, Sec 5.2.2)\n", res.frequency.value);
-    print_duration(res, slot);
+    std::printf("duration     : %.4f s (basic)",
+                res.duration_basic.valid ? res.duration_basic.seconds(slot) : 0.0);
+    if (res.duration_improved.valid) {
+        std::printf("  |  %.4f s (improved, r_hat %.3f)", res.duration_improved.seconds(slot),
+                    res.duration_improved.r_hat.value_or(0.0));
+    }
+    std::printf("\n");
     std::printf("markov (param): frequency %.5f, duration %.4f s  (Sec 8 extension)\n",
                 markov.valid ? markov.frequency : 0.0,
                 markov.valid ? markov.duration_seconds(slot) : 0.0);
-    print_validation(res.validation);
-    print_delays(summarize_delays(probes));
+    std::printf("validation   : pair asymmetry %.3f, violations %.4f -> %s\n",
+                res.validation.pair_asymmetry, res.validation.violation_fraction,
+                res.validation.acceptable() ? "OK" : "SUSPECT");
+    if (delays.valid()) {
+        std::printf("delays       : base %.4f s, queueing p95 %.4f s, loss-conditional "
+                    "%.4f s\n",
+                    delays.base_delay.to_seconds(), delays.p95_queueing_s,
+                    delays.loss_conditional_queueing_s);
+    }
     std::printf("stationarity : first half F %.5f vs second half F %.5f -> %s\n",
                 stationarity.first_half_frequency, stationarity.second_half_frequency,
                 stationarity.looks_stationary ? "stationary" : "NON-STATIONARY");
@@ -151,10 +115,6 @@ int estimate_main(int argc, char** argv) {
     const auto* tau_ms = flags.add_int("tau-ms", 40, "marking tau, ms");
     const auto* replicates = flags.add_int("bootstrap", 200, "bootstrap replicates (0 = off)");
     const auto* seed = flags.add_int("seed", 1, "bootstrap RNG seed");
-    const auto* stream = flags.add_bool(
-        "stream", false,
-        "stream the design through the online estimators (no report vector; "
-        "skips bootstrap/markov/stationarity)");
     const ObsFlags obs{flags};
     if (!flags.parse(argc, argv)) return flags.error().empty() ? 0 : 1;
     obs.start(false);
@@ -197,18 +157,13 @@ int estimate_main(int argc, char** argv) {
     };
 
     {
-        // One analyzer for both modes.  It publishes its per-state tallies to
-        // the obs registry when it goes out of scope, so it must be gone
-        // before obs.finish() writes the metrics file.
+        // The analyzer publishes its per-state tallies to the obs registry
+        // when it goes out of scope, so it must be gone before obs.finish()
+        // writes the metrics file.
         StreamingAnalyzer analyzer;
-        if (*stream) {
-            analyze_stream(*design_path, probes, slot, is_congested, analyzer);
-        } else {
-            analyze_batch(*design_path, probes, slot, is_congested, analyzer, *replicates,
-                          have_spec && !flags.is_set("seed")
-                              ? spec.seed
-                              : static_cast<std::uint64_t>(*seed));
-        }
+        analyze(*design_path, probes, slot, is_congested, analyzer, *replicates,
+                have_spec && !flags.is_set("seed") ? spec.seed
+                                                   : static_cast<std::uint64_t>(*seed));
     }
     return obs.finish();
 }

@@ -7,11 +7,8 @@
 // and print its estimates beside the ground truth; `none` prints the truth
 // alone.  Monte Carlo over seeds (run.replicas > 1) is `bb sweep <spec>`.
 //
-// A spec with probe.streaming runs the fully online pipeline instead: a
-// synthetic alternating-renewal congestion series feeds the streaming probe
-// scorer and the online estimators slot by slot, so probe.badabing.total_slots
-// can be 1e8 or more while resident memory stays constant (no series, design,
-// or report vector is ever materialized).
+// A probe.streaming spec is refused: its synthetic replicas run under
+// `bb sweep <spec>`.
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -20,14 +17,9 @@
 #include "bb.h"
 #include "core/delay_stats.h"
 #include "core/run_hasher.h"
-#include "core/streaming.h"
-#include "core/synthetic.h"
 #include "core/trace_io.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/process_stats.h"
 #include "scenarios/spec.h"
-#include "util/json.h"
 #include "util/json_io.h"
 
 namespace bb::tools {
@@ -35,12 +27,6 @@ namespace bb::tools {
 namespace {
 
 using scenarios::ScenarioSpec;
-
-// The streaming pipeline's alternating-renewal congestion process (mean
-// episode and gap lengths, in slots) and its metrics-snapshot cadence.
-constexpr double kStreamMeanOnSlots = 20.0;
-constexpr double kStreamMeanOffSlots = 180.0;
-constexpr std::int64_t kSnapshotSlots = 10'000'000;
 
 // The run-state hash chain of one single-threaded run: a core::RunHasher
 // scoped to this thread for the object's lifetime when --state-hash or
@@ -74,104 +60,6 @@ private:
     std::optional<core::RunHasher> hasher_;
     std::optional<core::HashScope> scope_;
 };
-
-// An estimate, or null when the run never produced one.
-void estimate_value(JsonWriter& w, bool valid, double v) {
-    if (valid) {
-        w.value_double(v);
-    } else {
-        w.value_null();
-    }
-}
-
-// A streaming run's length: probe.badabing.total_slots, or the traffic
-// duration in slots when that is 0.
-std::int64_t stream_slots(const ScenarioSpec& spec) {
-    return spec.badabing.total_slots > 0 ? static_cast<std::int64_t>(spec.badabing.total_slots)
-                                         : spec.workload.duration / spec.badabing.slot_width;
-}
-
-// The bounded-memory pipeline: synthetic congestion generator -> streaming
-// scorer -> online estimators, one slot at a time.
-int run_stream(const ScenarioSpec& spec, const std::string& json_path) {
-    const std::int64_t slots = stream_slots(spec);
-    const double p = spec.badabing.p;
-    const bool improved = spec.badabing.improved;
-
-    core::SyntheticSeriesGen gen{Rng{spec.seed ^ 0x5EED5ULL}, kStreamMeanOnSlots,
-                                 kStreamMeanOffSlots};
-    core::SeriesTruthAccumulator truth;
-
-    core::StreamingAnalyzer analyzer{spec.estimator};
-    core::ProbeProcessConfig pcfg;
-    pcfg.p = p;
-    pcfg.improved = improved;
-    pcfg.extended_fraction = spec.badabing.extended_fraction;
-    core::StreamingExperimentScorer scorer{Rng{spec.seed ^ 0xBADA0ULL}, pcfg, analyzer};
-
-    std::printf("streaming %lld slots (p = %.2f%s, on/off = %.1f/%.1f slots)...\n",
-                static_cast<long long>(slots), p, improved ? ", improved" : "",
-                kStreamMeanOnSlots, kStreamMeanOffSlots);
-    for (std::int64_t s = 0; s < slots; ++s) {
-        const bool congested = gen.next();
-        truth.consume(congested);
-        scorer.step(congested);
-        // Periodic metrics snapshot, keyed on slot count (not wall clock) so
-        // output stays deterministic across machines.
-        if ((s + 1) % kSnapshotSlots == 0) {
-            obs::logf(obs::LogLevel::info,
-                      "snapshot slot %lld/%lld: reports_scored %llu, max RSS %lld KiB",
-                      static_cast<long long>(s + 1), static_cast<long long>(slots),
-                      static_cast<unsigned long long>(analyzer.reports()),
-                      static_cast<long long>(obs::process_stats().max_rss_kb));
-        }
-    }
-
-    const core::SeriesTruth t = truth.finalize();
-    const core::StreamingAnalyzer::Result res = analyzer.finalize();
-    const long rss_kb = static_cast<long>(obs::process_stats().max_rss_kb);
-
-    std::printf("\nground truth : frequency %.4f | duration %.2f slots | %zu episodes\n",
-                t.frequency, t.mean_duration_slots, t.episodes);
-    std::printf("streaming est: frequency %.4f | duration %.2f slots", res.frequency.value,
-                res.duration_basic.valid ? res.duration_basic.slots : 0.0);
-    if (res.duration_improved.valid) {
-        std::printf(" | improved %.2f slots (r_hat %.3f)", res.duration_improved.slots,
-                    res.duration_improved.r_hat.value_or(0.0));
-    }
-    std::printf("\nreports      : %llu scored (%llu experiments started, %d pending "
-                "dropped at end)\n",
-                static_cast<unsigned long long>(res.reports),
-                static_cast<unsigned long long>(scorer.experiments_started()),
-                scorer.experiments_pending());
-    std::printf("validation   : pair asymmetry %.3f, violation fraction %.4f -> %s\n",
-                res.validation.pair_asymmetry, res.validation.violation_fraction,
-                res.validation.acceptable() ? "OK" : "SUSPECT");
-    std::printf("memory       : max RSS %ld KiB (independent of the slot count)\n", rss_kb);
-
-    if (!json_path.empty()) {
-        JsonWriter w{JsonWriter::Options{.indent = 2, .space_after_colon = true}};
-        w.begin_object();
-        w.key("mode").value("stream");
-        w.key("slots").value_int(slots);
-        w.key("p").value_double(p);
-        w.key("improved").value(improved);
-        w.key("true_frequency").value_double(t.frequency);
-        w.key("true_duration_slots").value_double(t.mean_duration_slots);
-        w.key("est_frequency");
-        estimate_value(w, res.frequency.valid(), res.frequency.value);
-        w.key("est_duration_slots");
-        estimate_value(w, res.duration_basic.valid, res.duration_basic.slots);
-        w.key("est_duration_improved_slots");
-        estimate_value(w, res.duration_improved.valid, res.duration_improved.slots);
-        w.key("reports").value_uint(res.reports);
-        w.key("max_rss_kb").value_int(rss_kb);
-        w.end_object();
-        if (!write_text_file(json_path, w.take() + "\n")) return 1;
-        std::printf("json         : wrote %s\n", json_path.c_str());
-    }
-    return 0;
-}
 
 // The prober's part of the "running ..." line.
 std::string probe_label(const ScenarioSpec& spec) {
@@ -250,35 +138,18 @@ void print_sting(const probes::StingProber& sting) {
 }
 
 // Why `spec` with these output flags cannot be one `bb run`, or "".
-std::string refusal(const ScenarioSpec& spec, bool json, bool outcomes, bool series) {
-    const char* tool = scenarios::to_string(spec.tool);
+std::string refusal(const ScenarioSpec& spec, bool outcomes) {
     if (spec.topology != ScenarioSpec::Topology::dumbbell) {
         return "only the dumbbell topology hosts a single run";
     }
-    if (spec.streaming && spec.tool != ScenarioSpec::ProbeTool::badabing) {
-        return std::string{"probe.streaming runs the badabing pipeline; probe.tool is \""} +
-               tool + "\"";
-    }
+    if (spec.streaming) return "probe.streaming: run it with bb sweep";
     if (spec.replicas > 1) {
         return "run.replicas is " + std::to_string(spec.replicas) +
-               (spec.streaming ? "; a probe.streaming run is one stream"
-                               : "; run multi-replica specs with bb sweep");
+               "; run multi-replica specs with bb sweep";
     }
-    if (spec.streaming) {
-        if (stream_slots(spec) < 1) {
-            return "probe.streaming needs at least one slot (probe.badabing.total_slots, or "
-                   "traffic.duration_s of at least one slot_ms)";
-        }
-        if (outcomes || series) {
-            return "--trace, --design and --series-out record a simulated run; "
-                   "probe.streaming is true";
-        }
-        return "";
-    }
-    if (json) return "--json writes a probe.streaming run's estimates; probe.streaming is false";
     if (outcomes && spec.tool != ScenarioSpec::ProbeTool::badabing) {
         return std::string{"--trace and --design record badabing probes; probe.tool is \""} +
-               tool + "\"";
+               scenarios::to_string(spec.tool) + "\"";
     }
     return "";
 }
@@ -299,8 +170,6 @@ int run_main(int argc, char** argv) {
         flags.add_string("trace", "", "write a badabing run's probe outcomes to FILE");
     const auto* design =
         flags.add_string("design", "", "write a badabing run's experiment design to FILE");
-    const auto* json =
-        flags.add_string("json", "", "write a probe.streaming run's estimates to FILE");
     if (!flags.parse(argc, argv)) return flags.error().empty() ? 0 : 1;
 
     const std::string& spec_path = flags.positionals()[0];
@@ -310,23 +179,12 @@ int run_main(int argc, char** argv) {
         return 1;
     }
     ScenarioSpec& spec = loaded.spec;
-    if (const std::string why = refusal(spec, !json->empty(),
-                                        !trace->empty() || !design->empty(), series.on());
+    if (const std::string why = refusal(spec, !trace->empty() || !design->empty());
         !why.empty()) {
         std::fprintf(stderr, "%s: %s\n", spec_path.c_str(), why.c_str());
         return 1;
     }
     obs.start(series.on());
-
-    if (spec.streaming) {
-        // The streaming pipeline has no scheduler or queues, but its Rng
-        // draws and report emissions still fold when a scope is installed.
-        const RunHash h{hash};
-        int rc = run_stream(spec, *json);
-        if (h.report() != 0) rc = 1;
-        const int orc = obs.finish();
-        return rc != 0 ? rc : orc;
-    }
 
     // A single run draws its randomized queue drops (RED/PIE/GE) from the
     // run seed too.
