@@ -19,13 +19,13 @@ int main() {
     // The quickstart path: 30 Mb/s drop-tail dumbbell, CBR cross traffic
     // with engineered 68 ms loss episodes, BADABING at p = 0.3.
     scenarios::ReplicaPlan plan;
-    plan.testbed.bottleneck_rate_bps = 30'000'000;
-    plan.workload.kind = scenarios::TrafficKind::cbr_uniform;
-    plan.workload.duration = seconds_i(300);
-    plan.workload.episode_duration = milliseconds(68);
-    plan.workload.mean_episode_gap = seconds_i(10);
-    plan.probe.p = 0.3;
-    plan.probe.total_slots = 0;  // sized to the workload automatically
+    plan.spec.testbed.bottleneck_rate_bps = 30'000'000;
+    plan.spec.workload.kind = scenarios::TrafficKind::cbr_uniform;
+    plan.spec.workload.duration = seconds_i(300);
+    plan.spec.workload.episode_duration = milliseconds(68);
+    plan.spec.workload.mean_episode_gap = seconds_i(10);
+    plan.spec.badabing.p = 0.3;
+    plan.spec.badabing.total_slots = 0;  // sized to the workload automatically
 
     scenarios::ReplicaRunner::Config cfg;
     cfg.replicas = 8;
@@ -34,7 +34,7 @@ int main() {
 
     const scenarios::ReplicaRunner runner{cfg};
     std::printf("running %zu replicas of a 300 s CBR scenario (p = %.1f)...\n\n",
-                cfg.replicas, plan.probe.p);
+                cfg.replicas, plan.spec.badabing.p);
     const auto results = runner.run(plan);
     const auto agg = runner.aggregate(plan, results);
 
@@ -42,7 +42,7 @@ int main() {
                 "est dur(s)");
     for (const auto& r : results) {
         std::printf("%-8zu | %-10.4f | %-10.4f | %-10.3f\n", r.index, r.truth.frequency,
-                    r.est_frequency(), r.est_duration_s(plan.probe.slot_width));
+                    r.est_frequency(), r.est_duration_s(plan.spec.badabing.slot_width));
     }
 
     std::printf("\naggregate over %zu replicas (mean +/- 95%% bootstrap CI):\n",

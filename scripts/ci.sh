@@ -110,6 +110,9 @@ if [[ "${BB_CI_SKIP_DETERMINISM:-0}" != 1 ]]; then
   # benchmark's stream_synth spec as shipped (128 streams of 200k slots).
   same_digest tests/data/stream_replicas.json 1 4
   same_digest perfbench/specs/stream_synth.json 1 4
+  # ZING and truth-only (probe.tool "none") replicas, 20 s x 4 replicas each.
+  same_digest tests/data/replicas_zing.json 1 4
+  same_digest tests/data/replicas_none.json 1 4
   rm -rf "$det_dir"
 fi
 

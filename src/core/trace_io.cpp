@@ -75,8 +75,9 @@ void write_trace(std::ostream& out, const std::vector<ProbeOutcome>& probes) {
     }
 }
 
-void for_each_trace_record(std::istream& in, OutcomeSink& sink) {
+std::vector<ProbeOutcome> read_trace(std::istream& in) {
     expect_magic(in, kTraceMagic);
+    std::vector<ProbeOutcome> probes;
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty() || line[0] == '#') continue;
@@ -88,14 +89,9 @@ void for_each_trace_record(std::istream& in, OutcomeSink& sink) {
         p.packets_lost = static_cast<int>(f[3]);
         p.max_owd = TimeNs{f[4]};
         p.any_received = f[5] != 0;
-        sink.consume(p);
+        probes.push_back(p);
     }
-}
-
-std::vector<ProbeOutcome> read_trace(std::istream& in) {
-    VectorSink<ProbeOutcome> sink;
-    for_each_trace_record(in, sink);
-    return sink.take();
+    return probes;
 }
 
 void write_trace_file(const std::string& path, const std::vector<ProbeOutcome>& probes) {
@@ -116,8 +112,9 @@ void write_design(std::ostream& out, const std::vector<Experiment>& experiments)
     }
 }
 
-void for_each_design_record(std::istream& in, Sink<Experiment>& sink) {
+std::vector<Experiment> read_design(std::istream& in) {
     expect_magic(in, kDesignMagic);
+    std::vector<Experiment> experiments;
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty() || line[0] == '#') continue;
@@ -125,14 +122,9 @@ void for_each_design_record(std::istream& in, Sink<Experiment>& sink) {
         Experiment e;
         e.start_slot = f[0];
         e.kind = f[1] != 0 ? ExperimentKind::extended : ExperimentKind::basic;
-        sink.consume(e);
+        experiments.push_back(e);
     }
-}
-
-std::vector<Experiment> read_design(std::istream& in) {
-    VectorSink<Experiment> sink;
-    for_each_design_record(in, sink);
-    return sink.take();
+    return experiments;
 }
 
 void write_design_file(const std::string& path, const std::vector<Experiment>& experiments) {

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/probe_process.h"
-#include "core/report_sink.h"
 #include "core/types.h"
 
 namespace bb::core {
@@ -33,19 +32,12 @@ void write_trace(std::ostream& out, const std::vector<ProbeOutcome>& probes);
 void write_trace_file(const std::string& path, const std::vector<ProbeOutcome>& probes);
 [[nodiscard]] std::vector<ProbeOutcome> read_trace_file(const std::string& path);
 
-// Streaming reader: push each record into `sink` as it is parsed, so a trace
-// of any length can be consumed in O(1) memory.  read_trace is this plus a
-// VectorSink.  Throws on bad input like read_trace.
-void for_each_trace_record(std::istream& in, OutcomeSink& sink);
-
 // --- experiment designs -----------------------------------------------------
 void write_design(std::ostream& out, const std::vector<Experiment>& experiments);
 [[nodiscard]] std::vector<Experiment> read_design(std::istream& in);  // throws on bad input
 
 void write_design_file(const std::string& path, const std::vector<Experiment>& experiments);
 [[nodiscard]] std::vector<Experiment> read_design_file(const std::string& path);
-
-void for_each_design_record(std::istream& in, Sink<Experiment>& sink);
 
 }  // namespace bb::core
 

@@ -6,40 +6,6 @@
 
 namespace bb::core {
 
-std::vector<WindowEstimate> windowed_estimates(const std::vector<Experiment>& experiments,
-                                               const std::vector<ExperimentResult>& results,
-                                               SlotIndex window_slots,
-                                               const EstimatorOptions& opts) {
-    if (experiments.size() != results.size()) {
-        throw std::invalid_argument{"windowed_estimates: parallel arrays expected"};
-    }
-    if (window_slots <= 0) {
-        throw std::invalid_argument{"windowed_estimates: window must be positive"};
-    }
-    std::vector<WindowEstimate> out;
-    std::size_t i = 0;
-    while (i < experiments.size()) {
-        const SlotIndex window_start =
-            experiments[i].start_slot / window_slots * window_slots;
-        StateCounts counts;
-        std::uint64_t n = 0;
-        while (i < experiments.size() &&
-               experiments[i].start_slot < window_start + window_slots) {
-            counts.add(results[i]);
-            ++n;
-            ++i;
-        }
-        WindowEstimate w;
-        w.window_start = window_start;
-        w.window_slots = window_slots;
-        w.frequency = estimate_frequency(counts, opts);
-        w.duration = estimate_duration_basic(counts, opts);
-        w.experiments = n;
-        out.push_back(w);
-    }
-    return out;
-}
-
 StationarityReport check_stationarity(const std::vector<Experiment>& experiments,
                                       const std::vector<ExperimentResult>& results,
                                       SlotIndex total_slots, double tolerance,

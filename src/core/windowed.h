@@ -1,33 +1,17 @@
-// Time-resolved estimates: split the experiment stream into fixed windows of
-// slots and estimate per window.  The paper's guidance (§7) assumes the
-// loss-event rate L is stationary over the measurement; windowed estimates
-// make that assumption checkable (cf. the "constancy" analysis of Zhang et
-// al. that the paper builds on), and a simple two-halves comparison flags
-// gross non-stationarity.
+// Stationarity check: the paper's guidance (§7) assumes the loss-event rate
+// L is stationary over the measurement.  Comparing the frequency estimate of
+// the experiments in the first and second halves of the run flags gross
+// non-stationarity (cf. the "constancy" analysis of Zhang et al. that the
+// paper builds on).
 #ifndef BB_CORE_WINDOWED_H
 #define BB_CORE_WINDOWED_H
 
-#include <cstdint>
 #include <vector>
 
 #include "core/estimators.h"
 #include "core/types.h"
 
 namespace bb::core {
-
-struct WindowEstimate {
-    SlotIndex window_start{0};
-    SlotIndex window_slots{0};
-    FrequencyEstimate frequency;
-    DurationEstimate duration;
-    std::uint64_t experiments{0};
-};
-
-// `experiments` and `results` must be parallel arrays ordered by start slot
-// (the natural output order of the probe process and score_experiments).
-[[nodiscard]] std::vector<WindowEstimate> windowed_estimates(
-    const std::vector<Experiment>& experiments, const std::vector<ExperimentResult>& results,
-    SlotIndex window_slots, const EstimatorOptions& opts = {});
 
 struct StationarityReport {
     double first_half_frequency{0.0};
@@ -37,6 +21,8 @@ struct StationarityReport {
     bool looks_stationary{true};  // shift below the tolerance
 };
 
+// `experiments` and `results` are parallel arrays (the output order of the
+// probe process and score_experiments); std::invalid_argument otherwise.
 [[nodiscard]] StationarityReport check_stationarity(
     const std::vector<Experiment>& experiments, const std::vector<ExperimentResult>& results,
     SlotIndex total_slots, double tolerance = 0.5, const EstimatorOptions& opts = {});

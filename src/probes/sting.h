@@ -11,7 +11,7 @@
 //
 // This measures the *packet loss rate* a TCP connection experiences.  Like
 // ZING it says nothing about episode durations, which is exactly the gap
-// BADABING fills; the bench `related_tools` shows all three side by side.
+// BADABING fills; examples/related_tools.json runs all three on one path.
 #ifndef BB_PROBES_STING_H
 #define BB_PROBES_STING_H
 

@@ -7,6 +7,7 @@
 #include "core/streaming.h"
 #include "core/synthetic.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "obs/process_stats.h"
 #include "obs/trace.h"
 #include "util/contract.h"
@@ -54,10 +55,18 @@ void analyse_each(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& a
     }
 }
 
-// One simulated replica: build and simulate its world once, then analyse the
-// probe outcomes under every entry of `analyses` into results[a][index].  The
-// caller sizes `results`, so a worker allocates no result storage that
-// outlives its replica.
+// The prober's share of the bottleneck over the run, from the bytes it sent.
+double load_fraction(std::int64_t bytes, const ScenarioSpec& spec) {
+    const double link_bytes = static_cast<double>(spec.testbed.bottleneck_rate_bps) / 8.0 *
+                              spec.workload.duration.to_seconds();
+    return link_bytes > 0 ? static_cast<double>(bytes) / link_bytes : 0.0;
+}
+
+// One simulated replica: build_experiment on the plan's spec with the
+// replica's seeds, simulate once, then analyse a BADABING prober's outcomes
+// under every entry of `analyses` into results[a][index] (other tools carry
+// their one result into every entry).  The caller sizes `results`, so a
+// worker allocates no result storage that outlives its replica.
 void run_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analyses,
              std::size_t index, std::uint64_t seed,
              std::vector<std::vector<ReplicaResult>>& results) {
@@ -70,15 +79,13 @@ void run_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analys
     const std::shared_ptr<core::RunHasher> hasher = replica_hasher(plan, index);
     std::optional<core::HashScope> hash_scope;
     if (hasher) hash_scope.emplace(*hasher);
-    TestbedConfig tb = plan.testbed;
-    // RED's randomized drops get their own stream so queue and workload
-    // randomness stay decoupled within a replica.
-    tb.seed = seed ^ 0x5EEDULL;
-    WorkloadConfig wl = plan.workload;
-    wl.seed = seed;
-
-    Experiment exp{tb, wl, plan.truth};
-    auto& tool = exp.add_badabing(plan.probe);
+    ScenarioSpec spec = plan.spec;
+    spec.workload.seed = seed;
+    // Randomized queue drops (RED/PIE/GE) get their own stream so queue and
+    // workload randomness stay decoupled within a replica.
+    spec.testbed.seed = seed ^ 0x5EEDULL;
+    const BuiltExperiment built = build_experiment(spec);
+    Experiment& exp = *built.experiment;
     // Replica 0 carries the sim-time series when recording is requested; the
     // recorder only reads simulation state, so every estimate below is
     // bit-identical with recording on or off.
@@ -92,9 +99,29 @@ void run_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analys
     ReplicaResult sim;
     sim.index = index;
     sim.seed = seed;
+    sim.tool = spec.tool;
     sim.truth = exp.truth();
     hash_scope.reset();
-    sim.offered_load = tool.offered_load_fraction(tb.bottleneck_rate_bps);
+    if (built.badabing != nullptr) {
+        sim.offered_load = built.badabing->offered_load_fraction(spec.testbed.bottleneck_rate_bps);
+        if (plan.probe_log && index == 0) {
+            sim.probe_log = std::make_shared<const ProbeLog>(
+                ProbeLog{built.badabing->outcomes(), built.badabing->design().experiments});
+        }
+    } else if (built.zing != nullptr) {
+        sim.zing = built.zing->result();
+        sim.offered_load = load_fraction(built.zing->bytes_sent(), spec);
+        // ZING has no streaming analyzer; its totals are tool-level counters
+        // so the metrics export covers this prober too.
+        obs::counter("probes.zing.probes_sent").inc(sim.zing.sent);
+        obs::counter("probes.zing.probes_lost").inc(sim.zing.lost);
+    } else if (built.sting != nullptr) {
+        sim.sting = built.sting->result();
+        sim.offered_load = load_fraction(
+            static_cast<std::int64_t>(sim.sting.data_packets + sim.sting.retransmissions) *
+                spec.sting.segment_bytes,
+            spec);
+    }
     const auto& queue = exp.testbed().bottleneck();
     for (const auto& hop : exp.testbed().upstream_hops()) sim.upstream_drops += hop->drops();
     sim.queue_drops = queue.drops() + sim.upstream_drops;
@@ -112,10 +139,11 @@ void run_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analys
 
     analyse_each(plan, analyses, sim, hasher, results,
                  [&](const ReplicaAnalysis& analysis, probes::BadabingResult& out) {
+                     if (built.badabing == nullptr) return;
                      const core::MarkingConfig marking =
                          analysis.marking ? *analysis.marking
-                                          : exp.default_marking(plan.probe.p);
-                     out = tool.analyze(marking, analysis.estimator);
+                                          : exp.default_marking(spec.badabing.p);
+                     out = built.badabing->analyze(marking, analysis.estimator);
                  });
 }
 
@@ -133,10 +161,11 @@ void run_stream_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>&
     std::optional<core::HashScope> hash_scope;
     if (hasher) hash_scope.emplace(*hasher);
     const std::int64_t slots = stream_slots(plan);
+    const probes::BadabingConfig& probe = plan.spec.badabing;
     core::ProbeProcessConfig pcfg;
-    pcfg.p = plan.probe.p;
-    pcfg.improved = plan.probe.improved;
-    pcfg.extended_fraction = plan.probe.extended_fraction;
+    pcfg.p = probe.p;
+    pcfg.improved = probe.improved;
+    pcfg.extended_fraction = probe.extended_fraction;
     core::SyntheticSeriesGen gen{Rng{seed ^ 0x5EED5ULL}, kStreamMeanOnSlots,
                                  kStreamMeanOffSlots};
     core::SeriesTruthAccumulator truth;
@@ -163,7 +192,7 @@ void run_stream_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>&
     stream.index = index;
     stream.seed = seed;
     stream.truth.frequency = t.frequency;
-    stream.truth.mean_duration_s = t.mean_duration_slots * plan.probe.slot_width.to_seconds();
+    stream.truth.mean_duration_s = t.mean_duration_slots * probe.slot_width.to_seconds();
     stream.truth.episodes = t.episodes;
     stream.episodes = t.episodes;
     stream.result.counts = analyzer.counts();
@@ -202,8 +231,39 @@ std::vector<std::uint64_t> ReplicaRunner::replica_seeds(std::uint64_t master_see
 }
 
 std::int64_t stream_slots(const ReplicaPlan& plan) noexcept {
-    return plan.probe.total_slots > 0 ? static_cast<std::int64_t>(plan.probe.total_slots)
-                                      : plan.workload.duration / plan.probe.slot_width;
+    const probes::BadabingConfig& probe = plan.spec.badabing;
+    return probe.total_slots > 0 ? static_cast<std::int64_t>(probe.total_slots)
+                                 : plan.spec.workload.duration / probe.slot_width;
+}
+
+bool estimates_frequency(ScenarioSpec::ProbeTool tool) noexcept {
+    return tool != ScenarioSpec::ProbeTool::none;
+}
+
+bool estimates_duration(ScenarioSpec::ProbeTool tool) noexcept {
+    return tool == ScenarioSpec::ProbeTool::badabing || tool == ScenarioSpec::ProbeTool::zing;
+}
+
+double ReplicaResult::est_frequency() const noexcept {
+    switch (tool) {
+        case ScenarioSpec::ProbeTool::badabing: return result.frequency.value;
+        case ScenarioSpec::ProbeTool::zing: return zing.loss_frequency;
+        case ScenarioSpec::ProbeTool::sting: return sting.forward_loss_rate;
+        case ScenarioSpec::ProbeTool::none: break;
+    }
+    return 0.0;
+}
+
+double ReplicaResult::est_duration_s(TimeNs slot_width) const noexcept {
+    switch (tool) {
+        case ScenarioSpec::ProbeTool::badabing:
+            return result.duration_basic.valid ? result.duration_basic.seconds(slot_width)
+                                               : 0.0;
+        case ScenarioSpec::ProbeTool::zing: return zing.mean_duration_s;
+        case ScenarioSpec::ProbeTool::sting:
+        case ScenarioSpec::ProbeTool::none: break;
+    }
+    return 0.0;
 }
 
 std::vector<ReplicaResult> ReplicaRunner::run(const ReplicaPlan& plan) const {
@@ -215,7 +275,7 @@ std::vector<std::vector<ReplicaResult>> ReplicaRunner::run(
     const auto seeds = replica_seeds(cfg_.master_seed, cfg_.replicas);
     std::vector<std::vector<ReplicaResult>> results(analyses.size(),
                                                     std::vector<ReplicaResult>(cfg_.replicas));
-    const auto one = plan.streaming ? run_stream_one : run_one;
+    const auto one = plan.spec.streaming ? run_stream_one : run_one;
     auto run_replica = [&](std::size_t i) { one(plan, analyses, i, seeds[i], results); };
 
     // Never spin up more workers than replicas.
@@ -249,8 +309,9 @@ std::uint64_t ReplicaRunner::merged_state_hash(const std::vector<ReplicaResult>&
 AggregateRow ReplicaRunner::aggregate(const ReplicaPlan& plan,
                                       const std::vector<ReplicaResult>& results) const {
     const obs::Span span{"aggregate", "scenarios"};
+    const TimeNs slot_width = plan.spec.badabing.slot_width;
     AggregateRow row;
-    row.p = plan.probe.p;
+    row.p = plan.spec.badabing.p;
     row.replicas = results.size();
 
     std::vector<double> true_f, est_f, true_d, est_d, load, improved;
@@ -263,10 +324,10 @@ AggregateRow ReplicaRunner::aggregate(const ReplicaPlan& plan,
         true_f.push_back(r.truth.frequency);
         est_f.push_back(r.est_frequency());
         true_d.push_back(r.truth.mean_duration_s);
-        est_d.push_back(r.est_duration_s(plan.probe.slot_width));
+        est_d.push_back(r.est_duration_s(slot_width));
         load.push_back(r.offered_load);
         if (r.result.duration_improved.valid) {
-            improved.push_back(r.result.duration_improved.seconds(plan.probe.slot_width));
+            improved.push_back(r.result.duration_improved.seconds(slot_width));
         }
     }
 
@@ -281,6 +342,22 @@ AggregateRow ReplicaRunner::aggregate(const ReplicaPlan& plan,
     // Last, so the stats above keep the bootstrap draws they had before it.
     if (!improved.empty()) row.est_duration_improved_s = collapse(improved, cfg_, rng);
     return row;
+}
+
+ReplicaPlan replica_plan_from(const ScenarioSpec& spec) {
+    ReplicaPlan plan;
+    plan.spec = spec;
+    if (spec.marking_alpha || spec.marking_tau) plan.analysis.marking = marking_for(spec);
+    plan.analysis.estimator = spec.estimator;
+    return plan;
+}
+
+ReplicaRunner::Config runner_config_from(const ScenarioSpec& spec) {
+    ReplicaRunner::Config rc;
+    rc.replicas = spec.replicas;
+    rc.threads = spec.threads;
+    rc.master_seed = spec.seed;
+    return rc;
 }
 
 }  // namespace bb::scenarios

@@ -7,10 +7,14 @@
 // (master_seed, replica_index) via Rng::fork, and aggregates the per-replica
 // results into mean / stddev / percentile-bootstrap confidence intervals.
 //
-// A replica is simulated (a testbed, workload and BADABING prober) or, for a
-// plan with `streaming`, synthetic: the §5.2.1 alternating-renewal
-// congestion series scored slot by slot in O(1) memory, where the truth is
-// exact.  Both land in the same ReplicaResult and aggregate the same way.
+// A replica is simulated or, for a probe.streaming spec, synthetic.  A
+// simulated replica is build_experiment() on the plan's spec with the
+// replica's seeds (workload.seed = s, testbed.seed = s ^ 0x5EED), probed by
+// whatever probe.tool the spec names: BADABING, ZING, STING or none (truth
+// only).  A synthetic replica is the §5.2.1 alternating-renewal congestion
+// series scored slot by slot by the BADABING design in O(1) memory, where
+// the truth is exact.  All land in the same ReplicaResult and aggregate the
+// same way.
 //
 // Concurrency model: scenarios::Experiment is non-copyable and strictly
 // single-threaded; parallelism is across replicas only.  Each replica builds
@@ -30,26 +34,23 @@
 #include "core/bootstrap.h"
 #include "core/run_hasher.h"
 #include "obs/recorder.h"
-#include "scenarios/experiment.h"
 #include "scenarios/sim_record.h"
+#include "scenarios/spec.h"
 
 namespace bb::scenarios {
 
-// How one analysis reads a simulated replica's probe outcomes: the marking
-// rule (unset = the paper's tau/alpha for the plan's p) and the estimator
-// options.
+// How one analysis reads a BADABING replica's probe outcomes: the marking
+// rule (unset = the paper's tau/alpha for the spec's p) and the estimator
+// options.  Other tools have nothing to analyse.
 struct ReplicaAnalysis {
     std::optional<core::MarkingConfig> marking;
     core::EstimatorOptions estimator{};
 };
 
-// Everything one replica needs; `workload.seed` is the master seed and is
-// replaced by the replica's own derived seed before the run.
+// Everything one replica needs.  `spec.seed` is not read: the runner's
+// master seed derives each replica's own seeds.
 struct ReplicaPlan {
-    TestbedConfig testbed;
-    WorkloadConfig workload;
-    TruthConfig truth;
-    probes::BadabingConfig probe;
+    ScenarioSpec spec;
     ReplicaAnalysis analysis{};
     // Sim-time series recording.  Only replica 0 records (replica i always
     // computes the same world regardless of thread count, so the recorded
@@ -63,22 +64,32 @@ struct ReplicaPlan {
     bool hashing{false};
     // Bounded trace ring kept by replica 0 for --hash-trace-out (0 = none).
     std::size_t hash_trace_capacity{0};
-    // Synthetic replicas (probe.streaming): a congestion series of mean
-    // episode 20 and mean gap 180 slots feeds the streaming probe scorer
-    // (probe.p, improved, extended_fraction) for stream_slots(plan) slots.
-    // testbed, truth, probe marking and recording are not used.
-    bool streaming{false};
+    // Replica 0 of a simulated BADABING plan keeps its probe outcomes and
+    // experiment design (ProbeLog) for --trace / --design.
+    bool probe_log{false};
 };
 
-// A synthetic replica's length: probe.total_slots, or the workload duration
-// in slots when that is 0.
+// A synthetic replica's length: probe.badabing.total_slots, or the workload
+// duration in slots when that is 0.
 [[nodiscard]] std::int64_t stream_slots(const ReplicaPlan& plan) noexcept;
+
+// What a BADABING receiver records: every probe's outcome and the
+// experiment design, as `bb estimate` reads them back.
+struct ProbeLog {
+    std::vector<core::ProbeOutcome> outcomes;
+    std::vector<core::Experiment> design;
+};
 
 struct ReplicaResult {
     std::size_t index{0};
     std::uint64_t seed{0};
+    ScenarioSpec::ProbeTool tool{ScenarioSpec::ProbeTool::badabing};
     measure::TruthSummary truth;
-    probes::BadabingResult result;
+    probes::BadabingResult result;   // tool == badabing (simulated or synthetic)
+    probes::ZingResult zing;         // tool == zing
+    probes::StingResult sting;       // tool == sting
+    // The prober's bytes over the bottleneck's capacity for the run (0 for
+    // `none` and synthetic replicas).
     double offered_load{0.0};
     // Drops summed across the bottleneck and every upstream hop of this
     // replica's testbed; lets the obs counters be cross-checked against the
@@ -94,6 +105,8 @@ struct ReplicaResult {
     std::uint64_t qbit_merged_blocks{0};
     // Sim-time series (plan.recording; replica 0 only, else nullptr).
     std::shared_ptr<obs::Recorder> series;
+    // Probe outcomes and design (plan.probe_log; replica 0 only, else nullptr).
+    std::shared_ptr<const ProbeLog> probe_log;
     // Determinism hash chain (plan.hashing): this replica's final digest and
     // record count; the hasher itself rides along on replica 0 when a trace
     // ring was requested (plan.hash_trace_capacity > 0).
@@ -101,11 +114,17 @@ struct ReplicaResult {
     std::uint64_t hash_records{0};
     std::shared_ptr<core::RunHasher> hash_trace;
 
-    [[nodiscard]] double est_frequency() const noexcept { return result.frequency.value; }
-    [[nodiscard]] double est_duration_s(TimeNs slot_width) const noexcept {
-        return result.duration_basic.valid ? result.duration_basic.seconds(slot_width) : 0.0;
-    }
+    // The tool's estimates: BADABING's F̂ and basic D̂ (0 when invalid),
+    // ZING's lost fraction and mean loss-run span, STING's forward loss
+    // rate; 0 where the tool has none (see estimates_frequency).
+    [[nodiscard]] double est_frequency() const noexcept;
+    [[nodiscard]] double est_duration_s(TimeNs slot_width) const noexcept;
 };
+
+// Whether a probe tool estimates the loss frequency / the mean episode
+// duration at all: STING reports a loss rate only, `none` nothing.
+[[nodiscard]] bool estimates_frequency(ScenarioSpec::ProbeTool tool) noexcept;
+[[nodiscard]] bool estimates_duration(ScenarioSpec::ProbeTool tool) noexcept;
 
 // One metric collapsed across replicas.
 struct AggregateStat {
@@ -115,6 +134,8 @@ struct AggregateStat {
 };
 
 // Per-plan aggregate row: the multi-replica analogue of a paper table row.
+// The estimate stats collapse the tool's estimates (ReplicaResult); a tool
+// without one collapses zeros, which a cell document writes as null.
 struct AggregateRow {
     double p{0.0};
     std::size_t replicas{0};
@@ -176,6 +197,11 @@ public:
 private:
     Config cfg_;
 };
+
+// The multi-replica plan and runner settings of a spec: the one way from a
+// ScenarioSpec to ReplicaRunner.
+[[nodiscard]] ReplicaPlan replica_plan_from(const ScenarioSpec& spec);
+[[nodiscard]] ReplicaRunner::Config runner_config_from(const ScenarioSpec& spec);
 
 }  // namespace bb::scenarios
 

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/contract.h"
 
 namespace bb::scenarios {
 
@@ -284,23 +283,6 @@ void parse_link(Ctx& ctx, Section& top, ScenarioSpec& spec) {
     link.finish();
 }
 
-void parse_figure3(Ctx& ctx, Section& top, ScenarioSpec& spec) {
-    Section f3{ctx, top.get("figure3"), "figure3", top.line()};
-    if (f3.present() && spec.topology != ScenarioSpec::Topology::figure3) {
-        ctx.fail(f3.line(), "figure3", "section requires \"topology\": \"figure3\"");
-        return;
-    }
-    std::int64_t factor = spec.figure3.oc12_factor;
-    f3.integer("oc12_factor", factor, 1, 64);
-    spec.figure3.oc12_factor = static_cast<int>(factor);
-    f3.time_us("ge_delay_us", spec.figure3.ge_delay);
-    f3.finish();
-    // The hop-C OC3 inherits the link section's rate/delay/buffer.
-    spec.figure3.oc3_rate_bps = spec.testbed.bottleneck_rate_bps;
-    spec.figure3.prop_delay = spec.testbed.prop_delay;
-    spec.figure3.buffer_time = spec.testbed.buffer_time;
-}
-
 void parse_traffic(Ctx& ctx, Section& top, ScenarioSpec& spec) {
     Section tr{ctx, top.get("traffic"), "traffic", top.line()};
     WorkloadConfig& wl = spec.workload;
@@ -352,6 +334,11 @@ void parse_probe(Ctx& ctx, Section& top, ScenarioSpec& spec) {
     Section probe{ctx, top.get("probe"), "probe", top.line()};
     probe.one_of("tool", spec.tool, tool_vocab());
     probe.boolean("streaming", spec.streaming);
+    if (ctx.ok() && spec.streaming && spec.tool != ScenarioSpec::ProbeTool::badabing) {
+        ctx.fail(probe.get("streaming")->line, "probe.streaming",
+                 std::string{"scores the BADABING design; probe.tool is \""} +
+                     to_string(spec.tool) + "\"");
+    }
 
     Section bb_sec{ctx, probe.get("badabing"), "probe.badabing", probe.line()};
     probes::BadabingConfig& bc = spec.badabing;
@@ -520,14 +507,11 @@ SpecResult parse_scenario_spec(const JsonValue& doc, std::string_view source) {
     Section top{ctx, &doc, "", 1};
     top.string("name", spec.name);
     {
-        static const std::vector<std::pair<const char*, ScenarioSpec::Topology>> vocab{
-            {"dumbbell", ScenarioSpec::Topology::dumbbell},
-            {"figure3", ScenarioSpec::Topology::figure3},
-        };
-        top.one_of("topology", spec.topology, vocab);
+        // Every run is built on the dumbbell; the key may only say so.
+        int dumbbell = 0;
+        top.one_of("topology", dumbbell, {{"dumbbell", 0}});
     }
     parse_link(ctx, top, spec);
-    parse_figure3(ctx, top, spec);
     parse_traffic(ctx, top, spec);
     parse_probe(ctx, top, spec);
     parse_truth(ctx, top, spec);
@@ -581,20 +565,10 @@ std::string file_stem_or(std::string_view path, std::string_view fallback) {
 }
 
 std::unique_ptr<Testbed> build_testbed(const ScenarioSpec& spec) {
-    BB_CHECK_MSG(spec.topology == ScenarioSpec::Topology::dumbbell,
-                 "build_testbed: spec topology is not the dumbbell");
     return std::make_unique<Testbed>(spec.testbed);
 }
 
-std::unique_ptr<Figure3Testbed> build_figure3_testbed(const ScenarioSpec& spec) {
-    BB_CHECK_MSG(spec.topology == ScenarioSpec::Topology::figure3,
-                 "build_figure3_testbed: spec topology is not figure3");
-    return std::make_unique<Figure3Testbed>(spec.figure3);
-}
-
 BuiltExperiment build_experiment(const ScenarioSpec& spec) {
-    BB_CHECK_MSG(spec.topology == ScenarioSpec::Topology::dumbbell,
-                 "build_experiment: only the dumbbell topology hosts an Experiment");
     BuiltExperiment built;
     built.experiment =
         std::make_unique<Experiment>(spec.testbed, spec.workload, spec.truth);
@@ -621,28 +595,6 @@ core::MarkingConfig marking_for(const ScenarioSpec& spec) {
     m.alpha = spec.marking_alpha ? *spec.marking_alpha
                                  : alpha_for_probe_rate(spec.badabing.p);
     return m;
-}
-
-ReplicaPlan replica_plan_from(const ScenarioSpec& spec) {
-    BB_CHECK_MSG(spec.tool == ScenarioSpec::ProbeTool::badabing,
-                 "replica_plan_from: the replica harness estimates with BADABING");
-    ReplicaPlan plan;
-    plan.testbed = spec.testbed;
-    plan.workload = spec.workload;
-    plan.truth = spec.truth;
-    plan.probe = spec.badabing;
-    if (spec.marking_alpha || spec.marking_tau) plan.analysis.marking = marking_for(spec);
-    plan.analysis.estimator = spec.estimator;
-    plan.streaming = spec.streaming;
-    return plan;
-}
-
-ReplicaRunner::Config runner_config_from(const ScenarioSpec& spec) {
-    ReplicaRunner::Config rc;
-    rc.replicas = spec.replicas;
-    rc.threads = spec.threads;
-    rc.master_seed = spec.seed;
-    return rc;
 }
 
 }  // namespace bb::scenarios

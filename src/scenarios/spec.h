@@ -5,9 +5,10 @@
 // buffer, queue discipline, ECN, Gilbert-Elliott), traffic mix, probe
 // configuration (badabing / zing / sting, streaming on/off), truth knobs,
 // marking overrides, and run controls (replicas / threads / seed).  The
-// factories at the bottom turn a spec into the same Testbed / Experiment /
-// ReplicaPlan objects the hand-wired scenarios build — the golden suites
-// pin that the two paths are bit-identical.
+// factories at the bottom turn a spec into the same Testbed / Experiment
+// objects the hand-wired scenarios build — the golden suites pin that the
+// two paths are bit-identical.  replica_runner.h turns it into a
+// ReplicaPlan.
 //
 // Parsing is strict: unknown keys, out-of-range values, and type mismatches
 // all fail with a one-line "<file>:<line>: <section>.<key>: <why>"
@@ -22,21 +23,17 @@
 
 #include "probes/sting.h"
 #include "scenarios/experiment.h"
-#include "scenarios/figure3.h"
-#include "scenarios/replica_runner.h"
 #include "util/json.h"
 
 namespace bb::scenarios {
 
 struct ScenarioSpec {
-    enum class Topology { dumbbell, figure3 };
     enum class ProbeTool { badabing, zing, sting, none };
 
     std::string name;  // label for outputs; defaults to the file stem or "scenario"
-    Topology topology{Topology::dumbbell};
 
+    // The dumbbell (the only "topology" a spec may name).
     TestbedConfig testbed;
-    Figure3Testbed::Config figure3;  // used when topology == figure3
     WorkloadConfig workload;
     TruthConfig truth;
 
@@ -46,8 +43,9 @@ struct ScenarioSpec {
     probes::StingProber::Config sting;
     // Synthetic replicas instead of simulated ones: ReplicaRunner scores a
     // §5.2.1 alternating-renewal congestion series slot by slot in O(1)
-    // memory (`bb sweep`), probe.badabing.total_slots long, or
-    // traffic.duration_s in slots when that is 0.
+    // memory with the BADABING design (so probe.tool must be badabing),
+    // probe.badabing.total_slots long, or traffic.duration_s in slots when
+    // that is 0.
     bool streaming{false};
 
     // Marking overrides; unset means the paper's per-p defaults
@@ -93,13 +91,9 @@ struct SpecResult {
 // Direct `Testbed{...}` construction outside src/scenarios is lint-banned
 // (no-adhoc-scenario); this is the sanctioned path.
 [[nodiscard]] std::unique_ptr<Testbed> build_testbed(const ScenarioSpec& spec);
-// The Figure 3 multi-hop topology (topology == figure3).
-[[nodiscard]] std::unique_ptr<Figure3Testbed> build_figure3_testbed(
-    const ScenarioSpec& spec);
 
 // A fully wired single-run experiment: testbed + workload + truth + the
-// spec's probe tool attached.  Only the dumbbell topology can host an
-// Experiment; figure3 specs must go through build_figure3_testbed.
+// spec's probe tool attached.  Every simulated replica is built here.
 struct BuiltExperiment {
     std::unique_ptr<Experiment> experiment;
     probes::BadabingTool* badabing{nullptr};  // set when tool == badabing
@@ -111,12 +105,6 @@ struct BuiltExperiment {
 // Marking parameters for analyze(): the spec's explicit alpha/tau when set,
 // else the paper's defaults for the spec's probe rate.
 [[nodiscard]] core::MarkingConfig marking_for(const ScenarioSpec& spec);
-
-// The multi-replica plan the sweep engine and table benches feed to
-// ReplicaRunner.  Requires tool == badabing (the replica harness estimates
-// with BADABING); callers gate on spec.tool first.
-[[nodiscard]] ReplicaPlan replica_plan_from(const ScenarioSpec& spec);
-[[nodiscard]] ReplicaRunner::Config runner_config_from(const ScenarioSpec& spec);
 
 }  // namespace bb::scenarios
 

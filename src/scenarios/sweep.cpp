@@ -238,13 +238,17 @@ std::string cell_result_json(const SweepCell& cell, const AggregateRow& row,
         number("ci_hi", s.has_value(), v.ci.hi);
         w.end_object();
     };
+    const ScenarioSpec::ProbeTool tool = cell.spec.tool;
+    const bool badabing = tool == ScenarioSpec::ProbeTool::badabing;
+    const bool has_f = estimates_frequency(tool);
+    const bool has_d = estimates_duration(tool);
     w.key("aggregate").begin_object();
-    w.key("p").value_double(row.p, fmt);
+    number("p", badabing, row.p);
     w.key("replicas").value_uint(row.replicas);
     stat("true_frequency", row.true_frequency);
-    stat("est_frequency", row.est_frequency);
+    stat("est_frequency", has_f ? std::optional{row.est_frequency} : std::nullopt);
     stat("true_duration_s", row.true_duration_s);
-    stat("est_duration_s", row.est_duration_s);
+    stat("est_duration_s", has_d ? std::optional{row.est_duration_s} : std::nullopt);
     stat("offered_load", row.offered_load);
     stat("est_duration_improved_s", row.est_duration_improved_s);
     w.end_object();
@@ -255,9 +259,9 @@ std::string cell_result_json(const SweepCell& cell, const AggregateRow& row,
         w.key("replica").value_uint(r.index);
         w.key("seed").value_uint(r.seed);
         w.key("true_frequency").value_double(r.truth.frequency, fmt);
-        w.key("est_frequency").value_double(r.est_frequency(), fmt);
+        number("est_frequency", has_f, r.est_frequency());
         w.key("true_duration_s").value_double(r.truth.mean_duration_s, fmt);
-        w.key("est_duration_s").value_double(r.est_duration_s(slot_width), fmt);
+        number("est_duration_s", has_d, r.est_duration_s(slot_width));
         const core::DurationEstimate& improved = r.result.duration_improved;
         number("est_duration_improved_s", improved.valid, improved.seconds(slot_width));
         number("r_hat", improved.valid && improved.r_hat.has_value(),
@@ -265,11 +269,26 @@ std::string cell_result_json(const SweepCell& cell, const AggregateRow& row,
         w.key("episodes").value_uint(r.episodes);
         w.key("queue_drops").value_uint(r.queue_drops);
         w.key("upstream_drops").value_uint(r.upstream_drops);
-        w.key("experiments").value_uint(r.result.experiments);
-        w.key("pair_asymmetry").value_double(r.result.validation.pair_asymmetry, fmt);
+        w.key("experiments");
+        if (badabing) {
+            w.value_uint(r.result.experiments);
+        } else {
+            w.value_null();
+        }
+        number("pair_asymmetry", badabing, r.result.validation.pair_asymmetry);
         w.key("path_loss_rate").value_double(r.path_loss_rate, fmt);
         w.key("passive_loss_rate").value_double(r.passive_loss_rate, fmt);
         w.key("qbit_merged_blocks").value_uint(r.qbit_merged_blocks);
+        if (tool == ScenarioSpec::ProbeTool::zing) {
+            w.key("sent").value_uint(r.zing.sent);
+            w.key("lost").value_uint(r.zing.lost);
+            w.key("loss_runs").value_uint(r.zing.loss_runs);
+            w.key("max_run_length").value_uint(r.zing.max_run_length);
+        } else if (tool == ScenarioSpec::ProbeTool::sting) {
+            w.key("bursts").value_uint(r.sting.bursts_completed);
+            w.key("segments").value_uint(r.sting.data_packets);
+            w.key("holes").value_uint(r.sting.holes_filled);
+        }
         w.end_object();
     }
     w.end_array();
@@ -310,7 +329,7 @@ std::string csv_field(const std::string& s) {
 }
 
 // <out>/<sweep>.csv: one row per cell (cached ones included) with its index,
-// config hash, axis values and aggregate means.
+// config hash, axis values and aggregate means; a null mean is an empty field.
 std::string summary_csv(const std::vector<SweepCell>& cells,
                         const std::vector<SweepRunner::CellOutcome>& outcomes) {
     static const char* const kColumns[] = {"p", "replicas", "true_frequency", "est_frequency",
@@ -329,9 +348,11 @@ std::string summary_csv(const std::vector<SweepCell>& cells,
             const JsonValue* v =
                 json_get_path(outcomes[i].result, std::string{"aggregate."} + column);
             if (v != nullptr && v->is_object()) v = v->find("mean");
-            char buf[40];
-            std::snprintf(buf, sizeof buf, ",%.9g",
-                          v != nullptr && v->is_number() ? v->number_value : 0.0);
+            // A null (an estimate the cell's tool does not make) stays empty.
+            char buf[40] = ",";
+            if (v != nullptr && v->is_number()) {
+                std::snprintf(buf, sizeof buf, ",%.9g", v->number_value);
+            }
             out += buf;
         }
         out += "\n";
@@ -345,50 +366,25 @@ SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
                                          const std::vector<SweepCell>& cells) {
     RunOutcome out;
     namespace fs = std::filesystem;
+    auto refuse = [&out](const SweepCell& cell, const std::string& why) {
+        out.error = "cell " + std::to_string(cell.index) + " (" + cell.config_hash + "): " + why;
+        return out;
+    };
     for (const SweepCell& cell : cells) {
-        const ScenarioSpec& spec = cell.spec;
-        const char* why =
-            spec.tool != ScenarioSpec::ProbeTool::badabing
-                ? "the sweep engine estimates with probe.tool = \"badabing\""
-            : spec.topology != ScenarioSpec::Topology::dumbbell
-                ? "only the dumbbell topology hosts a replica; topology is \"figure3\""
-            : !spec.streaming ? nullptr
-            : stream_slots(replica_plan_from(spec)) < 1
-                ? "probe.streaming needs at least one slot (probe.badabing.total_slots, or "
-                  "traffic.duration_s of at least one slot_ms)"
-            : cfg_.recording.enabled
-                ? "probe.streaming: a synthetic stream has no sim-time series to record"
-                : nullptr;
-        if (why != nullptr) {
-            out.error =
-                "cell " + std::to_string(cell.index) + " (" + cell.config_hash + "): " + why;
-            return out;
+        if (!cell.spec.streaming) continue;
+        if (stream_slots(replica_plan_from(cell.spec)) < 1) {
+            return refuse(cell,
+                          "probe.streaming needs at least one slot (probe.badabing.total_slots, "
+                          "or traffic.duration_s of at least one slot_ms)");
         }
-    }
-    std::error_code ec;
-    if (!cfg_.out_dir.empty()) fs::create_directories(cfg_.out_dir, ec);
-    if (!cfg_.cache_dir.empty()) fs::create_directories(cfg_.cache_dir, ec);
-    const std::string series_dir =
-        cfg_.series_dir.empty() ? cfg_.out_dir : cfg_.series_dir;
-    if (cfg_.recording.enabled && !series_dir.empty()) {
-        fs::create_directories(series_dir, ec);
+        if (cfg_.recording.enabled) {
+            return refuse(cell,
+                          "probe.streaming: a synthetic stream has no sim-time series to record");
+        }
     }
     auto cache_path = [this](const SweepCell& cell, const char* suffix) {
         return cfg_.cache_dir.empty() ? std::string{}
                                       : cfg_.cache_dir + "/" + cell.config_hash + suffix;
-    };
-    // A finished cell's result (and series) documents, into out_dir/series_dir.
-    auto publish = [&](const SweepCell& cell, const std::string& text,
-                       const std::string& series_text) {
-        if (!cfg_.out_dir.empty() && !text.empty()) {
-            write_text_file(cfg_.out_dir + "/" + sweep_name + "-" + cell.config_hash + ".json",
-                            text);
-        }
-        if (!series_dir.empty() && !series_text.empty()) {
-            write_text_file(
-                series_dir + "/" + sweep_name + "-" + cell.config_hash + ".series.json",
-                series_text);
-        }
     };
 
     // Cache pass: every cell is looked up before anything simulates, so a
@@ -418,6 +414,42 @@ SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
         oc.cached = true;
         oc.result = std::move(cached.value);
     }
+    // A probe log comes from the first computed cell, which must have one.
+    if (cfg_.probe_log) {
+        for (std::size_t i = 0; i < n; ++i) {
+            if (out.cells[i].cached) continue;
+            const ScenarioSpec& spec = cells[i].spec;
+            if (spec.tool != ScenarioSpec::ProbeTool::badabing || spec.streaming) {
+                return refuse(cells[i], std::string{"only a simulated BADABING cell has a "
+                                                    "probe trace and design; probe.tool is \""} +
+                                            to_string(spec.tool) +
+                                            (spec.streaming ? "\", probe.streaming" : "\""));
+            }
+            break;
+        }
+    }
+
+    std::error_code ec;
+    if (!cfg_.out_dir.empty()) fs::create_directories(cfg_.out_dir, ec);
+    if (!cfg_.cache_dir.empty()) fs::create_directories(cfg_.cache_dir, ec);
+    const std::string series_dir =
+        cfg_.series_dir.empty() ? cfg_.out_dir : cfg_.series_dir;
+    if (cfg_.recording.enabled && !series_dir.empty()) {
+        fs::create_directories(series_dir, ec);
+    }
+    // A finished cell's result (and series) documents, into out_dir/series_dir.
+    auto publish = [&](const SweepCell& cell, const std::string& text,
+                       const std::string& series_text) {
+        if (!cfg_.out_dir.empty() && !text.empty()) {
+            write_text_file(cfg_.out_dir + "/" + sweep_name + "-" + cell.config_hash + ".json",
+                            text);
+        }
+        if (!series_dir.empty() && !series_text.empty()) {
+            write_text_file(
+                series_dir + "/" + sweep_name + "-" + cell.config_hash + ".series.json",
+                series_text);
+        }
+    };
 
     // Group the misses by simulation key, in cell order.
     std::vector<std::vector<std::size_t>> groups;
@@ -440,10 +472,12 @@ SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
         ReplicaPlan plan = replica_plan_from(spec);
         plan.recording = cfg_.recording;
         plan.hashing = cfg_.state_hash;
-        // The trace ring rides on replica 0 of the first computed cell.
+        // The trace ring and the probe log ride on replica 0 of the first
+        // computed cell.
         if (plan.hashing && out.hash_trace == nullptr) {
             plan.hash_trace_capacity = cfg_.hash_trace_capacity;
         }
+        plan.probe_log = cfg_.probe_log && out.probe_log == nullptr;
         std::vector<ReplicaAnalysis> analyses;
         analyses.reserve(members.size());
         for (const std::size_t m : members) {
@@ -460,6 +494,9 @@ SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
             const SweepCell& cell = cells[i];
             const std::vector<ReplicaResult>& replicas = results[a];
             CellOutcome& oc = out.cells[i];
+            if (plan.probe_log && out.probe_log == nullptr && !replicas.empty()) {
+                out.probe_log = replicas[0].probe_log;
+            }
             if (plan.hashing) {
                 oc.hashed = true;
                 oc.state_hash = ReplicaRunner::merged_state_hash(replicas);

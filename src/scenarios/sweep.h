@@ -32,14 +32,15 @@
 // once the top-level "analysis" object is removed differ only in how the
 // probe outcomes are marked and estimated.  SweepRunner runs each such group
 // of uncached cells as one simulation per replica and analyses it once per
-// member, with results and digests bit-identical to one run per cell.  A
-// probe.streaming cell runs synthetic replicas (ReplicaPlan::streaming): its
-// group shares one stream per replica and re-evaluates the stream's tallies
-// under each member's estimator options.
+// member, with results and digests bit-identical to one run per cell.  Every
+// probe.tool runs: a ZING, STING or `none` group simulates once and carries
+// its one result to every member.  A probe.streaming cell runs synthetic
+// replicas: its group shares one stream per replica and re-evaluates the
+// stream's tallies under each member's estimator options.
 //
-// A cell is refused, naming it, when it is no BADABING replica: another
-// probe.tool, a figure3 topology, a zero-slot stream, or a stream under
-// series recording.
+// A cell is refused, naming it, when it cannot run as asked: a zero-slot
+// stream, a stream under series recording, or a probe log asked of a first
+// computed cell that is not a simulated BADABING cell.
 #ifndef BB_SCENARIOS_SWEEP_H
 #define BB_SCENARIOS_SWEEP_H
 
@@ -50,6 +51,7 @@
 
 #include "core/run_hasher.h"
 #include "scenarios/progress.h"
+#include "scenarios/replica_runner.h"
 #include "scenarios/sim_record.h"
 #include "scenarios/spec.h"
 #include "util/func.h"
@@ -124,6 +126,9 @@ public:
         bool state_hash{false};
         // Trace-ring capacity for replica 0 of the first computed cell.
         std::size_t hash_trace_capacity{0};
+        // Keep replica 0's probe outcomes and design of the first computed
+        // cell, which must then be a simulated BADABING cell.
+        bool probe_log{false};
     };
 
     struct CellOutcome {
@@ -149,6 +154,8 @@ public:
         std::uint64_t merged_state_hash{0};
         // Trace ring of replica 0 of the first computed cell, when requested.
         std::shared_ptr<core::RunHasher> hash_trace;
+        // Probe log of replica 0 of the first computed cell (Config::probe_log).
+        std::shared_ptr<const ProbeLog> probe_log;
     };
 
     explicit SweepRunner(Config cfg) : cfg_{std::move(cfg)} {}
@@ -168,13 +175,15 @@ private:
 
 // Format tag of the per-cell result document.  Bump it whenever the
 // document's keys change: a cache entry with another tag is recomputed.
-inline constexpr const char* kCellSchema = "bb.cell.v2";
+inline constexpr const char* kCellSchema = "bb.cell.v3";
 
 // The per-cell result document (pretty JSON, %.17g doubles so cached values
 // round-trip exactly): schema, config_hash, name, axes, aggregate stats, and
 // the per-replica trajectory including the §5.3 improved duration and its
 // r_hat (null when invalid), the path/passive loss-rate, upstream-drop and
-// pair-asymmetry extras.  An invalid basic duration is written as 0.
+// pair-asymmetry extras.  The estimates are the cell's probe.tool's; a key
+// the tool does not estimate is null, and ZING and STING replicas end with
+// their own tallies.  An invalid basic BADABING duration is written as 0.
 [[nodiscard]] std::string cell_result_json(const SweepCell& cell,
                                            const AggregateRow& row,
                                            const std::vector<ReplicaResult>& replicas,

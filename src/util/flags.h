@@ -1,6 +1,6 @@
 // Minimal command-line flag parsing for the shipped tools.
 //
-//   FlagSet flags{"bb run", "one simulated run of a dumbbell spec"};
+//   FlagSet flags{"bb sweep", "every cell of a spec or sweep spec"};
 //   auto p = flags.add_double("p", 0.3, "probe rate per slot");
 //   auto out = flags.add_string("csv", "", "write probe outcomes to FILE");
 //   if (!flags.parse(argc, argv)) return 1;   // prints error/usage

@@ -67,7 +67,7 @@ ReplicaPlan plan_from_example(const std::string& file, int duration_s) {
     const auto ex = expand_sweep(sr.sweep, file);
     EXPECT_TRUE(ex.ok) << ex.error;
     ReplicaPlan plan = replica_plan_from(ex.cells.at(0).spec);
-    plan.workload.duration = seconds_i(duration_s);
+    plan.spec.workload.duration = seconds_i(duration_s);
     return plan;
 }
 
@@ -83,10 +83,10 @@ TEST(DeterminismHash, Fig9SensitivityBaseFromExample) {
 // spec file ships for it, so the plan is built in code.
 TEST(DeterminismHash, Table5TcpScenario) {
     ReplicaPlan plan;
-    plan.workload.kind = TrafficKind::infinite_tcp;
-    plan.workload.duration = seconds_i(6);
-    plan.probe.p = 0.3;
-    plan.probe.total_slots = 0;
+    plan.spec.workload.kind = TrafficKind::infinite_tcp;
+    plan.spec.workload.duration = seconds_i(6);
+    plan.spec.badabing.p = 0.3;
+    plan.spec.badabing.total_slots = 0;
     expect_thread_and_obs_invariant(plan);
 }
 
@@ -94,11 +94,11 @@ TEST(DeterminismHash, Table5TcpScenario) {
 // truth), also built in code.
 TEST(DeterminismHash, Table6WebScenario) {
     ReplicaPlan plan;
-    plan.workload.kind = TrafficKind::web;
-    plan.workload.duration = seconds_i(6);
-    plan.truth.delay_based = true;
-    plan.probe.p = 0.3;
-    plan.probe.total_slots = 0;
+    plan.spec.workload.kind = TrafficKind::web;
+    plan.spec.workload.duration = seconds_i(6);
+    plan.spec.truth.delay_based = true;
+    plan.spec.badabing.p = 0.3;
+    plan.spec.badabing.total_slots = 0;
     expect_thread_and_obs_invariant(plan);
 }
 
@@ -113,10 +113,10 @@ TEST(DeterminismHash, RecordingIsPartOfThePlanDigest) {
     // recording plan needs obs on to differ from the plain one.
     const ObsOn guard;
     ReplicaPlan plan;
-    plan.workload.kind = TrafficKind::cbr_uniform;
-    plan.workload.duration = seconds_i(6);
-    plan.probe.p = 0.3;
-    plan.probe.total_slots = 0;
+    plan.spec.workload.kind = TrafficKind::cbr_uniform;
+    plan.spec.workload.duration = seconds_i(6);
+    plan.spec.badabing.p = 0.3;
+    plan.spec.badabing.total_slots = 0;
     const std::uint64_t plain = digest_of(plan, 2);
     plan.recording.enabled = true;
     plan.recording.interval = milliseconds(50);
@@ -129,10 +129,10 @@ TEST(DeterminismHash, RecordingIsPartOfThePlanDigest) {
 // without the chain yields bit-identical results.
 TEST(DeterminismHash, HashingDoesNotChangeResults) {
     ReplicaPlan plan;
-    plan.workload.kind = TrafficKind::cbr_uniform;
-    plan.workload.duration = seconds_i(6);
-    plan.probe.p = 0.3;
-    plan.probe.total_slots = 0;
+    plan.spec.workload.kind = TrafficKind::cbr_uniform;
+    plan.spec.workload.duration = seconds_i(6);
+    plan.spec.badabing.p = 0.3;
+    plan.spec.badabing.total_slots = 0;
 
     ReplicaPlan hashed = plan;
     hashed.hashing = true;

@@ -17,13 +17,13 @@ namespace {
 
 ReplicaPlan short_cbr_plan() {
     ReplicaPlan plan;
-    plan.workload.kind = TrafficKind::cbr_uniform;
-    plan.workload.duration = seconds_i(8);
-    plan.workload.seed = 7;
-    plan.workload.episode_duration = milliseconds(68);
-    plan.workload.mean_episode_gap = seconds_i(2);
-    plan.probe.p = 0.3;
-    plan.probe.total_slots = 0;
+    plan.spec.workload.kind = TrafficKind::cbr_uniform;
+    plan.spec.workload.duration = seconds_i(8);
+    plan.spec.workload.seed = 7;
+    plan.spec.workload.episode_duration = milliseconds(68);
+    plan.spec.workload.mean_episode_gap = seconds_i(2);
+    plan.spec.badabing.p = 0.3;
+    plan.spec.badabing.total_slots = 0;
     return plan;
 }
 

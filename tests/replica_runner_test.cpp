@@ -15,13 +15,13 @@ namespace {
 // ~2 s, 8 simulated seconds per replica, BADABING at p = 0.3.
 ReplicaPlan short_cbr_plan() {
     ReplicaPlan plan;
-    plan.workload.kind = TrafficKind::cbr_uniform;
-    plan.workload.duration = seconds_i(8);
-    plan.workload.seed = 7;  // master seed; replicas fork from it
-    plan.workload.episode_duration = milliseconds(68);
-    plan.workload.mean_episode_gap = seconds_i(2);
-    plan.probe.p = 0.3;
-    plan.probe.total_slots = 0;
+    plan.spec.workload.kind = TrafficKind::cbr_uniform;
+    plan.spec.workload.duration = seconds_i(8);
+    plan.spec.workload.seed = 7;  // master seed; replicas fork from it
+    plan.spec.workload.episode_duration = milliseconds(68);
+    plan.spec.workload.mean_episode_gap = seconds_i(2);
+    plan.spec.badabing.p = 0.3;
+    plan.spec.badabing.total_slots = 0;
     return plan;
 }
 
@@ -165,7 +165,7 @@ TEST(ReplicaRunner, CellResultJsonContainsAggregateAndReplicas) {
     SweepCell cell;
     cell.config_hash = "0123456789abcdef";
     cell.spec.name = "unit";
-    const auto doc = cell_result_json(cell, agg, results, plan.probe.slot_width);
+    const auto doc = cell_result_json(cell, agg, results, plan.spec.badabing.slot_width);
     EXPECT_NE(doc.find("\"name\": \"unit\""), std::string::npos);
     EXPECT_NE(doc.find("\"est_frequency\""), std::string::npos);
     EXPECT_NE(doc.find("\"replicas\": ["), std::string::npos);

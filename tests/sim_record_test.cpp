@@ -34,9 +34,9 @@ WorkloadConfig short_cbr() {
 
 ReplicaPlan short_plan(bool recording) {
     ReplicaPlan plan;
-    plan.workload = short_cbr();
-    plan.probe.p = 0.3;
-    plan.probe.total_slots = 0;
+    plan.spec.workload = short_cbr();
+    plan.spec.badabing.p = 0.3;
+    plan.spec.badabing.total_slots = 0;
     plan.recording.enabled = recording;
     plan.recording.interval = milliseconds(50);
     return plan;

@@ -163,7 +163,7 @@ TEST(SpecGolden, ShippedExampleSpecsParseAndExpand) {
         ASSERT_TRUE(e.ok) << name << ": " << e.error;
         EXPECT_FALSE(e.cells.empty()) << name;
     }
-    // The ZING tables are single-run scenario specs (bb run), one per row.
+    // The ZING tables are plain scenario specs, one per row.
     for (const char* name : {"table1.json", "table2.json", "table3.json", "table1_20hz.json",
                              "table2_20hz.json", "table3_20hz.json"}) {
         const auto r = load_scenario_spec_file(dir + "/" + name);

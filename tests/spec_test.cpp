@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "scenarios/replica_runner.h"
 #include "scenarios/spec.h"
 
 namespace bb::scenarios {
@@ -20,7 +21,6 @@ TEST(SpecDefaults, EmptyDocumentYieldsPaperDefaults) {
     const auto r = parse("{}");
     ASSERT_TRUE(r.ok) << r.error;
     const ScenarioSpec& s = r.spec;
-    EXPECT_EQ(s.topology, ScenarioSpec::Topology::dumbbell);
     EXPECT_EQ(s.testbed.bottleneck_rate_bps, 30'000'000);
     EXPECT_EQ(s.testbed.prop_delay, milliseconds(50));
     EXPECT_EQ(s.testbed.buffer_time, milliseconds(100));
@@ -188,12 +188,23 @@ TEST(SpecErrors, DelayFloorRequiresDelayBasedTruth) {
     EXPECT_EQ(ok.spec.truth.delay_floor, milliseconds(80));
 }
 
-TEST(SpecErrors, Figure3SectionRequiresFigure3Topology) {
-    expect_error(R"({"figure3": {"oc12_factor": 4}})",
-                 "requires \"topology\": \"figure3\"");
-    const auto ok = parse(R"({"topology": "figure3", "figure3": {"oc12_factor": 8}})");
+// Every run is built on the dumbbell: the Figure 3 topology and its section
+// are rejected at the key's line, and "dumbbell" is accepted.
+TEST(SpecErrors, TopologyIsDumbbellOnly) {
+    expect_error("{\n  \"topology\": \"figure3\"\n}",
+                 "spec.json:2: topology: must be one of \"dumbbell\"");
+    expect_error("{\n  \"figure3\": {\"oc12_factor\": 4}\n}",
+                 "spec.json:2: unknown key \"figure3\"");
+    const auto ok = parse(R"({"topology": "dumbbell"})");
     ASSERT_TRUE(ok.ok) << ok.error;
-    EXPECT_EQ(ok.spec.figure3.oc12_factor, 8);
+}
+
+// A synthetic stream is scored by the BADABING design only.
+TEST(SpecErrors, StreamingRequiresBadabing) {
+    expect_error("{\"probe\": {\"tool\": \"zing\",\n  \"streaming\": true}}",
+                 "spec.json:2: probe.streaming: scores the BADABING design; probe.tool is "
+                 "\"zing\"");
+    EXPECT_TRUE(parse(R"({"probe": {"tool": "zing", "streaming": false}})").ok);
 }
 
 TEST(SpecErrors, FirstErrorWins) {
@@ -223,9 +234,9 @@ TEST(SpecFactory, ReplicaPlanCarriesProbeAndEstimator) {
     })");
     ASSERT_TRUE(r.ok) << r.error;
     const ReplicaPlan plan = replica_plan_from(r.spec);
-    EXPECT_DOUBLE_EQ(plan.probe.p, 0.5);
-    EXPECT_TRUE(plan.probe.improved);
-    EXPECT_EQ(plan.probe.total_slots, 0);
+    EXPECT_DOUBLE_EQ(plan.spec.badabing.p, 0.5);
+    EXPECT_TRUE(plan.spec.badabing.improved);
+    EXPECT_EQ(plan.spec.badabing.total_slots, 0);
     EXPECT_FALSE(plan.analysis.estimator.frequency_from_extended);
     EXPECT_FALSE(plan.analysis.marking.has_value());
     const ReplicaRunner::Config rc = runner_config_from(r.spec);

@@ -3,8 +3,10 @@
 // computes, warm run hits, an edited axis value invalidates only the cells it
 // touches, an entry without this build's format tag is recomputed), cells
 // that differ only in "analysis" sharing one simulation, the per-sweep
-// summary CSV, and synthetic (probe.streaming) cells: equal to the synthetic
-// recipe run by hand, grouped by analysis, and refused where they cannot run.
+// summary CSV, simulated cells equal to build_experiment() on the replica's
+// spec for every probe.tool, and synthetic (probe.streaming) cells: equal to
+// the synthetic recipe run by hand, grouped by analysis, and refused where
+// they cannot run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -324,7 +326,7 @@ TEST_F(SweepRunnerCache, CacheEntryCountsOnlyWithThisBuildsSchemaTag) {
 // The cell document's keys, pinned beside its format tag: a change to either
 // list must come with a new kCellSchema, or stale cache entries are served.
 TEST_F(SweepRunnerCache, CellDocumentKeySetIsPinnedToItsSchemaTag) {
-    EXPECT_STREQ(kCellSchema, "bb.cell.v2");
+    EXPECT_STREQ(kCellSchema, "bb.cell.v3");
     const auto cold = run(kTwoCellSweep);
     ASSERT_TRUE(cold.ok) << cold.error;
     const auto keys = [](const JsonValue* v) {
@@ -724,22 +726,156 @@ TEST_F(SweepRunnerCache, StreamingAnalysisCellsShareOneStream) {
     }
 }
 
-TEST_F(SweepRunnerCache, CellsThatAreNoBadabingReplicaAreRefusedByName) {
-    const auto figure3 = run(R"({"base": {"topology": "figure3",
-      "traffic": {"kind": "cbr_uniform", "duration_s": 5}}})");
-    ASSERT_FALSE(figure3.ok);
-    EXPECT_NE(figure3.error.find("cell 0 ("), std::string::npos) << figure3.error;
-    EXPECT_NE(figure3.error.find("only the dumbbell topology"), std::string::npos)
-        << figure3.error;
+TEST_F(SweepRunnerCache, StreamCellsThatCannotRunAreRefusedByName) {
     const auto empty = run(R"({"base": {"traffic": {"duration_s": 0.001},
       "probe": {"streaming": true}}})");
     ASSERT_FALSE(empty.ok);
+    EXPECT_NE(empty.error.find("cell 0 ("), std::string::npos) << empty.error;
     EXPECT_NE(empty.error.find("at least one slot"), std::string::npos) << empty.error;
     const auto recorded =
         run(R"({"base": )" + std::string{kStreamCell} + "}", /*recording=*/true);
     ASSERT_FALSE(recorded.ok);
     EXPECT_NE(recorded.error.find("no sim-time series"), std::string::npos) << recorded.error;
     EXPECT_FALSE(fs::exists(out_dir_));
+}
+
+// --- simulated cells of every probe.tool -------------------------------------
+
+// The world of replica `seed` of `spec`, as perfbench's replica_spec derives
+// it: workload.seed = seed, testbed.seed = seed ^ 0x5EED.
+BuiltExperiment build_replica(const ScenarioSpec& spec, std::uint64_t seed) {
+    ScenarioSpec s = spec;
+    s.workload.seed = seed;
+    s.testbed.seed = seed ^ 0x5EEDULL;
+    BuiltExperiment built = build_experiment(s);
+    built.experiment->run();
+    return built;
+}
+
+// A one-replica BADABING cell is build_experiment() on the replica's spec,
+// analysed with the spec's marking, at %.17g.
+TEST_F(SweepRunnerCache, OneReplicaBadabingCellEqualsBuildExperiment) {
+    constexpr const char* kCell = R"({
+      "traffic": {"kind": "cbr_uniform", "duration_s": 10, "mean_episode_gap_s": 2},
+      "link": {"discipline": "red"},
+      "probe": {"badabing": {"p": 0.5}},
+      "run": {"replicas": 1, "seed": 11}
+    })";
+    const SpecResult spec = load_scenario_spec_text(kCell, "b.json");
+    ASSERT_TRUE(spec.ok) << spec.error;
+    const auto out = run(R"({"name": "b", "base": )" + std::string{kCell} + "}");
+    ASSERT_TRUE(out.ok) << out.error;
+    const JsonValue* reps = out.cells[0].result.find("replicas");
+    ASSERT_TRUE(reps != nullptr && reps->items.size() == 1u);
+    const JsonValue& rep = reps->items[0];
+
+    const std::uint64_t seed = ReplicaRunner::replica_seeds(11, 1)[0];
+    EXPECT_EQ(number_at(rep, "seed"), static_cast<double>(seed));
+    const BuiltExperiment built = build_replica(spec.spec, seed);
+    ASSERT_NE(built.badabing, nullptr);
+    const auto truth = built.experiment->truth();
+    const auto res = built.badabing->analyze(marking_for(spec.spec), spec.spec.estimator);
+    const TimeNs slot = spec.spec.badabing.slot_width;
+    EXPECT_EQ(g17(number_at(rep, "true_frequency")), g17(truth.frequency));
+    EXPECT_EQ(g17(number_at(rep, "true_duration_s")), g17(truth.mean_duration_s));
+    EXPECT_EQ(g17(number_at(rep, "est_frequency")), g17(res.frequency.value));
+    ASSERT_TRUE(res.duration_basic.valid);
+    EXPECT_EQ(g17(number_at(rep, "est_duration_s")), g17(res.duration_basic.seconds(slot)));
+    EXPECT_EQ(number_at(rep, "experiments"), static_cast<double>(res.experiments));
+    EXPECT_EQ(g17(number_at(rep, "pair_asymmetry")), g17(res.validation.pair_asymmetry));
+    EXPECT_EQ(number_at(rep, "episodes"), static_cast<double>(truth.episodes));
+    const JsonValue* load = json_get_path(out.cells[0].result, "aggregate.offered_load.mean");
+    ASSERT_NE(load, nullptr);
+    EXPECT_EQ(g17(load->number_value),
+              g17(built.badabing->offered_load_fraction(spec.spec.testbed.bottleneck_rate_bps)));
+}
+
+// ZING, STING and truth-only cells run as replicas: analysis-only siblings
+// share one simulation, each tool's estimates land in the est_* keys (null
+// where the tool makes none), and ZING and STING replicas end with their own
+// tallies, equal to build_experiment() on the replica's spec.
+TEST_F(SweepRunnerCache, ToolCellsRunAsReplicasAndShareOneSimulationPerTool) {
+    constexpr const char* kTools = R"({"name": "tools", "base": {
+      "traffic": {"kind": "cbr_uniform", "duration_s": 12, "mean_episode_gap_s": 2},
+      "probe": {"zing": {"mean_interval_ms": 10, "packet_bytes": 256},
+                "sting": {"burst_interval_s": 2}},
+      "run": {"replicas": 2, "seed": 5}},
+      "axes": {"probe.tool": ["zing", "sting", "none"], "analysis.alpha": [0.05, 0.2]}})";
+    const auto out = run(kTools);
+    ASSERT_TRUE(out.ok) << out.error;
+    ASSERT_EQ(out.cells.size(), 6u);
+    EXPECT_EQ(out.computed, 6u);
+    EXPECT_EQ(out.simulated, 3u);
+
+    const auto keys = [](const JsonValue& v) {
+        std::vector<std::string> names;
+        for (const auto& m : v.members) names.push_back(m.first);
+        return names;
+    };
+    const std::vector<std::string> common{
+        "replica", "seed", "true_frequency", "est_frequency", "true_duration_s",
+        "est_duration_s", "est_duration_improved_s", "r_hat", "episodes", "queue_drops",
+        "upstream_drops", "experiments", "pair_asymmetry", "path_loss_rate",
+        "passive_loss_rate", "qbit_merged_blocks"};
+    const auto grid = expand_sweep(load_sweep_spec_text(kTools, "tools.json").sweep, "t");
+    ASSERT_TRUE(grid.ok) << grid.error;
+    const auto seeds = ReplicaRunner::replica_seeds(5, 2);
+    for (std::size_t c = 0; c < out.cells.size(); c += 2) {
+        const JsonValue& doc = out.cells[c].result;
+        // The analysis sibling is the same simulation, so the same document
+        // but for its config hash and axes.
+        EXPECT_EQ(json_canonical(*doc.find("replicas")),
+                  json_canonical(*out.cells[c + 1].result.find("replicas")));
+        EXPECT_EQ(json_canonical(*doc.find("aggregate")),
+                  json_canonical(*out.cells[c + 1].result.find("aggregate")));
+        EXPECT_TRUE(json_get_path(doc, "aggregate.p")->is_null());
+
+        const ScenarioSpec& spec = grid.cells[c].spec;
+        const char* tool = to_string(spec.tool);
+        const bool zing = spec.tool == ScenarioSpec::ProbeTool::zing;
+        const bool sting = spec.tool == ScenarioSpec::ProbeTool::sting;
+        const bool none = spec.tool == ScenarioSpec::ProbeTool::none;
+        EXPECT_EQ(json_get_path(doc, "aggregate.est_frequency.mean")->is_null(), none);
+        EXPECT_EQ(json_get_path(doc, "aggregate.est_duration_s.mean")->is_null(), !zing);
+        const JsonValue* reps = doc.find("replicas");
+        ASSERT_TRUE(reps != nullptr && reps->items.size() == 2u);
+        for (std::size_t i = 0; i < 2; ++i) {
+            const JsonValue& rep = reps->items[i];
+            std::vector<std::string> want = common;
+            if (zing) want.insert(want.end(), {"sent", "lost", "loss_runs", "max_run_length"});
+            if (sting) want.insert(want.end(), {"bursts", "segments", "holes"});
+            EXPECT_EQ(keys(rep), want) << tool;
+            EXPECT_EQ(rep.find("est_frequency")->is_null(), none) << tool;
+            EXPECT_EQ(rep.find("est_duration_s")->is_null(), !zing) << tool;
+            EXPECT_TRUE(rep.find("experiments")->is_null()) << tool;
+            EXPECT_TRUE(rep.find("r_hat")->is_null()) << tool;
+
+            const BuiltExperiment built = build_replica(spec, seeds[i]);
+            const auto truth = built.experiment->truth();
+            EXPECT_EQ(g17(number_at(rep, "true_frequency")), g17(truth.frequency)) << tool;
+            EXPECT_EQ(g17(number_at(rep, "true_duration_s")), g17(truth.mean_duration_s))
+                << tool;
+            if (zing) {
+                const auto z = built.zing->result();
+                EXPECT_GT(z.sent, 0u);
+                EXPECT_EQ(g17(number_at(rep, "est_frequency")), g17(z.loss_frequency));
+                EXPECT_EQ(g17(number_at(rep, "est_duration_s")), g17(z.mean_duration_s));
+                EXPECT_EQ(number_at(rep, "sent"), static_cast<double>(z.sent));
+                EXPECT_EQ(number_at(rep, "lost"), static_cast<double>(z.lost));
+                EXPECT_EQ(number_at(rep, "loss_runs"), static_cast<double>(z.loss_runs));
+                EXPECT_EQ(number_at(rep, "max_run_length"),
+                          static_cast<double>(z.max_run_length));
+            }
+            if (sting) {
+                const auto st = built.sting->result();
+                EXPECT_GT(st.bursts_completed, 0u);
+                EXPECT_EQ(g17(number_at(rep, "est_frequency")), g17(st.forward_loss_rate));
+                EXPECT_EQ(number_at(rep, "bursts"), static_cast<double>(st.bursts_completed));
+                EXPECT_EQ(number_at(rep, "segments"), static_cast<double>(st.data_packets));
+                EXPECT_EQ(number_at(rep, "holes"), static_cast<double>(st.holes_filled));
+            }
+        }
+    }
 }
 
 }  // namespace

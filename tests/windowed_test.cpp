@@ -13,32 +13,12 @@ namespace {
 TEST(Windowed, RejectsBadInputs) {
     std::vector<Experiment> exps{{0, ExperimentKind::basic}};
     std::vector<ExperimentResult> res;  // mismatched sizes
-    EXPECT_THROW((void)windowed_estimates(exps, res, 100), std::invalid_argument);
-    res.push_back({ExperimentKind::basic, 0});
-    EXPECT_THROW((void)windowed_estimates(exps, res, 0), std::invalid_argument);
-}
-
-TEST(Windowed, GroupsByWindowStart) {
-    std::vector<Experiment> exps{{5, ExperimentKind::basic},
-                                 {90, ExperimentKind::basic},
-                                 {110, ExperimentKind::basic},
-                                 {450, ExperimentKind::basic}};
-    std::vector<ExperimentResult> res{{ExperimentKind::basic, 0b11},
-                                      {ExperimentKind::basic, 0b00},
-                                      {ExperimentKind::basic, 0b10},
-                                      {ExperimentKind::basic, 0b00}};
-    const auto windows = windowed_estimates(exps, res, 100);
-    ASSERT_EQ(windows.size(), 3u);
-    EXPECT_EQ(windows[0].window_start, 0);
-    EXPECT_EQ(windows[0].experiments, 2u);
-    EXPECT_DOUBLE_EQ(windows[0].frequency.value, 0.5);
-    EXPECT_EQ(windows[1].window_start, 100);
-    EXPECT_EQ(windows[2].window_start, 400);
+    EXPECT_THROW((void)check_stationarity(exps, res, 100), std::invalid_argument);
 }
 
 TEST(Windowed, DetectsFrequencyStep) {
-    // Congestion frequency jumps 4x at the midpoint: the windowed view and
-    // the stationarity check must both notice.
+    // Congestion frequency jumps 4x at the midpoint: the stationarity check
+    // must notice.
     Rng rng{42};
     const SlotIndex n = 1'000'000;
     auto first = synth_congestion_series(rng, n / 2, 10.0, 990.0);   // F ~ 0.01
@@ -54,10 +34,6 @@ TEST(Windowed, DetectsFrequencyStep) {
     const auto rep = check_stationarity(design.experiments, obs, n, 0.5);
     EXPECT_FALSE(rep.looks_stationary);
     EXPECT_GT(rep.second_half_frequency, rep.first_half_frequency * 2.0);
-
-    const auto windows = windowed_estimates(design.experiments, obs, n / 10);
-    ASSERT_EQ(windows.size(), 10u);
-    EXPECT_GT(windows.back().frequency.value, windows.front().frequency.value * 2.0);
 }
 
 TEST(Windowed, StationaryProcessPasses) {
@@ -74,9 +50,7 @@ TEST(Windowed, StationaryProcessPasses) {
     EXPECT_LT(rep.frequency_shift, 0.3);
 }
 
-TEST(Windowed, EmptyInputYieldsNoWindows) {
-    const auto windows = windowed_estimates({}, {}, 100);
-    EXPECT_TRUE(windows.empty());
+TEST(Windowed, EmptyInputLooksStationary) {
     const auto rep = check_stationarity({}, {}, 1000);
     EXPECT_TRUE(rep.looks_stationary);
     EXPECT_DOUBLE_EQ(rep.frequency_shift, 0.0);

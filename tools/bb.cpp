@@ -1,6 +1,6 @@
 // bb: the command-line front end of the BADABING reproduction.
 //
-//   $ bb run examples/table1.json                 # one run, prober = probe.tool
+//   $ bb sweep examples/table1.json               # one spec, prober = probe.tool
 //   $ bb sweep examples/table4.json --out results/ --cache-dir cache/
 //   $ bb expand examples/ablation_aqm_sweep.json  # the grid, nothing run
 //   $ bb estimate --trace=run.csv --design=run.design
@@ -8,7 +8,8 @@
 //   $ bb check results/*.json
 //
 // `sweep` executes every cell of a sweep spec (a plain scenario spec is a
-// one-cell sweep); cells whose hash already exists in --cache-dir are loaded
+// one-cell sweep) as replicas of the cell's probe.tool (badabing, zing,
+// sting or none); cells whose hash already exists in --cache-dir are loaded
 // from disk instead of recomputed, so a repeated run reports 100% cache hits
 // and an edited axis value invalidates only the cells it actually touches.
 // `check` parses every argument with the project's own util/json parser, so
@@ -18,9 +19,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "core/run_hasher.h"
+#include "core/trace_io.h"
 #include "obs/control.h"
 #include "obs/metrics.h"
 #include "obs/process_stats.h"
@@ -64,39 +67,16 @@ int ObsFlags::finish() const {
     return rc;
 }
 
-SeriesFlags::SeriesFlags(FlagSet& f, const char* out_help)
-    : out{f.add_string("series-out", "", out_help)},
-      interval_ms{f.add_int("series-interval-ms", 100,
-                            "sim-time sampling cadence for --series-out")} {}
-
-scenarios::SimRecordingConfig SeriesFlags::config() const {
-    scenarios::SimRecordingConfig cfg;
-    cfg.enabled = on();
-    cfg.interval = milliseconds(std::max<std::int64_t>(1, *interval_ms));
-    return cfg;
-}
-
-HashFlags::HashFlags(FlagSet& f, const char* state_hash_help, const char* trace_help)
-    : state_hash{f.add_bool("state-hash", false, state_hash_help)},
-      trace_out{f.add_string("hash-trace-out", "", trace_help)},
-      capacity{f.add_int("hash-trace-capacity", 4096, "trace-ring size for --hash-trace-out")} {
-}
-
-std::size_t HashFlags::ring() const {
-    return trace_out->empty() ? 0
-                              : static_cast<std::size_t>(std::max<std::int64_t>(1, *capacity));
-}
-
 namespace {
 
 constexpr const char* kUsage =
-    "usage: bb <run|sweep|expand|estimate|diverge|check> [flags] [args]\n";
+    "usage: bb <sweep|expand|estimate|diverge|check> [flags] [args]\n";
 
 void print_help() {
     std::printf("bb - BADABING loss measurement on simulated paths (SIGCOMM'05 repro)\n\n%s\n"
-                "  run <spec.json>         one run of a dumbbell spec, probed by its "
-                "probe.tool\n"
-                "  sweep <spec.json>       every cell of a sweep spec, with a result cache\n"
+                "  sweep <spec.json>       every cell of a spec or sweep spec, probed by its "
+                "probe.tool,\n"
+                "                          with a result cache\n"
                 "  expand <spec.json>      print a sweep spec's cells without running them\n"
                 "  estimate                offline estimates from a probe trace + design\n"
                 "  diverge <a> <b>         first divergent record of two hash traces\n"
@@ -117,6 +97,18 @@ void print_cell_line(const scenarios::SweepCell& cell, const char* status) {
 double aggregate_number(const JsonValue& doc, const std::string& path) {
     const JsonValue* v = json_get_path(doc, "aggregate." + path);
     return v != nullptr && v->is_number() ? v->number_value : 0.0;
+}
+
+// An aggregate stat's mean and CI printed with `fmt` (three conversions:
+// mean, ci_lo, ci_hi), or "" when the stat is null: an estimate the cell's
+// probe.tool does not make.
+std::string stat_with_ci(const JsonValue& doc, const std::string& stat, const char* fmt) {
+    const JsonValue* mean = json_get_path(doc, "aggregate." + stat + ".mean");
+    if (mean == nullptr || !mean->is_number()) return "";
+    char buf[96];
+    std::snprintf(buf, sizeof buf, fmt, mean->number_value,
+                  aggregate_number(doc, stat + ".ci_lo"), aggregate_number(doc, stat + ".ci_hi"));
+    return buf;
 }
 
 // The cells of `spec_path`: a sweep spec, or a plain scenario spec (no
@@ -176,19 +168,34 @@ int sweep_main(int argc, char** argv) {
     const auto* threads = flags.add_int(
         "threads", 0, "replica worker threads per cell (0 = each cell's run.threads)");
     const ObsFlags obs{flags};
-    const SeriesFlags series{flags,
-                             "record per-cell sim-time series (replica 0) into DIR as "
-                             "<sweep>-<hash>.series.json (\"\" = off)"};
+    const auto* series_out = flags.add_string(
+        "series-out", "",
+        "record per-cell sim-time series (replica 0) into DIR as <sweep>-<hash>.series.json "
+        "(\"\" = off)");
+    const auto* series_interval_ms =
+        flags.add_int("series-interval-ms", 100, "sim-time sampling cadence for --series-out");
     const auto* progress =
         flags.add_bool("progress", false, "print a progress line to stderr after every cell");
     const auto* progress_json_path = flags.add_string(
         "progress-json", "", "rewrite FILE with a one-object progress report after every cell");
-    const HashFlags hash{
-        flags, "hash every computed cell's run-state chain and print the merged digest",
-        "write the bb.hashtrace.v1 ring of the first computed cell (replica 0) to FILE"};
+    // The run-state hash chain (DESIGN.md §14).
+    const auto* state_hash = flags.add_bool(
+        "state-hash", false, "hash every computed cell's run-state chain and print the merged "
+                             "digest");
+    const auto* hash_trace_out = flags.add_string(
+        "hash-trace-out", "",
+        "write the bb.hashtrace.v1 ring of the first computed cell (replica 0) to FILE");
+    const auto* hash_trace_capacity =
+        flags.add_int("hash-trace-capacity", 4096, "trace-ring size for --hash-trace-out");
+    const auto* trace = flags.add_string(
+        "trace", "", "write the probe outcomes of the first computed cell (replica 0) to FILE");
+    const auto* design = flags.add_string(
+        "design", "", "write the experiment design of the first computed cell (replica 0) to FILE");
     if (!flags.parse(argc, argv)) return flags.error().empty() ? 0 : 1;
 
-    obs.start(series.on());
+    const bool recording = !series_out->empty();
+    const bool hashing = *state_hash || !hash_trace_out->empty();
+    obs.start(recording);
     scenarios::SweepSpec sweep;
     scenarios::ExpandResult grid;
     if (!load_grid(flags.positionals()[0], sweep, grid)) return 1;
@@ -196,12 +203,18 @@ int sweep_main(int argc, char** argv) {
     scenarios::SweepRunner::Config rc;
     rc.out_dir = *out_dir;
     rc.cache_dir = *cache_dir;
-    rc.state_hash = hash.on();
-    if (hash.ring() != 0) rc.hash_trace_capacity = hash.ring();
+    rc.state_hash = hashing;
+    if (!hash_trace_out->empty()) {
+        rc.hash_trace_capacity =
+            static_cast<std::size_t>(std::max<std::int64_t>(1, *hash_trace_capacity));
+    }
     rc.threads = static_cast<std::size_t>(std::max<std::int64_t>(0, *threads));
-    if (series.on()) {
-        rc.recording = series.config();
-        rc.series_dir = *series.out;
+    const bool probe_log = !trace->empty() || !design->empty();
+    rc.probe_log = probe_log;
+    if (recording) {
+        rc.recording.enabled = true;
+        rc.recording.interval = milliseconds(std::max<std::int64_t>(1, *series_interval_ms));
+        rc.series_dir = *series_out;
     }
     const bool progress_stderr = *progress;
     const std::string progress_path = *progress_json_path;
@@ -226,7 +239,8 @@ int sweep_main(int argc, char** argv) {
         return 1;
     }
 
-    // Replica means, with the 95% bootstrap CI of each estimate.
+    // Replica means, with the 95% bootstrap CI of each estimate; an estimate
+    // the cell's probe.tool does not make is left blank.
     std::printf("\n%-5s %-16s %-8s | %-9s %-22s | %-9s %-19s | %-6s |\n", "cell", "hash",
                 "state", "true freq", "est freq [95% CI]", "true dur", "est dur [95% CI]",
                 "load");
@@ -234,13 +248,12 @@ int sweep_main(int argc, char** argv) {
         const auto& oc = outcome.cells[i];
         const auto& cell = grid.cells[i];
         const auto agg = [&oc](const char* path) { return aggregate_number(oc.result, path); };
-        std::printf("%-5zu %-16s %-8s | %-9.4f %.4f [%.4f,%.4f] | %-9.3f %.3f [%.3f,%.3f] | "
-                    "%.4f |",
-                    oc.index, oc.config_hash.c_str(), oc.cached ? "cached" : "computed",
-                    agg("true_frequency.mean"), agg("est_frequency.mean"),
-                    agg("est_frequency.ci_lo"), agg("est_frequency.ci_hi"),
-                    agg("true_duration_s.mean"), agg("est_duration_s.mean"),
-                    agg("est_duration_s.ci_lo"), agg("est_duration_s.ci_hi"),
+        std::printf("%-5zu %-16s %-8s | %-9.4f %-22s | %-9.3f %-19s | %.4f |", oc.index,
+                    oc.config_hash.c_str(), oc.cached ? "cached" : "computed",
+                    agg("true_frequency.mean"),
+                    stat_with_ci(oc.result, "est_frequency", "%.4f [%.4f,%.4f]").c_str(),
+                    agg("true_duration_s.mean"),
+                    stat_with_ci(oc.result, "est_duration_s", "%.3f [%.3f,%.3f]").c_str(),
                     agg("offered_load.mean"));
         for (const auto& [path, value] : cell.axis_values) {
             std::printf(" %s=%s", path.c_str(), value.c_str());
@@ -253,19 +266,38 @@ int sweep_main(int argc, char** argv) {
     // "analysis" share one.
     std::printf("\ncells: %zu total, computed %zu, cached %zu, simulated %zu\n",
                 outcome.cells.size(), outcome.computed, outcome.cached, outcome.simulated);
-    if (hash.on()) {
+    if (hashing) {
         // Cached cells are not re-run and carry no digest; the merged value
         // covers computed cells only (in cell order).
         std::printf("state-hash   : %s (%zu of %zu cells hashed)\n",
                     core::RunHasher::hex(outcome.merged_state_hash).c_str(),
                     outcome.hashed_cells, outcome.cells.size());
     }
-    if (!hash.trace_out->empty()) {
+    if (!hash_trace_out->empty()) {
         if (outcome.hash_trace != nullptr &&
-            write_text_file(*hash.trace_out, outcome.hash_trace->trace_json())) {
-            std::printf("hash-trace   : wrote %s\n", hash.trace_out->c_str());
+            write_text_file(*hash_trace_out, outcome.hash_trace->trace_json())) {
+            std::printf("hash-trace   : wrote %s\n", hash_trace_out->c_str());
         } else {
             std::fprintf(stderr, "bb sweep: no hash trace to write (every cell cached?)\n");
+        }
+    }
+    if (probe_log) {
+        if (outcome.probe_log == nullptr) {
+            std::fprintf(stderr, "bb sweep: no probe log to write (every cell cached?)\n");
+            return 1;
+        }
+        try {
+            if (!trace->empty()) {
+                core::write_trace_file(*trace, outcome.probe_log->outcomes);
+                std::printf("trace        : wrote %s\n", trace->c_str());
+            }
+            if (!design->empty()) {
+                core::write_design_file(*design, outcome.probe_log->design);
+                std::printf("design       : wrote %s\n", design->c_str());
+            }
+        } catch (const std::exception& e) {
+            std::fprintf(stderr, "bb sweep: %s\n", e.what());
+            return 1;
         }
     }
     std::printf("results: %s/\n", out_dir->c_str());
@@ -313,8 +345,8 @@ int main(int argc, char** argv) {
         int (*main)(int, char**);
     };
     static constexpr Command kCommands[] = {
-        {"run", run_main},         {"sweep", sweep_main},     {"expand", expand_main},
-        {"estimate", estimate_main}, {"diverge", diverge_main}, {"check", check_main},
+        {"sweep", sweep_main},       {"expand", expand_main},   {"estimate", estimate_main},
+        {"diverge", diverge_main},   {"check", check_main},
     };
     if (argc >= 2 && (std::strcmp(argv[1], "--help") == 0 || std::strcmp(argv[1], "-h") == 0)) {
         print_help();

@@ -2,22 +2,18 @@
 //
 // A simulated run is declared only by its spec file; the flags of every
 // subcommand name outputs (export files, hash traces, series) or, for
-// `estimate`, how a recorded trace is analysed.  The export flags below are
-// registered and printed the same way by every subcommand that has them.
+// `estimate`, how a recorded trace is analysed.  The obs export flags below
+// are registered and printed the same way by every subcommand that has them.
 #ifndef BB_TOOLS_BB_H
 #define BB_TOOLS_BB_H
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 
-#include "scenarios/sim_record.h"
 #include "util/flags.h"
 
 namespace bb::tools {
 
 // Subcommand entry points; argv[0] is the subcommand name.
-int run_main(int argc, char** argv);
 int estimate_main(int argc, char** argv);
 int diverge_main(int argc, char** argv);
 
@@ -36,31 +32,6 @@ struct ObsFlags {
 
     const std::string* metrics_json;
     const std::string* trace_out;
-};
-
-// --series-out / --series-interval-ms: the sim-time series capture.
-struct SeriesFlags {
-    SeriesFlags(FlagSet& flags, const char* out_help);
-
-    [[nodiscard]] bool on() const { return !out->empty(); }
-    [[nodiscard]] scenarios::SimRecordingConfig config() const;
-
-    const std::string* out;
-    const std::int64_t* interval_ms;
-};
-
-// --state-hash / --hash-trace-out / --hash-trace-capacity: the run-state
-// hash chain (DESIGN.md §14).
-struct HashFlags {
-    HashFlags(FlagSet& flags, const char* state_hash_help, const char* trace_help);
-
-    [[nodiscard]] bool on() const { return *state_hash || !trace_out->empty(); }
-    // Trace-ring size: 0 when no trace is written.
-    [[nodiscard]] std::size_t ring() const;
-
-    const bool* state_hash;
-    const std::string* trace_out;
-    const std::int64_t* capacity;
 };
 
 }  // namespace bb::tools

@@ -1,8 +1,8 @@
 // bb diverge: compare two bb.hashtrace.v1 files and bisect to the FIRST
 // divergent chain record (DESIGN.md §14).
 //
-//   $ bb run a.json --hash-trace-out a.trace
-//   $ bb run a.json --hash-trace-out b.trace   # suspect run
+//   $ bb sweep a.json --hash-trace-out a.trace
+//   $ bb sweep a.json --hash-trace-out b.trace   # suspect run
 //   $ bb diverge a.trace b.trace
 //
 // Because every record's digest folds in every record before it, digests at

@@ -1,11 +1,11 @@
 // bb estimate: offline analysis of a probe trace + design written by
-// `bb run` (or a real receiver writing the same format): congestion marking,
-// loss estimates, the Markov fit, a stationarity check, bootstrap confidence
-// intervals, validation, and delay statistics — without re-running any
-// simulation.  Trace and design are read whole: the marker's tau/alpha rule
+// `bb sweep --trace --design` (or a real receiver writing the same format):
+// congestion marking, loss estimates, the Markov fit, a stationarity check,
+// bootstrap confidence intervals, validation, and delay statistics — without
+// re-running any simulation.  Trace and design are read whole: the marker's tau/alpha rule
 // needs every probe, and the fit, check and bootstrap the report sequence.
 //
-//   $ bb run tests/data/run_badabing.json --trace=run.csv --design=run.design
+//   $ bb sweep tests/data/run_badabing.json --trace=run.csv --design=run.design
 //   $ bb estimate --trace=run.csv --design=run.design --slot-ms=5
 #include <cstdint>
 #include <cstdio>
