@@ -52,10 +52,6 @@ scenarios::TestbedConfig bench_testbed() {
     return parse_preset(traffic_preset("cbr_uniform", "")).testbed;
 }
 
-scenarios::ScenarioSpec bench_scenario_spec() {
-    return parse_preset(traffic_preset("cbr_uniform", ""));
-}
-
 scenarios::WorkloadConfig infinite_tcp_workload() {
     // 40 flows on OC3 ~= 10 flows at 30 Mb/s (same per-flow bottleneck share).
     const std::int64_t flows =
@@ -97,24 +93,6 @@ void print_header(const std::string& title, const std::string& paper_ref) {
     std::printf("run: %.0f s, seed %llu\n", bench_duration().to_seconds(),
                 static_cast<unsigned long long>(bench_seed()));
     std::printf("================================================================\n");
-}
-
-BadabingRow run_badabing_row(const scenarios::WorkloadConfig& wl, double p, bool improved) {
-    scenarios::Experiment exp{bench_testbed(), wl, truth_for(wl)};
-    probes::BadabingConfig bc;
-    bc.p = p;
-    bc.improved = improved;
-    bc.total_slots = 0;  // sized to the workload window
-    auto& tool = exp.add_badabing(bc);
-    exp.run();
-
-    BadabingRow row;
-    row.p = p;
-    row.truth = exp.truth();
-    row.result = tool.analyze(exp.default_marking(p));
-    row.offered_load =
-        tool.offered_load_fraction(exp.testbed().config().bottleneck_rate_bps);
-    return row;
 }
 
 }  // namespace bb::bench

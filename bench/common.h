@@ -6,7 +6,6 @@
 #include <string>
 
 #include "scenarios/experiment.h"
-#include "scenarios/spec.h"
 
 namespace bb::bench {
 
@@ -18,11 +17,6 @@ namespace bb::bench {
 // 50 ms one-way delay and 100 ms buffer.  BB_BENCH_RATE_MBPS overrides.
 [[nodiscard]] scenarios::TestbedConfig bench_testbed();
 
-// The bench testbed as a full scenario spec (cbr_uniform placeholder
-// traffic), for benches that build the testbed through the
-// scenarios::build_testbed factory instead of hand-wiring configs.
-[[nodiscard]] scenarios::ScenarioSpec bench_scenario_spec();
-
 // Scenario presets matching the paper's experiments (tcp_flows is scaled to
 // keep the per-flow share of the bottleneck comparable to 40 flows on OC3).
 [[nodiscard]] scenarios::WorkloadConfig infinite_tcp_workload();
@@ -32,17 +26,6 @@ namespace bb::bench {
 [[nodiscard]] scenarios::TruthConfig truth_for(const scenarios::WorkloadConfig& wl);
 
 void print_header(const std::string& title, const std::string& paper_ref);
-
-// Run one scenario with one BADABING tool at rate p and report the paper's
-// row: true/estimated frequency and duration.
-struct BadabingRow {
-    double p{0.0};
-    measure::TruthSummary truth;
-    probes::BadabingResult result;
-    double offered_load{0.0};
-};
-[[nodiscard]] BadabingRow run_badabing_row(const scenarios::WorkloadConfig& wl, double p,
-                                           bool improved = false);
 
 }  // namespace bb::bench
 

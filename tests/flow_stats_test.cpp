@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "measure/loss_monitor.h"
 #include "scenarios/testbed.h"
 #include "traffic/cbr.h"
+#include "traffic/episodic.h"
+#include "util/rng.h"
+#include "util/stats.h"
 
 namespace bb::measure {
 namespace {
@@ -114,6 +120,65 @@ TEST(FlowStats, Section3SomeFlowsLoseNothingDuringEpisodes) {
     }
     EXPECT_TRUE(found_lossless_active_flow)
         << "during some episode, at least one active flow should lose nothing";
+}
+
+TEST(FlowStats, Section3LosslessFlowsUnderEpisodicBursts) {
+    // The §3 scenario on the paper's scaled testbed (30 Mb/s, 50 ms, 100 ms
+    // buffer), shortened to 120 s: 100 jittered low-rate CBR flows at ~60%
+    // aggregate load plus an episodic burst source that drives the link
+    // into loss every ~5 s.  Episodes are periods where the aggregate
+    // exceeds B_out, yet most of them leave some active flow lossless, and
+    // the per-flow end-to-end loss rates differ by more than 10x.
+    // Measured: 23 of 24 episodes, rates 0.0071-0.34.
+    scenarios::Testbed tb{scenarios::TestbedConfig{}};
+    FlowStats stats{tb.bottleneck(), /*record_events=*/true};
+    LossMonitor mon{tb.sched(), tb.bottleneck()};
+    const TimeNs horizon = seconds_i(120);
+    Rng jitter{7};
+    const std::int64_t base_per_flow = tb.config().bottleneck_rate_bps * 60 / 100 / 100;
+    std::vector<std::unique_ptr<traffic::CbrSource>> sources;
+    for (sim::FlowId f = 1; f <= 100; ++f) {
+        // Unequal rates and staggered starts keep the flows from phase-locking
+        // at the deterministic drop-tail queue.
+        traffic::CbrSource::Config c;
+        c.rate_bps =
+            base_per_flow + jitter.uniform_int(-base_per_flow / 10, base_per_flow / 10);
+        c.packet_bytes = 1000 + static_cast<std::int32_t>(jitter.uniform_int(0, 500));
+        c.start = seconds(jitter.uniform(0.0, 0.5));
+        c.flow = f;
+        c.stop = horizon;
+        sources.push_back(
+            std::make_unique<traffic::CbrSource>(tb.sched(), c, tb.forward_in()));
+    }
+    traffic::EpisodicBurstSource::Config burst;
+    burst.episode_durations = {milliseconds(80)};
+    burst.mean_gap = seconds_i(5);
+    burst.flow = 1000;
+    burst.bottleneck_rate_bps = tb.config().bottleneck_rate_bps;
+    burst.bottleneck_capacity_bytes = tb.bottleneck().capacity_bytes();
+    burst.background_load = 0.6;
+    burst.stop = horizon;
+    traffic::EpisodicBurstSource bursts{tb.sched(), burst, tb.forward_in(), Rng{7 ^ 0x53}};
+    tb.sched().run_until(horizon + seconds_i(2));
+
+    RunningStats flow_rates;
+    for (const auto& [flow, f] : stats.flows()) flow_rates.add(f.loss_rate());
+    const auto eps = mon.episodes(milliseconds(100));
+    std::size_t with_lossless_flow = 0;
+    for (const auto& e : eps) {
+        const auto active = stats.flows_active_in(e.start, e.end);
+        const auto dropped = stats.flows_dropped_in(e.start, e.end);
+        for (const auto f : active) {
+            if (!dropped.contains(f)) {
+                ++with_lossless_flow;
+                break;
+            }
+        }
+    }
+    ASSERT_GE(eps.size(), 5u);
+    EXPECT_GE(static_cast<double>(with_lossless_flow), 0.9 * static_cast<double>(eps.size()));
+    EXPECT_GT(stats.router_loss_rate(), 0.0);
+    EXPECT_GT(flow_rates.max(), 10.0 * flow_rates.min());
 }
 
 }  // namespace

@@ -268,18 +268,25 @@ int sweep_main(int argc, char** argv) {
                 outcome.cells.size(), outcome.computed, outcome.cached, outcome.simulated);
     if (hashing) {
         // Cached cells are not re-run and carry no digest; the merged value
-        // covers computed cells only (in cell order).
+        // covers computed cells only (in cell order).  With none computed it
+        // would be the empty merge, which is no digest at all.
+        if (outcome.hashed_cells == 0) {
+            std::fprintf(stderr, "bb sweep: no cell was computed, so there is no run-state "
+                                 "digest (every cell cached?)\n");
+            return 1;
+        }
         std::printf("state-hash   : %s (%zu of %zu cells hashed)\n",
                     core::RunHasher::hex(outcome.merged_state_hash).c_str(),
                     outcome.hashed_cells, outcome.cells.size());
     }
     if (!hash_trace_out->empty()) {
-        if (outcome.hash_trace != nullptr &&
-            write_text_file(*hash_trace_out, outcome.hash_trace->trace_json())) {
-            std::printf("hash-trace   : wrote %s\n", hash_trace_out->c_str());
-        } else {
-            std::fprintf(stderr, "bb sweep: no hash trace to write (every cell cached?)\n");
+        if (outcome.hash_trace == nullptr ||
+            !write_text_file(*hash_trace_out, outcome.hash_trace->trace_json())) {
+            std::fprintf(stderr, "bb sweep: no hash trace written to %s\n",
+                         hash_trace_out->c_str());
+            return 1;
         }
+        std::printf("hash-trace   : wrote %s\n", hash_trace_out->c_str());
     }
     if (probe_log) {
         if (outcome.probe_log == nullptr) {
