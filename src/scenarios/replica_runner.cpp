@@ -125,7 +125,6 @@ void run_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>& analys
     const auto& queue = exp.testbed().bottleneck();
     for (const auto& hop : exp.testbed().upstream_hops()) sim.upstream_drops += hop->drops();
     sim.queue_drops = queue.drops() + sim.upstream_drops;
-    sim.episodes = sim.truth.episodes;
     const std::uint64_t ge_drops = exp.testbed().ge() ? exp.testbed().ge()->drops() : 0;
     if (queue.arrivals() > 0) {
         sim.path_loss_rate = static_cast<double>(queue.drops() + ge_drops) /
@@ -194,7 +193,6 @@ void run_stream_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>&
     stream.truth.frequency = t.frequency;
     stream.truth.mean_duration_s = t.mean_duration_slots * probe.slot_width.to_seconds();
     stream.truth.episodes = t.episodes;
-    stream.episodes = t.episodes;
     stream.result.counts = analyzer.counts();
     stream.result.experiments = scorer.experiments_completed();
     analyse_each(plan, analyses, stream, hasher, results,
@@ -208,15 +206,26 @@ void run_stream_one(const ReplicaPlan& plan, const std::vector<ReplicaAnalysis>&
                  });
 }
 
-AggregateStat collapse(const std::vector<double>& values, const ReplicaRunner::Config& cfg,
-                       Rng& rng) {
+// Every aggregate's CI: a 95% percentile bootstrap over 1000 resamples.
+constexpr std::size_t kBootstrapReplicates = 1000;
+constexpr double kConfidence = 0.95;
+
+AggregateStat collapse(const std::vector<double>& values, Rng& rng) {
     AggregateStat s;
     RunningStats stats;
     for (double v : values) stats.add(v);
     s.mean = stats.mean();
     s.stddev = stats.stddev();
-    s.ci = core::bootstrap_mean(values, cfg.bootstrap_replicates, cfg.confidence, rng);
+    s.ci = core::bootstrap_mean(values, kBootstrapReplicates, kConfidence, rng);
     return s;
+}
+
+// Doubles hold every count below 2^53 exactly.
+std::optional<double> tally(std::uint64_t n) { return static_cast<double>(n); }
+
+// A BADABING replica's value; other tools do not make it.
+std::optional<double> badabing(const ReplicaResult& r, double v) {
+    return r.tool == ScenarioSpec::ProbeTool::badabing ? std::optional{v} : std::nullopt;
 }
 
 }  // namespace
@@ -236,34 +245,77 @@ std::int64_t stream_slots(const ReplicaPlan& plan) noexcept {
                                  : plan.spec.workload.duration / probe.slot_width;
 }
 
-bool estimates_frequency(ScenarioSpec::ProbeTool tool) noexcept {
-    return tool != ScenarioSpec::ProbeTool::none;
+std::span<const Metric> metrics() noexcept {
+    using Tool = ScenarioSpec::ProbeTool;
+    using R = const ReplicaResult&;
+    using Value = std::optional<double>;
+    using enum Metric::Kind;
+    using enum Metric::Output;
+    using enum Metric::Role;
+    static const Metric kMetrics[] = {
+        {"true_frequency", ratio, both, truth,
+         [](R r, TimeNs) -> Value { return r.truth.frequency; }},
+        {"est_frequency", ratio, both, estimate, [](R r, TimeNs) -> Value {
+             if (r.tool == Tool::zing) return r.zing.loss_frequency;
+             if (r.tool == Tool::sting) return r.sting.forward_loss_rate;
+             return badabing(r, r.result.frequency.value);
+         }},
+        {"true_duration_s", seconds, both, truth,
+         [](R r, TimeNs) -> Value { return r.truth.mean_duration_s; }},
+        // An invalid basic D̂ is 0, not null, per replica and in the aggregate:
+        // readers take every replica's value as a number, and 0 as "none".
+        {"est_duration_s", seconds, both, estimate, [](R r, TimeNs slot_width) -> Value {
+             const core::DurationEstimate& d = r.result.duration_basic;
+             if (r.tool == Tool::zing) return r.zing.mean_duration_s;
+             return badabing(r, d.valid ? d.seconds(slot_width) : 0.0);
+         }},
+        {"offered_load", ratio, aggregate, other,
+         [](R r, TimeNs) -> Value { return r.offered_load; }},
+        // The §5.3 improved D̂ and its r̂, where the estimate is valid.
+        {"est_duration_improved_s", seconds, both, estimate, [](R r, TimeNs slot_width) {
+             const core::DurationEstimate& d = r.result.duration_improved;
+             return d.valid ? Value{d.seconds(slot_width)} : std::nullopt;
+         }},
+        {"r_hat", ratio, replica, other, [](R r, TimeNs) {
+             const core::DurationEstimate& d = r.result.duration_improved;
+             return d.valid ? d.r_hat : std::nullopt;
+         }},
+        {"episodes", count, replica, other, [](R r, TimeNs) { return tally(r.truth.episodes); }},
+        {"queue_drops", count, replica, other, [](R r, TimeNs) { return tally(r.queue_drops); }},
+        {"upstream_drops", count, replica, other,
+         [](R r, TimeNs) { return tally(r.upstream_drops); }},
+        {"experiments", count, replica, other,
+         [](R r, TimeNs) { return badabing(r, static_cast<double>(r.result.experiments)); }},
+        {"pair_asymmetry", ratio, replica, other,
+         [](R r, TimeNs) { return badabing(r, r.result.validation.pair_asymmetry); }},
+        {"path_loss_rate", ratio, replica, other,
+         [](R r, TimeNs) -> Value { return r.path_loss_rate; }},
+        {"passive_loss_rate", ratio, replica, other,
+         [](R r, TimeNs) -> Value { return r.passive_loss_rate; }},
+        {"qbit_merged_blocks", count, replica, other,
+         [](R r, TimeNs) { return tally(r.qbit_merged_blocks); }},
+        // The tools' own tallies.
+        {"sent", count, replica, other, [](R r, TimeNs) { return tally(r.zing.sent); }, Tool::zing},
+        {"lost", count, replica, other, [](R r, TimeNs) { return tally(r.zing.lost); }, Tool::zing},
+        {"loss_runs", count, replica, other, [](R r, TimeNs) { return tally(r.zing.loss_runs); },
+         Tool::zing},
+        {"max_run_length", count, replica, other,
+         [](R r, TimeNs) { return tally(r.zing.max_run_length); }, Tool::zing},
+        {"bursts", count, replica, other,
+         [](R r, TimeNs) { return tally(r.sting.bursts_completed); }, Tool::sting},
+        {"segments", count, replica, other, [](R r, TimeNs) { return tally(r.sting.data_packets); },
+         Tool::sting},
+        {"holes", count, replica, other, [](R r, TimeNs) { return tally(r.sting.holes_filled); },
+         Tool::sting},
+    };
+    return kMetrics;
 }
 
-bool estimates_duration(ScenarioSpec::ProbeTool tool) noexcept {
-    return tool == ScenarioSpec::ProbeTool::badabing || tool == ScenarioSpec::ProbeTool::zing;
-}
-
-double ReplicaResult::est_frequency() const noexcept {
-    switch (tool) {
-        case ScenarioSpec::ProbeTool::badabing: return result.frequency.value;
-        case ScenarioSpec::ProbeTool::zing: return zing.loss_frequency;
-        case ScenarioSpec::ProbeTool::sting: return sting.forward_loss_rate;
-        case ScenarioSpec::ProbeTool::none: break;
+std::optional<AggregateStat> AggregateRow::stat(std::string_view key) const {
+    for (const auto& [m, s] : stats) {
+        if (key == m->key) return s;
     }
-    return 0.0;
-}
-
-double ReplicaResult::est_duration_s(TimeNs slot_width) const noexcept {
-    switch (tool) {
-        case ScenarioSpec::ProbeTool::badabing:
-            return result.duration_basic.valid ? result.duration_basic.seconds(slot_width)
-                                               : 0.0;
-        case ScenarioSpec::ProbeTool::zing: return zing.mean_duration_s;
-        case ScenarioSpec::ProbeTool::sting:
-        case ScenarioSpec::ProbeTool::none: break;
-    }
-    return 0.0;
+    return std::nullopt;
 }
 
 std::vector<ReplicaResult> ReplicaRunner::run(const ReplicaPlan& plan) const {
@@ -311,36 +363,21 @@ AggregateRow ReplicaRunner::aggregate(const ReplicaPlan& plan,
     const obs::Span span{"aggregate", "scenarios"};
     const TimeNs slot_width = plan.spec.badabing.slot_width;
     AggregateRow row;
-    row.p = plan.spec.badabing.p;
-    row.replicas = results.size();
-
-    std::vector<double> true_f, est_f, true_d, est_d, load, improved;
-    true_f.reserve(results.size());
-    est_f.reserve(results.size());
-    true_d.reserve(results.size());
-    est_d.reserve(results.size());
-    load.reserve(results.size());
-    for (const auto& r : results) {
-        true_f.push_back(r.truth.frequency);
-        est_f.push_back(r.est_frequency());
-        true_d.push_back(r.truth.mean_duration_s);
-        est_d.push_back(r.est_duration_s(slot_width));
-        load.push_back(r.offered_load);
-        if (r.result.duration_improved.valid) {
-            improved.push_back(r.result.duration_improved.seconds(slot_width));
-        }
-    }
-
     // One serial bootstrap stream per aggregation keeps the row a pure
     // function of (results order, master_seed) — thread count cannot leak in.
+    // A metric no replica has draws nothing.
     Rng rng{cfg_.master_seed ^ 0xB007B007ULL};
-    row.true_frequency = collapse(true_f, cfg_, rng);
-    row.est_frequency = collapse(est_f, cfg_, rng);
-    row.true_duration_s = collapse(true_d, cfg_, rng);
-    row.est_duration_s = collapse(est_d, cfg_, rng);
-    row.offered_load = collapse(load, cfg_, rng);
-    // Last, so the stats above keep the bootstrap draws they had before it.
-    if (!improved.empty()) row.est_duration_improved_s = collapse(improved, cfg_, rng);
+    std::vector<double> values;
+    for (const Metric& m : metrics()) {
+        if (!m.aggregated()) continue;
+        values.clear();
+        for (const auto& r : results) {
+            if (m.only && r.tool != *m.only) continue;
+            if (const auto v = m.value(r, slot_width)) values.push_back(*v);
+        }
+        row.stats.emplace_back(&m, values.empty() ? std::nullopt
+                                                  : std::optional{collapse(values, rng)});
+    }
     return row;
 }
 

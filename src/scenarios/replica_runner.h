@@ -29,6 +29,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/bootstrap.h"
@@ -99,7 +102,6 @@ struct ReplicaResult {
     // documents.  Zero when the relevant instrumentation is off, and on a
     // synthetic replica (as are offered_load and queue_drops).
     std::uint64_t upstream_drops{0};  // the upstream hops' share of queue_drops
-    std::size_t episodes{0};
     double path_loss_rate{0.0};      // (queue + GE drops) / queue arrivals
     double passive_loss_rate{0.0};   // Q-bit observer estimate of the same
     std::uint64_t qbit_merged_blocks{0};
@@ -113,18 +115,35 @@ struct ReplicaResult {
     std::uint64_t state_hash{0};
     std::uint64_t hash_records{0};
     std::shared_ptr<core::RunHasher> hash_trace;
-
-    // The tool's estimates: BADABING's F̂ and basic D̂ (0 when invalid),
-    // ZING's lost fraction and mean loss-run span, STING's forward loss
-    // rate; 0 where the tool has none (see estimates_frequency).
-    [[nodiscard]] double est_frequency() const noexcept;
-    [[nodiscard]] double est_duration_s(TimeNs slot_width) const noexcept;
 };
 
-// Whether a probe tool estimates the loss frequency / the mean episode
-// duration at all: STING reports a loss rate only, `none` nothing.
-[[nodiscard]] bool estimates_frequency(ScenarioSpec::ProbeTool tool) noexcept;
-[[nodiscard]] bool estimates_duration(ScenarioSpec::ProbeTool tool) noexcept;
+// One number a replica reports, declared once.  metrics() is the ordered
+// list of them: its order is the order of the cell document's replica keys
+// and aggregate stats, of the summary CSV's and the `bb sweep` table's
+// columns (sweep.h), and of aggregate()'s bootstrap draws.  A metric a
+// replica's tool does not make is the extractor returning nothing: null in
+// the replica object, left out of the aggregate, which is null (an empty CSV
+// field, a blank table cell) when no replica has it.
+struct Metric {
+    // A count is a JSON integer; the table prints seconds to 3 places.
+    enum class Kind { count, ratio, seconds };
+    enum class Output { replica, aggregate, both };
+    // In the `bb sweep` table an estimate prints its CI and shares the
+    // column group of the truth just before it.
+    enum class Role { truth, estimate, other };
+    const char* key;
+    Kind kind;
+    Output output;
+    Role role;
+    std::optional<double> (*value)(const ReplicaResult&, TimeNs slot_width);
+    // Written only for this tool's replicas (its own tallies), and absent
+    // rather than null for any other; unset = every tool.
+    std::optional<ScenarioSpec::ProbeTool> only{};
+
+    [[nodiscard]] bool aggregated() const noexcept { return output != Output::replica; }
+};
+
+[[nodiscard]] std::span<const Metric> metrics() noexcept;
 
 // One metric collapsed across replicas.
 struct AggregateStat {
@@ -134,19 +153,12 @@ struct AggregateStat {
 };
 
 // Per-plan aggregate row: the multi-replica analogue of a paper table row.
-// The estimate stats collapse the tool's estimates (ReplicaResult); a tool
-// without one collapses zeros, which a cell document writes as null.
 struct AggregateRow {
-    double p{0.0};
-    std::size_t replicas{0};
-    AggregateStat true_frequency;
-    AggregateStat est_frequency;
-    AggregateStat true_duration_s;
-    AggregateStat est_duration_s;
-    AggregateStat offered_load;
-    // The §5.3 improved duration over the replicas whose estimate is valid;
-    // unset when none is.
-    std::optional<AggregateStat> est_duration_improved_s;
+    // Each aggregated metric, in metrics() order, and its stat over the
+    // replicas that have a value (unset when none has).
+    std::vector<std::pair<const Metric*, std::optional<AggregateStat>>> stats;
+
+    [[nodiscard]] std::optional<AggregateStat> stat(std::string_view key) const;
 };
 
 class ReplicaRunner {
@@ -155,13 +167,9 @@ public:
         std::size_t replicas{8};
         std::size_t threads{0};      // 0 = hardware concurrency
         std::uint64_t master_seed{7};
-        std::size_t bootstrap_replicates{1000};
-        double confidence{0.95};
     };
 
     explicit ReplicaRunner(Config cfg) : cfg_{cfg} {}
-
-    [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
     // Per-replica seeds: Rng{master}.fork_seed(i) drawn in index order.  A
     // pure function of (master_seed, n) — prefix-stable, so growing n keeps

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -206,96 +205,6 @@ ExpandResult expand_sweep(const SweepSpec& sweep, std::string_view source) {
     return out;
 }
 
-std::string cell_result_json(const SweepCell& cell, const AggregateRow& row,
-                             const std::vector<ReplicaResult>& replicas,
-                             TimeNs slot_width) {
-    JsonWriter w{JsonWriter::Options{.indent = 2, .space_after_colon = true}};
-    // %.17g everywhere: cached cells must round-trip to the same doubles.
-    const char* fmt = "%.17g";
-    w.begin_object();
-    w.key("schema").value(kCellSchema);
-    w.key("config_hash").value(cell.config_hash);
-    w.key("name").value(cell.spec.name);
-    w.key("axes").begin_object_inline();
-    for (const auto& [path, value] : cell.axis_values) w.key(path).value(value);
-    w.end_object();
-
-    // A number, or null for an estimate that does not exist.
-    auto number = [&](const char* key, bool valid, double v) {
-        w.key(key);
-        if (valid) {
-            w.value_double(v, fmt);
-        } else {
-            w.value_null();
-        }
-    };
-    auto stat = [&](const char* name, const std::optional<AggregateStat>& s) {
-        const AggregateStat v = s.value_or(AggregateStat{});
-        w.key(name).begin_object_inline();
-        number("mean", s.has_value(), v.mean);
-        number("stddev", s.has_value(), v.stddev);
-        number("ci_lo", s.has_value(), v.ci.lo);
-        number("ci_hi", s.has_value(), v.ci.hi);
-        w.end_object();
-    };
-    const ScenarioSpec::ProbeTool tool = cell.spec.tool;
-    const bool badabing = tool == ScenarioSpec::ProbeTool::badabing;
-    const bool has_f = estimates_frequency(tool);
-    const bool has_d = estimates_duration(tool);
-    w.key("aggregate").begin_object();
-    number("p", badabing, row.p);
-    w.key("replicas").value_uint(row.replicas);
-    stat("true_frequency", row.true_frequency);
-    stat("est_frequency", has_f ? std::optional{row.est_frequency} : std::nullopt);
-    stat("true_duration_s", row.true_duration_s);
-    stat("est_duration_s", has_d ? std::optional{row.est_duration_s} : std::nullopt);
-    stat("offered_load", row.offered_load);
-    stat("est_duration_improved_s", row.est_duration_improved_s);
-    w.end_object();
-
-    w.key("replicas").begin_array();
-    for (const ReplicaResult& r : replicas) {
-        w.begin_object_inline();
-        w.key("replica").value_uint(r.index);
-        w.key("seed").value_uint(r.seed);
-        w.key("true_frequency").value_double(r.truth.frequency, fmt);
-        number("est_frequency", has_f, r.est_frequency());
-        w.key("true_duration_s").value_double(r.truth.mean_duration_s, fmt);
-        number("est_duration_s", has_d, r.est_duration_s(slot_width));
-        const core::DurationEstimate& improved = r.result.duration_improved;
-        number("est_duration_improved_s", improved.valid, improved.seconds(slot_width));
-        number("r_hat", improved.valid && improved.r_hat.has_value(),
-               improved.r_hat.value_or(0.0));
-        w.key("episodes").value_uint(r.episodes);
-        w.key("queue_drops").value_uint(r.queue_drops);
-        w.key("upstream_drops").value_uint(r.upstream_drops);
-        w.key("experiments");
-        if (badabing) {
-            w.value_uint(r.result.experiments);
-        } else {
-            w.value_null();
-        }
-        number("pair_asymmetry", badabing, r.result.validation.pair_asymmetry);
-        w.key("path_loss_rate").value_double(r.path_loss_rate, fmt);
-        w.key("passive_loss_rate").value_double(r.passive_loss_rate, fmt);
-        w.key("qbit_merged_blocks").value_uint(r.qbit_merged_blocks);
-        if (tool == ScenarioSpec::ProbeTool::zing) {
-            w.key("sent").value_uint(r.zing.sent);
-            w.key("lost").value_uint(r.zing.lost);
-            w.key("loss_runs").value_uint(r.zing.loss_runs);
-            w.key("max_run_length").value_uint(r.zing.max_run_length);
-        } else if (tool == ScenarioSpec::ProbeTool::sting) {
-            w.key("bursts").value_uint(r.sting.bursts_completed);
-            w.key("segments").value_uint(r.sting.data_packets);
-            w.key("holes").value_uint(r.sting.holes_filled);
-        }
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    return w.take() + "\n";
-}
-
 namespace {
 
 // True when `doc` is an object whose member `key` is the string `want`.
@@ -319,45 +228,6 @@ std::string simulation_key(const JsonValue& doc) {
     JsonValue sim = doc;
     std::erase_if(sim.members, [](const auto& m) { return m.first == "analysis"; });
     return json_canonical(sim);
-}
-
-std::string csv_field(const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string quoted = "\"";
-    for (const char c : s) quoted += c == '"' ? std::string{"\"\""} : std::string{c};
-    return quoted + "\"";
-}
-
-// <out>/<sweep>.csv: one row per cell (cached ones included) with its index,
-// config hash, axis values and aggregate means; a null mean is an empty field.
-std::string summary_csv(const std::vector<SweepCell>& cells,
-                        const std::vector<SweepRunner::CellOutcome>& outcomes) {
-    static const char* const kColumns[] = {"p", "replicas", "true_frequency", "est_frequency",
-                                           "true_duration_s", "est_duration_s", "offered_load"};
-    std::string out = "cell,config_hash";
-    if (!cells.empty()) {
-        for (const auto& axis : cells.front().axis_values) out += "," + csv_field(axis.first);
-    }
-    for (const char* column : kColumns) out += std::string{","} + column;
-    out += "\n";
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        out += std::to_string(outcomes[i].index) + "," + outcomes[i].config_hash;
-        for (const auto& axis : cells[i].axis_values) out += "," + csv_field(axis.second);
-        for (const char* column : kColumns) {
-            // "p" and "replicas" are numbers; the other columns are stat means.
-            const JsonValue* v =
-                json_get_path(outcomes[i].result, std::string{"aggregate."} + column);
-            if (v != nullptr && v->is_object()) v = v->find("mean");
-            // A null (an estimate the cell's tool does not make) stays empty.
-            char buf[40] = ",";
-            if (v != nullptr && v->is_number()) {
-                std::snprintf(buf, sizeof buf, ",%.9g", v->number_value);
-            }
-            out += buf;
-        }
-        out += "\n";
-    }
-    return out;
 }
 
 }  // namespace
@@ -401,7 +271,7 @@ SweepRunner::RunOutcome SweepRunner::run(const std::string& sweep_name,
         JsonParse cached = json_parse_file(path);
         // A stale, foreign-format or corrupt cache entry is not an error:
         // recompute.
-        if (!cached.ok || !string_member_is(cached.value, "schema", kCellSchema) ||
+        if (!cached.ok || !string_member_is(cached.value, "schema", cell_schema()) ||
             !string_member_is(cached.value, "config_hash", cell.config_hash)) {
             continue;
         }

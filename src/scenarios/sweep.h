@@ -23,10 +23,11 @@
 // round-trip-precision) JSON document.  With a --cache-dir, finished cells
 // live in <cache>/<hash>.json and later runs verify the embedded hash and
 // skip the computation; editing an axis value only invalidates the cells
-// whose resolved documents actually changed.  A cache entry also carries
-// the cell document's format tag (kCellSchema) and counts only when both the
-// tag and the hash match, so entries written by a build with another key set
-// are recomputed rather than served.
+// whose resolved documents actually changed.  A cell's document, its row of
+// <out>/<sweep>.csv and of the `bb sweep` table all come from one metric
+// list (metrics(), replica_runner.h), and so does the document's format tag
+// (cell_schema()): a cache entry counts only when both the tag and the hash
+// match, so entries written by a build with another key set are recomputed.
 //
 // Simulate once, analyse many: cells whose canonical documents are equal
 // once the top-level "analysis" object is removed differ only in how the
@@ -46,6 +47,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -173,21 +175,28 @@ private:
     Config cfg_;
 };
 
-// Format tag of the per-cell result document.  Bump it whenever the
-// document's keys change: a cache entry with another tag is recomputed.
-inline constexpr const char* kCellSchema = "bb.cell.v3";
+// The cell document's format tag, derived from the metric list: a list
+// that gains, loses or moves a key, or changes one's kind, output or tool,
+// yields another tag, and a cache entry with another tag is recomputed.
+[[nodiscard]] std::string cell_schema(std::span<const Metric> list = metrics());
 
 // The per-cell result document (pretty JSON, %.17g doubles so cached values
-// round-trip exactly): schema, config_hash, name, axes, aggregate stats, and
-// the per-replica trajectory including the §5.3 improved duration and its
-// r_hat (null when invalid), the path/passive loss-rate, upstream-drop and
-// pair-asymmetry extras.  The estimates are the cell's probe.tool's; a key
-// the tool does not estimate is null, and ZING and STING replicas end with
-// their own tallies.  An invalid basic BADABING duration is written as 0.
+// round-trip exactly): schema, config_hash, name, axes, the aggregate (p,
+// null unless BADABING, the replica count, a mean/stddev/CI stat per
+// aggregated metric), and per replica its index, seed and metrics.
 [[nodiscard]] std::string cell_result_json(const SweepCell& cell,
                                            const AggregateRow& row,
                                            const std::vector<ReplicaResult>& replicas,
                                            TimeNs slot_width);
+
+// <out>/<sweep>.csv and the `bb sweep` table: one row per cell, read from its
+// document.  The CSV has index, config hash, axis values, p, replica count
+// and each aggregated metric's mean; the table has index, hash, state, each
+// aggregated metric's mean (an estimate's with its 95% CI) and axis values.
+[[nodiscard]] std::string summary_csv(const std::vector<SweepCell>& cells,
+                                      const std::vector<SweepRunner::CellOutcome>& outcomes);
+[[nodiscard]] std::string summary_table(const std::vector<SweepCell>& cells,
+                                        const std::vector<SweepRunner::CellOutcome>& outcomes);
 
 }  // namespace bb::scenarios
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/probe_process.h"
 #include "core/synthetic.h"
 #include "core/validation.h"
+#include "param_name.h"
 #include "util/stats.h"
 
 namespace bb::core {
@@ -29,6 +31,12 @@ struct Sweep {
 };
 
 class ConsistencySweep : public ::testing::TestWithParam<Sweep> {};
+
+std::string sweep_name(const ::testing::TestParamInfo<Sweep>& param_info) {
+    const Sweep& s = param_info.param;
+    return "p" + param_token(s.p) + "_on" + param_token(s.mean_on) + "_off" +
+           param_token(s.mean_off) + "_p1_" + param_token(s.p1) + "_p2_" + param_token(s.p2);
+}
 
 constexpr SlotIndex kSlots = 2'000'000;
 
@@ -172,20 +180,23 @@ TEST_P(ConsistencySweep, FoldingExtendedPairsMovesDurationTowardOneOverR) {
 INSTANTIATE_TEST_SUITE_P(
     Rates, ConsistencySweep,
     ::testing::Values(Sweep{0.1, 14.0, 1990.0, 1.0, 1.0}, Sweep{0.3, 14.0, 1990.0, 1.0, 1.0},
-                      Sweep{0.5, 14.0, 1990.0, 1.0, 1.0}, Sweep{0.9, 14.0, 1990.0, 1.0, 1.0}));
+                      Sweep{0.5, 14.0, 1990.0, 1.0, 1.0}, Sweep{0.9, 14.0, 1990.0, 1.0, 1.0}),
+    sweep_name);
 
 INSTANTIATE_TEST_SUITE_P(
     EpisodeShapes, ConsistencySweep,
     ::testing::Values(Sweep{0.5, 2.0, 200.0, 1.0, 1.0},   // very short episodes
                       Sweep{0.5, 30.0, 1000.0, 1.0, 1.0},  // long episodes
-                      Sweep{0.5, 10.0, 90.0, 1.0, 1.0}));  // frequent congestion
+                      Sweep{0.5, 10.0, 90.0, 1.0, 1.0}),   // frequent congestion
+    sweep_name);
 
 INSTANTIATE_TEST_SUITE_P(
     Fidelity, ConsistencySweep,
     ::testing::Values(Sweep{0.5, 14.0, 500.0, 0.8, 0.8},   // r = 1, imperfect
                       Sweep{0.5, 14.0, 500.0, 0.9, 0.6},   // r < 1: basic biased
                       Sweep{0.5, 14.0, 500.0, 0.7, 0.7},
-                      Sweep{0.5, 14.0, 500.0, 0.7, 0.9}));  // r > 1: basic biased high
+                      Sweep{0.5, 14.0, 500.0, 0.7, 0.9}),  // r > 1: basic biased high
+    sweep_name);
 
 // F̂ is unbiased for any episode geometry; a direct check that the estimate
 // errors and the §5.4 pair asymmetry shrink with the number of experiments
@@ -282,7 +293,10 @@ TEST_P(ProbeDesignStarts, PoissonStartsEstimateLikeGeometricAtSameBudget) {
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Rates, ProbeDesignStarts, ::testing::Values(0.1, 0.3, 0.5));
+INSTANTIATE_TEST_SUITE_P(Rates, ProbeDesignStarts, ::testing::Values(0.1, 0.3, 0.5),
+                         [](const ::testing::TestParamInfo<double>& param_info) {
+                             return "p" + param_token(param_info.param);
+                         });
 
 }  // namespace
 }  // namespace bb::core

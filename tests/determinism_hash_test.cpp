@@ -22,7 +22,6 @@ ReplicaRunner::Config runner_config(std::size_t threads) {
     cfg.replicas = 3;
     cfg.threads = threads;
     cfg.master_seed = 7;
-    cfg.bootstrap_replicates = 50;
     return cfg;
 }
 

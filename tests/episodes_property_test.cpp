@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "delay_rule_oracle.h"
+#include "param_name.h"
 #include "measure/episodes.h"
 #include "util/rng.h"
 
@@ -115,7 +117,14 @@ INSTANTIATE_TEST_SUITE_P(Fuzz, EpisodeFuzz,
                                            FuzzParams{5, 500, 1.0, 100},   // dense
                                            FuzzParams{6, 500, 1000.0, 100},  // sparse
                                            FuzzParams{7, 200, 10.0, 5},
-                                           FuzzParams{8, 200, 10.0, 2000}));
+                                           FuzzParams{8, 200, 10.0, 2000}),
+                         [](const ::testing::TestParamInfo<FuzzParams>& param_info) {
+                             const FuzzParams& p = param_info.param;
+                             return "seed" + std::to_string(p.seed) + "_drops" +
+                                    std::to_string(p.drops) + "_spread" +
+                                    param_token(p.spread_s) + "s_gap" +
+                                    std::to_string(p.gap_ms) + "ms";
+                         });
 
 // --- the delay rule online vs the batch oracle -------------------------------
 

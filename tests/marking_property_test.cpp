@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/estimators.h"
 #include "core/marking.h"
 #include "core/probe_process.h"
+#include "param_name.h"
 #include "util/rng.h"
 
 namespace bb::core {
@@ -147,7 +149,14 @@ INSTANTIATE_TEST_SUITE_P(Fuzz, MarkingFuzz,
                                            FuzzCase{4, 500, 0.02, 0.05},
                                            FuzzCase{5, 500, 0.3, 0.3},
                                            FuzzCase{6, 500, 0.9, 0.1},
-                                           FuzzCase{7, 2000, 0.01, 0.01}));
+                                           FuzzCase{7, 2000, 0.01, 0.01}),
+                         [](const ::testing::TestParamInfo<FuzzCase>& param_info) {
+                             const FuzzCase& c = param_info.param;
+                             return "seed" + std::to_string(c.seed) + "_probes" +
+                                    std::to_string(c.probes) + "_loss" +
+                                    param_token(c.loss_rate) + "_highdelay" +
+                                    param_token(c.high_delay_rate);
+                         });
 
 }  // namespace
 }  // namespace bb::core

@@ -40,7 +40,6 @@ TEST(ObsIntegration, CountersMatchRunSummaryExactly) {
     cfg.replicas = 3;
     cfg.threads = 2;
     cfg.master_seed = 7;
-    cfg.bootstrap_replicates = 50;
     const ReplicaRunner runner{cfg};
     const auto plan = short_cbr_plan();
     const auto results = runner.run(plan);
@@ -74,7 +73,6 @@ TEST(ObsIntegration, TraceCapturesPerReplicaSpans) {
     cfg.replicas = 2;
     cfg.threads = 2;
     cfg.master_seed = 7;
-    cfg.bootstrap_replicates = 50;
     const ReplicaRunner runner{cfg};
     const auto plan = short_cbr_plan();
     const auto results = runner.run(plan);
@@ -111,7 +109,6 @@ TEST(ObsIntegration, KillSwitchFreezesCountersWithoutChangingResults) {
     cfg.replicas = 1;
     cfg.threads = 1;
     cfg.master_seed = 7;
-    cfg.bootstrap_replicates = 50;
     const ReplicaRunner runner{cfg};
     const auto plan = short_cbr_plan();
 

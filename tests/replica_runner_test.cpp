@@ -30,7 +30,6 @@ ReplicaRunner::Config runner_config(std::size_t replicas, std::size_t threads) {
     cfg.replicas = replicas;
     cfg.threads = threads;
     cfg.master_seed = 7;
-    cfg.bootstrap_replicates = 200;
     return cfg;
 }
 
@@ -77,12 +76,13 @@ TEST(ReplicaRunner, ThreadCountDoesNotChangeResults) {
 
     const auto a1 = serial.aggregate(plan, r1);
     const auto a8 = parallel.aggregate(plan, r8);
-    EXPECT_EQ(a1.replicas, a8.replicas);
-    expect_identical(a1.true_frequency, a8.true_frequency);
-    expect_identical(a1.est_frequency, a8.est_frequency);
-    expect_identical(a1.true_duration_s, a8.true_duration_s);
-    expect_identical(a1.est_duration_s, a8.est_duration_s);
-    expect_identical(a1.offered_load, a8.offered_load);
+    ASSERT_EQ(a1.stats.size(), a8.stats.size());
+    for (std::size_t s = 0; s < a1.stats.size(); ++s) {
+        SCOPED_TRACE(s);
+        ASSERT_EQ(a1.stats[s].first, a8.stats[s].first);
+        ASSERT_EQ(a1.stats[s].second.has_value(), a8.stats[s].second.has_value());
+        if (a1.stats[s].second) expect_identical(*a1.stats[s].second, *a8.stats[s].second);
+    }
 }
 
 TEST(ReplicaRunner, SeedsArePositionalAndPrefixStable) {
@@ -128,12 +128,13 @@ TEST(ReplicaRunner, SingleReplicaAggregationDegeneratesGracefully) {
     ASSERT_EQ(results.size(), 1u);
     const auto agg = runner.aggregate(plan, results);
 
-    EXPECT_EQ(agg.replicas, 1u);
     // No NaNs anywhere; the CI collapses to a zero-width interval at the
     // single observed value instead of blowing up.
-    for (const AggregateStat* s : {&agg.true_frequency, &agg.est_frequency,
-                                   &agg.true_duration_s, &agg.est_duration_s,
-                                   &agg.offered_load}) {
+    for (const char* key : {"true_frequency", "est_frequency", "true_duration_s",
+                            "est_duration_s", "offered_load"}) {
+        SCOPED_TRACE(key);
+        const auto s = agg.stat(key);
+        ASSERT_TRUE(s.has_value());
         EXPECT_TRUE(std::isfinite(s->mean));
         EXPECT_EQ(s->stddev, 0.0);
         ASSERT_TRUE(s->ci.valid);
@@ -141,7 +142,7 @@ TEST(ReplicaRunner, SingleReplicaAggregationDegeneratesGracefully) {
         EXPECT_EQ(s->ci.hi, s->mean);
         EXPECT_EQ(s->ci.std_error, 0.0);
     }
-    EXPECT_EQ(agg.est_frequency.mean, results[0].est_frequency());
+    EXPECT_EQ(agg.stat("est_frequency")->mean, results[0].result.frequency.value);
 }
 
 TEST(ReplicaRunner, ZeroReplicasYieldEmptyButFiniteAggregate) {
@@ -150,10 +151,8 @@ TEST(ReplicaRunner, ZeroReplicasYieldEmptyButFiniteAggregate) {
     const auto results = runner.run(plan);
     EXPECT_TRUE(results.empty());
     const auto agg = runner.aggregate(plan, results);
-    EXPECT_EQ(agg.replicas, 0u);
-    EXPECT_FALSE(agg.est_frequency.ci.valid);
-    EXPECT_TRUE(std::isfinite(agg.est_frequency.mean));
-    EXPECT_EQ(agg.est_frequency.mean, 0.0);
+    // No replica has a value, so no metric has a stat (null in a document).
+    for (const Metric& m : metrics()) EXPECT_FALSE(agg.stat(m.key).has_value()) << m.key;
 }
 
 // The replica aggregate document is the sweep engine's per-cell result.

@@ -47,7 +47,6 @@ ReplicaRunner::Config runner_config(std::size_t replicas, std::size_t threads) {
     cfg.replicas = replicas;
     cfg.threads = threads;
     cfg.master_seed = 7;
-    cfg.bootstrap_replicates = 100;
     return cfg;
 }
 
@@ -129,8 +128,8 @@ TEST(ExperimentRecorder, RecordingDoesNotChangeEstimates) {
     }
     const auto agg_off = runner.aggregate(short_plan(false), off);
     const auto agg_on = runner.aggregate(short_plan(true), on);
-    EXPECT_EQ(agg_off.est_frequency.mean, agg_on.est_frequency.mean);
-    EXPECT_EQ(agg_off.est_frequency.ci.lo, agg_on.est_frequency.ci.lo);
+    EXPECT_EQ(agg_off.stat("est_frequency")->mean, agg_on.stat("est_frequency")->mean);
+    EXPECT_EQ(agg_off.stat("est_frequency")->ci.lo, agg_on.stat("est_frequency")->ci.lo);
 }
 
 TEST(ExperimentRecorder, RecordsStandardProbeSetAndEpisodeAnnotations) {

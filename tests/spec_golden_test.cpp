@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -215,7 +216,11 @@ struct GoldenTableRow {
     GoldenStat true_freq, est_freq, true_dur, est_dur, load;
 };
 
-GoldenStat golden_stat(const AggregateStat& s) { return {s.mean, s.ci.lo, s.ci.hi}; }
+GoldenStat golden_stat(const std::optional<AggregateStat>& s) {
+    EXPECT_TRUE(s.has_value());
+    const AggregateStat v = s.value_or(AggregateStat{});
+    return {v.mean, v.ci.lo, v.ci.hi};
+}
 
 void expect_stat(const GoldenStat& got, const GoldenStat& want, const char* what, double p) {
     EXPECT_EQ(got.mean, want.mean) << what << " mean, p = " << p;
@@ -242,9 +247,9 @@ void check_badabing_table(const char* name, const char* label,
         const ReplicaPlan plan = replica_plan_from(spec);
         const AggregateRow agg = runner.aggregate(plan, runner.run(plan));
         const GoldenTableRow got{
-            golden_stat(agg.true_frequency), golden_stat(agg.est_frequency),
-            golden_stat(agg.true_duration_s), golden_stat(agg.est_duration_s),
-            golden_stat(agg.offered_load)};
+            golden_stat(agg.stat("true_frequency")), golden_stat(agg.stat("est_frequency")),
+            golden_stat(agg.stat("true_duration_s")), golden_stat(agg.stat("est_duration_s")),
+            golden_stat(agg.stat("offered_load"))};
         if (golden_print()) {
             const char* sep = "    {";
             for (const GoldenStat* s :

@@ -3,16 +3,19 @@
 // computes, warm run hits, an edited axis value invalidates only the cells it
 // touches, an entry without this build's format tag is recomputed), cells
 // that differ only in "analysis" sharing one simulation, the per-sweep
-// summary CSV, simulated cells equal to build_experiment() on the replica's
+// summary CSV, the metric list reaching every output and its format tag,
+// simulated cells equal to build_experiment() on the replica's
 // spec for every probe.tool, and synthetic (probe.streaming) cells: equal to
 // the synthetic recipe run by hand, grouped by analysis, and refused where
 // they cannot run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -301,7 +304,7 @@ TEST_F(SweepRunnerCache, CacheEntryCountsOnlyWithThisBuildsSchemaTag) {
 
     // Strip the format tag from one entry, as a build that predates it wrote
     // them: same config hash, but its key set is not this build's.
-    const std::string tag = std::string{"  \"schema\": \""} + kCellSchema + "\",\n";
+    const std::string tag = "  \"schema\": \"" + cell_schema() + "\",\n";
     const fs::path entry = cache_dir_ / (cold.cells[0].config_hash + ".json");
     std::ifstream in{entry};
     std::string text{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
@@ -323,12 +326,12 @@ TEST_F(SweepRunnerCache, CacheEntryCountsOnlyWithThisBuildsSchemaTag) {
     EXPECT_EQ(warm.cached, 2u);
 }
 
-// The cell document's keys, pinned beside its format tag: a change to either
-// list must come with a new kCellSchema, or stale cache entries are served.
+// The cell document's keys, pinned beside its format tag, which is derived
+// from the metric list that decides them.
 TEST_F(SweepRunnerCache, CellDocumentKeySetIsPinnedToItsSchemaTag) {
-    EXPECT_STREQ(kCellSchema, "bb.cell.v3");
     const auto cold = run(kTwoCellSweep);
     ASSERT_TRUE(cold.ok) << cold.error;
+    EXPECT_EQ(cold.cells[0].result.find("schema")->string_value, cell_schema());
     const auto keys = [](const JsonValue* v) {
         std::vector<std::string> out;
         if (v != nullptr) {
@@ -541,7 +544,7 @@ TEST_F(SweepRunnerCache, SummaryCsvHasOneRowPerCellCachedIncluded) {
     ASSERT_EQ(cold_csv.size(), 3u);
     EXPECT_EQ(cold_csv[0],
               "cell,config_hash,link.discipline,p,replicas,true_frequency,est_frequency,"
-              "true_duration_s,est_duration_s,offered_load");
+              "true_duration_s,est_duration_s,offered_load,est_duration_improved_s");
     EXPECT_EQ(cold_csv[1].rfind("0," + cold.cells[0].config_hash + ",drop_tail,0.3,1,", 0), 0u)
         << cold_csv[1];
     EXPECT_EQ(cold_csv[2].rfind("1," + cold.cells[1].config_hash + ",red,0.3,1,", 0), 0u)
@@ -551,6 +554,65 @@ TEST_F(SweepRunnerCache, SummaryCsvHasOneRowPerCellCachedIncluded) {
     ASSERT_TRUE(warm.ok) << warm.error;
     EXPECT_EQ(warm.cached, 2u);
     EXPECT_EQ(read_csv(), cold_csv);
+}
+
+// The metric list drives every output: each aggregated metric, in list
+// order, is a stat of the cell document's aggregate, a CSV column after the
+// axes, p and the replica count, and a column of the `bb sweep` table.
+TEST_F(SweepRunnerCache, EveryAggregatedMetricReachesEveryOutputInListOrder) {
+    const auto cold = run(kTwoCellSweep);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    std::vector<std::string> aggregated;
+    for (const Metric& m : metrics()) {
+        if (m.aggregated()) aggregated.emplace_back(m.key);
+    }
+    ASSERT_FALSE(aggregated.empty());
+
+    std::vector<std::string> stats;
+    for (const auto& [key, value] : cold.cells[0].result.find("aggregate")->members) {
+        if (value.is_object()) stats.push_back(key);
+    }
+    EXPECT_EQ(stats, aggregated);
+
+    std::ifstream in{out_dir_ / "t.csv"};
+    std::string header;
+    std::getline(in, header);
+    std::string want_csv = "cell,config_hash,link.discipline,p,replicas";
+    for (const std::string& key : aggregated) want_csv += "," + key;
+    EXPECT_EQ(header, want_csv);
+
+    const auto grid = expand_sweep(parse(kTwoCellSweep).sweep, "sweep.json");
+    ASSERT_TRUE(grid.ok) << grid.error;
+    const std::string table = summary_table(grid.cells, cold.cells);
+    const std::string table_header = table.substr(0, table.find('\n'));
+    std::size_t at = 0;
+    for (const std::string& key : aggregated) {
+        const std::size_t found = table_header.find(" " + key + " ", at);
+        ASSERT_NE(found, std::string::npos) << key << " after column " << at << ": "
+                                            << table_header;
+        at = found + key.size();
+    }
+    // One row per cell, after the header.
+    EXPECT_EQ(std::count(table.begin(), table.end(), '\n'), 3);
+}
+
+// The format tag is derived from the metric list: a list that gains a key
+// writes another document, so its tag differs and old cache entries miss.
+TEST(CellSchema, ChangesWhenTheMetricListGainsAKey) {
+    std::vector<Metric> list(metrics().begin(), metrics().end());
+    const std::string tag = cell_schema(list);
+    EXPECT_EQ(tag, cell_schema());
+    EXPECT_EQ(tag.rfind("bb.cell.", 0), 0u) << tag;
+    list.push_back(Metric{"extra", Metric::Kind::ratio, Metric::Output::replica,
+                          Metric::Role::other,
+                          [](const ReplicaResult&, TimeNs) -> std::optional<double> {
+                              return 1.0;
+                          }});
+    const std::string gained = cell_schema(list);
+    EXPECT_NE(gained, tag);
+    // So does a key that changes only its output (per replica -> both).
+    list.back().output = Metric::Output::both;
+    EXPECT_NE(cell_schema(list), gained);
 }
 
 // The sweep-level hash chain (DESIGN.md §14): computed cells carry merged

@@ -93,24 +93,6 @@ void print_cell_line(const scenarios::SweepCell& cell, const char* status) {
     std::printf("\n");
 }
 
-// A scalar from the cell result doc's "aggregate" section by dotted path, or 0.
-double aggregate_number(const JsonValue& doc, const std::string& path) {
-    const JsonValue* v = json_get_path(doc, "aggregate." + path);
-    return v != nullptr && v->is_number() ? v->number_value : 0.0;
-}
-
-// An aggregate stat's mean and CI printed with `fmt` (three conversions:
-// mean, ci_lo, ci_hi), or "" when the stat is null: an estimate the cell's
-// probe.tool does not make.
-std::string stat_with_ci(const JsonValue& doc, const std::string& stat, const char* fmt) {
-    const JsonValue* mean = json_get_path(doc, "aggregate." + stat + ".mean");
-    if (mean == nullptr || !mean->is_number()) return "";
-    char buf[96];
-    std::snprintf(buf, sizeof buf, fmt, mean->number_value,
-                  aggregate_number(doc, stat + ".ci_lo"), aggregate_number(doc, stat + ".ci_hi"));
-    return buf;
-}
-
 // The cells of `spec_path`: a sweep spec, or a plain scenario spec (no
 // "base" key) as a sweep with a single cell, so one schema drives both single
 // runs and grids.  Prints the diagnostic and returns false on error.
@@ -239,27 +221,7 @@ int sweep_main(int argc, char** argv) {
         return 1;
     }
 
-    // Replica means, with the 95% bootstrap CI of each estimate; an estimate
-    // the cell's probe.tool does not make is left blank.
-    std::printf("\n%-5s %-16s %-8s | %-9s %-22s | %-9s %-19s | %-6s |\n", "cell", "hash",
-                "state", "true freq", "est freq [95% CI]", "true dur", "est dur [95% CI]",
-                "load");
-    for (std::size_t i = 0; i < outcome.cells.size(); ++i) {
-        const auto& oc = outcome.cells[i];
-        const auto& cell = grid.cells[i];
-        const auto agg = [&oc](const char* path) { return aggregate_number(oc.result, path); };
-        std::printf("%-5zu %-16s %-8s | %-9.4f %-22s | %-9.3f %-19s | %.4f |", oc.index,
-                    oc.config_hash.c_str(), oc.cached ? "cached" : "computed",
-                    agg("true_frequency.mean"),
-                    stat_with_ci(oc.result, "est_frequency", "%.4f [%.4f,%.4f]").c_str(),
-                    agg("true_duration_s.mean"),
-                    stat_with_ci(oc.result, "est_duration_s", "%.3f [%.3f,%.3f]").c_str(),
-                    agg("offered_load.mean"));
-        for (const auto& [path, value] : cell.axis_values) {
-            std::printf(" %s=%s", path.c_str(), value.c_str());
-        }
-        std::printf("\n");
-    }
+    std::printf("\n%s", scenarios::summary_table(grid.cells, outcome.cells).c_str());
     // The cells line is load-bearing: ci.sh greps "computed N" / "cached N"
     // to assert warm-cache behaviour.  "simulated N" counts the simulations
     // (or synthetic streams) run: computed cells that differ only in
