@@ -1,77 +1,121 @@
 // Figure 8: impact of probe-train length on the queue dynamics during loss
 // episodes.  Compares no probes vs 3-packet vs 10-packet trains at a fixed
 // 10 ms interval under infinite-TCP traffic, reporting how the probe load
-// perturbs the loss process it is trying to measure.
-#include <algorithm>
+// perturbs the loss process it is trying to measure.  Writes a 30 s queue
+// excerpt per train length to fig_data/; exits nonzero when it cannot.
+//
+// The scenario is a spec document on the default dumbbell (30 Mb/s, 50 ms
+// one-way delay, 100 ms buffer, seed 7) with no probe tool of its own, built
+// by build_experiment; the program attaches a fixed-interval prober.  The
+// excerpt is ExperimentRecorder's sim.queue.delay_s gauge over a 30 s window
+// at 1 ms, with a bin budget that never downsamples it.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <sstream>
+#include <string>
 
-#include "common.h"
 #include "measure/loss_monitor.h"
+#include "obs/control.h"
+#include "obs/recorder.h"
+#include "obs/timeseries.h"
+#include "scenarios/sim_record.h"
+#include "scenarios/spec.h"
+#include "util/json_io.h"
 
 namespace {
 
-using namespace bb::bench;
+using namespace bb;
+
+// 300 s of 10 TCP flows (at 30 Mb/s, the per-flow share of the paper's 40
+// flows on OC3).
+constexpr const char* kTcp =
+    R"({"traffic": {"kind": "infinite_tcp", "duration_s": 300, "tcp_flows": 10},
+        "probe": {"tool": "none"}})";
 
 struct ImpactRow {
-    int probe_packets;
-    bb::measure::TruthSummary truth;
-    std::uint64_t cross_drops;
-    std::uint64_t probe_drops;
-    double probe_load;
+    measure::TruthSummary truth;
+    std::uint64_t cross_drops{0};
+    std::uint64_t probe_drops{0};
+    double probe_load{0.0};
 };
 
-ImpactRow run_one(int probe_packets) {
-    auto wl = infinite_tcp_workload();
-    wl.duration = std::min(wl.duration, bb::seconds_i(300));
-    bb::scenarios::Experiment exp{bench_testbed(), wl, truth_for(wl)};
+bool run_one(const scenarios::ScenarioSpec& spec, int probe_packets, ImpactRow& row) {
+    const scenarios::BuiltExperiment built = scenarios::build_experiment(spec);
+    scenarios::Experiment& exp = *built.experiment;
 
-    bb::probes::FixedIntervalProber* prober = nullptr;
-    if (probe_packets > 0) {
-        bb::probes::FixedIntervalProber::Config pc;
-        pc.interval = bb::milliseconds(10);
-        pc.packets_per_probe = probe_packets;
-        prober = &exp.add_fixed_prober(pc);
-    }
+    probes::FixedIntervalProber::Config pc;
+    pc.interval = milliseconds(10);
+    pc.packets_per_probe = probe_packets;
+    probes::FixedIntervalProber* prober =
+        probe_packets > 0 ? &exp.add_fixed_prober(pc) : nullptr;
 
-    // Sample a short excerpt of the queue for the CSV, as in the figure.
-    bb::measure::QueueSampler sampler{exp.testbed().sched(), exp.testbed().bottleneck(),
-                                      bb::milliseconds(1), bb::seconds_i(30)};
+    // Sample a short excerpt of the queue for the CSV, as in the figure:
+    // 30 s at 1 ms fits 2^15 bins with no merging.
+    scenarios::SimRecordingConfig rc;
+    rc.enabled = true;
+    rc.interval = milliseconds(1);
+    rc.horizon = seconds_i(30);
+    rc.budget_bins = 32768;
+    scenarios::ExperimentRecorder recording{exp, rc};
     exp.run();
+    recording.finish();
 
-    std::filesystem::create_directories("fig_data");
     const std::string path =
         "fig_data/fig8_probes" + std::to_string(probe_packets) + "_queue.csv";
-    std::ofstream out{path};
-    out << "t_seconds,queue_delay_seconds\n";
-    for (const auto& pt : sampler.series().points()) out << pt.t << ',' << pt.value << '\n';
+    const obs::TimeSeries* series = recording.recorder().find("sim.queue.delay_s");
+    if (series == nullptr || series->merges() != 0) {
+        std::fprintf(stderr, "fig8_probe_impact: recorder series missing or downsampled\n");
+        return false;
+    }
+    std::ostringstream csv;
+    csv << "t_seconds,queue_delay_seconds\n";
+    const double bin_s = static_cast<double>(series->bin_width_ns()) * 1e-9;
+    for (std::size_t i = 0; i < series->bins().size(); ++i) {
+        const auto& bin = series->bins()[i];
+        if (bin.count > 0) csv << static_cast<double>(i) * bin_s << ',' << bin.last << '\n';
+    }
+    if (!write_text_file(path, csv.str())) {
+        std::fprintf(stderr, "fig8_probe_impact: no data written to %s\n", path.c_str());
+        return false;
+    }
 
-    ImpactRow row;
-    row.probe_packets = probe_packets;
     row.truth = exp.truth();
     row.cross_drops = exp.monitor().cross_traffic_drops();
     row.probe_drops = exp.monitor().probe_drops();
-    const double span = wl.duration.to_seconds();
-    const double probe_bytes =
-        prober != nullptr
-            ? static_cast<double>(probe_packets) * 600.0 * span / 0.010
-            : 0.0;
-    row.probe_load = probe_bytes * 8.0 /
-                     (static_cast<double>(bench_testbed().bottleneck_rate_bps) * span);
-    return row;
+    if (prober != nullptr) {
+        // Bytes the prober sent over the workload, as a share of the
+        // bottleneck's capacity.
+        const double bits = static_cast<double>(prober->outcomes().size()) *
+                            pc.packets_per_probe * pc.packet_bytes * 8.0;
+        row.probe_load = bits / (static_cast<double>(spec.testbed.bottleneck_rate_bps) *
+                                 spec.workload.duration.to_seconds());
+    }
+    return true;
 }
 
 }  // namespace
 
 int main() {
-    print_header("Figure 8: probe-train impact on queue/loss dynamics (10 ms interval)",
-                 "Sommers et al., SIGCOMM 2005, Figure 8");
+    // The queue excerpts ride on the obs layer; force it on regardless of
+    // ambient BB_OBS.
+    obs::set_enabled(true);
+    const auto parsed = scenarios::load_scenario_spec_text(kTcp, "fig8 tcp");
+    if (!parsed.ok) {
+        std::fprintf(stderr, "%s\n", parsed.error.c_str());
+        return 1;
+    }
+    std::printf("================================================================\n"
+                "Figure 8: probe-train impact on queue/loss dynamics (10 ms interval)\n"
+                "reproduces: Sommers et al., SIGCOMM 2005, Figure 8\n"
+                "================================================================\n");
     std::printf("%-10s | %-9s | %-9s | %-11s | %-11s | %-9s\n", "probe pkts", "freq",
                 "dur (s)", "cross drops", "probe drops", "probe load");
     std::printf("----------------------------------------------------------------------\n");
+    std::error_code ec;
+    std::filesystem::create_directories("fig_data", ec);
     for (const int n : {0, 3, 10}) {
-        const auto r = run_one(n);
+        ImpactRow r;
+        if (!run_one(parsed.spec, n, r)) return 1;
         std::printf("%-10d | %-9.4f | %-9.3f | %-11llu | %-11llu | %-9.4f\n", n,
                     r.truth.frequency, r.truth.mean_duration_s,
                     static_cast<unsigned long long>(r.cross_drops),

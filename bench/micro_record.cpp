@@ -1,6 +1,8 @@
 // micro_record: recorder overhead on a full simulated experiment.
 //
-// Runs the same cbr_uniform BADABING experiment three ways per repetition:
+// Runs the same cbr_uniform BADABING experiment (a spec document on the
+// default dumbbell, seed 7, built by build_experiment) three ways per
+// repetition:
 // with no recorder attached (baseline), with an ExperimentRecorder sampling
 // at the default cadence (recorded), and with a recorder attached while the
 // BB_OBS kill switch is off (killed — must reduce to one cached-bool branch).
@@ -21,16 +23,15 @@
 #include <memory>
 #include <string>
 
-#include "common.h"
 #include "obs/control.h"
 #include "scenarios/sim_record.h"
+#include "scenarios/spec.h"
 #include "util/json.h"
 #include "util/json_io.h"
 
 namespace {
 
 using namespace bb;
-using namespace bb::bench;
 
 std::int64_t env_int(const char* name, std::int64_t fallback) {
     const char* v = std::getenv(name);
@@ -49,19 +50,13 @@ struct RunResult {
     std::uint64_t recorder_samples{0};
 };
 
-RunResult run_once(std::int64_t seconds, Mode mode) {
+RunResult run_once(const scenarios::ScenarioSpec& spec, Mode mode) {
     obs::set_enabled(mode != Mode::killed);
 
-    auto wl = cbr_uniform_workload();
-    wl.duration = seconds_i(seconds);
-    wl.seed = bench_seed();
-
     const auto t0 = std::chrono::steady_clock::now();
-    scenarios::Experiment exp{bench_testbed(), wl, truth_for(wl)};
-    probes::BadabingConfig bc;
-    bc.p = 0.3;
-    bc.total_slots = 0;
-    auto& tool = exp.add_badabing(bc);
+    const scenarios::BuiltExperiment built = scenarios::build_experiment(spec);
+    scenarios::Experiment& exp = *built.experiment;
+    const probes::BadabingTool& tool = *built.badabing;
     std::unique_ptr<scenarios::ExperimentRecorder> recording;
     if (mode != Mode::baseline) {
         scenarios::SimRecordingConfig rc;
@@ -78,7 +73,7 @@ RunResult run_once(std::int64_t seconds, Mode mode) {
     out.true_frequency = truth.frequency;
     out.episodes = truth.episodes;
     out.queue_drops = exp.testbed().bottleneck().drops();
-    out.est_frequency = tool.analyze(exp.default_marking(bc.p), {}).frequency.value;
+    out.est_frequency = tool.analyze(scenarios::marking_for(spec), {}).frequency.value;
     out.probes_sent = tool.probes_sent();
     if (recording) out.recorder_samples = recording->recorder().samples();
     obs::set_enabled(true);
@@ -99,6 +94,15 @@ int main() {
     const char* gate_env = std::getenv("BB_RECORD_BENCH_GATE");
     const bool gate = gate_env == nullptr || std::strcmp(gate_env, "off") != 0;
 
+    const std::string doc = R"({"traffic": {"kind": "cbr_uniform", "duration_s": )" +
+                            std::to_string(seconds) +
+                            R"(}, "probe": {"badabing": {"p": 0.3}}})";
+    const auto parsed = scenarios::load_scenario_spec_text(doc, "micro_record");
+    if (!parsed.ok) {
+        std::fprintf(stderr, "%s\n", parsed.error.c_str());
+        return 1;
+    }
+
     std::printf("micro_record: recorder overhead on a %llds cbr experiment "
                 "(best of %lld)\n",
                 static_cast<long long>(seconds), static_cast<long long>(reps));
@@ -110,9 +114,9 @@ int main() {
     double best_rec = -1.0;
     double best_kill = -1.0;
     for (std::int64_t r = 0; r < reps; ++r) {
-        const RunResult a = run_once(seconds, Mode::baseline);
-        const RunResult b = run_once(seconds, Mode::recorded);
-        const RunResult c = run_once(seconds, Mode::killed);
+        const RunResult a = run_once(parsed.spec, Mode::baseline);
+        const RunResult b = run_once(parsed.spec, Mode::recorded);
+        const RunResult c = run_once(parsed.spec, Mode::killed);
         if (best_base < 0 || a.ms < best_base) {
             best_base = a.ms;
             base = a;

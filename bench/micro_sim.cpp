@@ -85,6 +85,7 @@ void BM_FullScenarioSecondPerSecond(benchmark::State& state) {
         wl.kind = scenarios::TrafficKind::cbr_uniform;
         wl.duration = seconds_i(state.range(0));
         wl.seed = 5;
+        // bb-lint: allow(no-adhoc-scenario) timed loop; parsing a spec would move its baseline
         scenarios::Experiment exp{tb, wl};
         exp.run();
         benchmark::DoNotOptimize(exp.testbed().sched().executed_events());
@@ -107,6 +108,7 @@ void BM_FullScenarioHashed(benchmark::State& state) {
         wl.kind = scenarios::TrafficKind::cbr_uniform;
         wl.duration = seconds_i(state.range(0));
         wl.seed = 5;
+        // bb-lint: allow(no-adhoc-scenario) timed loop; parsing a spec would move its baseline
         scenarios::Experiment exp{tb, wl};
         exp.run();
         benchmark::DoNotOptimize(exp.testbed().sched().executed_events());

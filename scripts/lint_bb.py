@@ -37,9 +37,11 @@ Rules (see DESIGN.md §10 for rationale):
   no-adhoc-scenario   hand-wired scenario plumbing (constructing a
                       scenarios::Testbed / Figure3Testbed, or declaring a
                       QueueBase::LinkConfig) is banned outside src/scenarios
-                      and src/sim (the defining layers): experiment wiring
-                      goes through the scenario DSL and the
-                      scenarios::build_testbed factory, so every run is
+                      and src/sim (the defining layers), and so is
+                      constructing a scenarios::Experiment in bench/ and
+                      tools/: experiment wiring goes through the scenario
+                      DSL and the scenarios::build_testbed /
+                      build_experiment factories, so every run is
                       reproducible from a spec document.
   no-node-container   std::map/multimap/set/multiset/list/forward_list/deque
                       are banned in src/sim and src/tcp: the per-packet path
@@ -156,6 +158,27 @@ def grep_rule(pattern, message):
     return check
 
 
+_ADHOC_TESTBED = grep_rule(
+    r"\b(?:scenarios::)?(?:Figure3)?Testbed\s+\w+\s*\{"
+    r"|\b(?:sim::)?QueueBase::LinkConfig\s+\w+\s*[;{=]",
+    "hand-wired scenario construction; go through the scenario DSL "
+    "and scenarios::build_testbed")
+# A scenarios::Experiment (not core::Experiment, the probe design's unit)
+# declared by value or allocated; references and parameters stay legal.
+_ADHOC_EXPERIMENT = grep_rule(
+    r"(?:(?<!::)|(?<=scenarios::))\bExperiment\s+\w+\s*[{(=]"
+    r"|\bmake_(?:unique|shared)\s*<\s*(?:(?:bb::)?scenarios::)?Experiment\s*>"
+    r"|\bnew\s+(?:(?:bb::)?scenarios::)?Experiment\b",
+    "hand-wired experiment; parse a spec document and call "
+    "scenarios::build_experiment")
+
+
+def check_adhoc_scenario(path, code_lines, ctx):
+    yield from _ADHOC_TESTBED(path, code_lines, ctx)
+    if in_dirs(path, "bench", "tools"):
+        yield from _ADHOC_EXPERIMENT(path, code_lines, ctx)
+
+
 def check_own_header_first(path, code_lines, ctx):
     if not path.startswith("src/") or not path.endswith(".cpp"):
         return
@@ -224,13 +247,10 @@ RULES = [
         "scope": lambda p: (in_dirs(p, "src", "tools", "bench")
                             and not in_dirs(p, "src/scenarios", "src/sim")),
         # Constructions only: `Testbed tb{...}`, `Figure3Testbed f{...}`,
-        # `QueueBase::LinkConfig link;` — references and parameters
-        # (`Testbed&`, `const QueueBase::LinkConfig&`) stay legal.
-        "check": grep_rule(
-            r"\b(?:scenarios::)?(?:Figure3)?Testbed\s+\w+\s*\{"
-            r"|\b(?:sim::)?QueueBase::LinkConfig\s+\w+\s*[;{=]",
-            "hand-wired scenario construction; go through the scenario DSL "
-            "and scenarios::build_testbed"),
+        # `QueueBase::LinkConfig link;` and, in bench/ and tools/,
+        # `scenarios::Experiment exp{...}` — references and parameters
+        # (`Testbed&`, `const QueueBase::LinkConfig&`, `Experiment&`) stay legal.
+        "check": check_adhoc_scenario,
     },
     {
         "id": "no-node-container",
@@ -376,6 +396,25 @@ SELF_TEST_TABLE = [
     ("no-adhoc-scenario", "bench/x.cpp", "scenarios::Testbed& tb = *tb_ptr;", False, False),  # ref ok
     ("no-adhoc-scenario", "bench/x.cpp",
      "sim::QueueBase::LinkConfig link;  // bb-lint: allow(no-adhoc-scenario)", False, False),
+    ("no-adhoc-scenario", "bench/x.cpp", "scenarios::Experiment exp{tb, wl};", False, True),
+    ("no-adhoc-scenario", "tools/x.cpp", "bb::scenarios::Experiment exp{tb, wl, tc};", False,
+     True),
+    ("no-adhoc-scenario", "bench/x.cpp", "Experiment exp(tb, wl);", False, True),
+    ("no-adhoc-scenario", "tools/x.cpp",
+     "auto exp = std::make_unique<scenarios::Experiment>(tb, wl);", False, True),
+    ("no-adhoc-scenario", "bench/x.cpp", "scenarios::Experiment& exp = *built.experiment;",
+     False, False),  # reference ok
+    ("no-adhoc-scenario", "bench/x.cpp", "void run(const scenarios::Experiment& exp);", False,
+     False),  # parameter ok
+    ("no-adhoc-scenario", "bench/x.cpp",
+     "const scenarios::BuiltExperiment built = scenarios::build_experiment(spec);", False,
+     False),  # the sanctioned factory
+    ("no-adhoc-scenario", "bench/x.cpp", "const core::Experiment e{slot, kind};", False,
+     False),  # the probe design's experiment
+    ("no-adhoc-scenario", "src/probes/x.cpp", "scenarios::Experiment exp{tb, wl};", False,
+     False),  # the Experiment ban covers bench/ and tools/ only
+    ("no-adhoc-scenario", "bench/x.cpp",
+     "scenarios::Experiment exp{tb, wl};  // bb-lint: allow(no-adhoc-scenario)", False, False),
     ("no-node-container", "src/sim/x.h", "std::deque<Queued> fifo_;", False, True),
     ("no-node-container", "src/tcp/x.h", "std::map<std::int64_t, std::int64_t> m;", False, True),
     ("no-node-container", "src/tcp/x.cpp", "std::multimap<int, int> m;", False, True),

@@ -46,17 +46,4 @@ double LossMonitor::router_loss_rate() const noexcept {
     return total > 0 ? lost / total : 0.0;
 }
 
-QueueSampler::QueueSampler(sim::Scheduler& sched, const sim::QueueBase& queue,
-                           TimeNs interval, TimeNs until)
-    : sched_{&sched}, queue_{&queue}, interval_{interval}, until_{until} {
-    sched_->schedule_after(interval_, [this] { sample(); });
-}
-
-void QueueSampler::sample() {
-    series_.add(sched_->now().to_seconds(), queue_->queueing_delay().to_seconds());
-    if (sched_->now() + interval_ <= until_) {
-        sched_->schedule_after(interval_, [this] { sample(); });
-    }
-}
-
 }  // namespace bb::measure

@@ -10,7 +10,6 @@
 
 #include "measure/episodes.h"
 #include "sim/queue_base.h"
-#include "util/stats.h"
 #include "util/time.h"
 
 namespace bb::measure {
@@ -90,25 +89,6 @@ private:
     std::uint64_t cross_drops_{0};
     std::uint64_t probe_drops_{0};
     std::uint64_t successes_{0};
-};
-
-// Periodically samples the bottleneck occupancy, expressed as queueing delay
-// in seconds — the y-axis of the paper's Figures 4-6 and 8.
-class QueueSampler {
-public:
-    QueueSampler(sim::Scheduler& sched, const sim::QueueBase& queue, TimeNs interval,
-                 TimeNs until);
-
-    [[nodiscard]] const TimeSeries& series() const noexcept { return series_; }
-
-private:
-    void sample();
-
-    sim::Scheduler* sched_;
-    const sim::QueueBase* queue_;
-    TimeNs interval_;
-    TimeNs until_;
-    TimeSeries series_;
 };
 
 }  // namespace bb::measure

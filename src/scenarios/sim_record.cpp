@@ -51,9 +51,7 @@ ExperimentRecorder::ExperimentRecorder(Experiment& exp, const SimRecordingConfig
         break;
     }
 
-    // Same cadence contract as measure::QueueSampler: first sample at
-    // t = interval, last at the largest multiple of interval <= duration.
-    until_ = exp.workload_config().duration;
+    until_ = cfg_.horizon > TimeNs::zero() ? cfg_.horizon : exp.workload_config().duration;
     sched.schedule_after(cfg_.interval, [this] { sample(); });
 }
 
@@ -69,8 +67,8 @@ void ExperimentRecorder::finish() {
     if (finished_ || !rec_->on()) return;
     finished_ = true;
     // Tail sample at the post-drain clock so final counter deltas (drops in
-    // the drain margin) are not lost.
-    rec_->sample(exp_->testbed().sched().now().ns());
+    // the drain margin) are not lost; a windowed recorder ends at its horizon.
+    if (cfg_.horizon == TimeNs::zero()) rec_->sample(exp_->testbed().sched().now().ns());
     for (const measure::LossEpisode& ep : exp_->episodes()) {
         rec_->annotate(ep.start.ns(), "episode.start");
         rec_->annotate(ep.end.ns(), "episode.end");

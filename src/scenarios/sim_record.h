@@ -4,13 +4,15 @@
 // testbed (bottleneck queue level/drops/marks, Gilbert-Elliott link state,
 // scheduler churn, BADABING probe tallies) and drives the recorder from the
 // SIMULATION clock: a self-rescheduling event samples every `interval` of
-// simulated time, exactly like measure::QueueSampler.  Because sampling reads
-// state without mutating it, attaching a recorder never changes what an
-// experiment computes — table and figure outputs stay bit-identical.
+// simulated time: the first sample at t = interval, the last at the largest
+// multiple of interval <= the horizon.  Because sampling reads state without
+// mutating it, attaching a recorder never changes what an experiment
+// computes — table and figure outputs stay bit-identical.
 //
 // Lifecycle: construct after the experiment's probers are attached and
-// before exp.run(); call finish() after run() to take the final sample and
-// convert the ground-truth loss episodes into recorder annotations.
+// before exp.run(); call finish() after run() to convert the ground-truth
+// loss episodes into recorder annotations (and, for a recorder that samples
+// the whole workload, to take a tail sample).
 #ifndef BB_SCENARIOS_SIM_RECORD_H
 #define BB_SCENARIOS_SIM_RECORD_H
 
@@ -26,6 +28,9 @@ namespace bb::scenarios {
 struct SimRecordingConfig {
     bool enabled{false};
     TimeNs interval{milliseconds(100)};  // simulated sampling cadence
+    // Last sampling instant; zero = the workload's duration.  A recorder
+    // with an explicit horizon samples that window only, with no tail sample.
+    TimeNs horizon{TimeNs::zero()};
     std::size_t budget_bins{512};        // per-series memory budget
     std::size_t max_annotations{1024};
 };
@@ -37,9 +42,10 @@ public:
     ExperimentRecorder(const ExperimentRecorder&) = delete;
     ExperimentRecorder& operator=(const ExperimentRecorder&) = delete;
 
-    // Final sample at the post-drain clock plus episode.start/episode.end
-    // annotations from the experiment's ground truth (skipped when the
-    // bounded-memory truth path dropped the raw episode record).  Idempotent.
+    // episode.start/episode.end annotations from the experiment's ground
+    // truth (skipped when the bounded-memory truth path dropped the raw
+    // episode record), preceded, when the horizon is the workload's
+    // duration, by a final sample at the post-drain clock.  Idempotent.
     void finish();
 
     [[nodiscard]] obs::Recorder& recorder() noexcept { return *rec_; }

@@ -152,14 +152,22 @@ SweepParseResult load_sweep_spec_text(std::string_view text, std::string_view so
 }
 
 SweepParseResult load_sweep_spec_file(const std::string& path) {
-    const JsonParse parsed = json_parse_file(path);
+    JsonParse parsed = json_parse_file(path);
+    SweepParseResult out;
     if (!parsed.ok) {
-        SweepParseResult out;
         out.error = parsed.error;
         return out;
     }
-    SweepParseResult out = parse_sweep_spec(parsed.value, path);
-    if (out.ok && out.sweep.name == "sweep") out.sweep.name = file_stem_or(path, "sweep");
+    if (parsed.value.is_object() && parsed.value.find("base") == nullptr) {
+        // A plain scenario spec: a sweep of one cell with no axes.
+        out.sweep.base = std::move(parsed.value);
+        out.ok = true;
+    } else {
+        out = parse_sweep_spec(parsed.value, path);
+    }
+    if (out.ok && (out.sweep.name.empty() || out.sweep.name == "sweep")) {
+        out.sweep.name = file_stem_or(path, "sweep");
+    }
     return out;
 }
 

@@ -83,6 +83,9 @@ struct SweepParseResult {
                                                 std::string_view source);
 [[nodiscard]] SweepParseResult load_sweep_spec_text(std::string_view text,
                                                     std::string_view source);
+// A file holding a plain scenario spec (an object with no "base") loads as
+// a one-cell sweep with no axes; either kind is named after the file stem
+// unless it names itself.
 [[nodiscard]] SweepParseResult load_sweep_spec_file(const std::string& path);
 
 // One fully resolved grid point.

@@ -1,5 +1,5 @@
-// Small statistics helpers used by ground-truth extraction, estimators and
-// benches: streaming mean/variance, and a fixed-bin time series accumulator.
+// Small statistics helpers used by ground-truth extraction and estimators:
+// streaming mean/variance and empirical quantiles.
 #ifndef BB_UTIL_STATS_H
 #define BB_UTIL_STATS_H
 
@@ -40,40 +40,6 @@ private:
     double m2_{0.0};
     double min_{0.0};
     double max_{0.0};
-};
-
-// A sampled time series: (t_seconds, value) pairs with simple reductions.
-// Used to export queue-length traces (Figures 4-6, 8).
-class TimeSeries {
-public:
-    struct Point {
-        double t;
-        double value;
-    };
-
-    void add(double t, double value) { points_.push_back({t, value}); }
-
-    [[nodiscard]] const std::vector<Point>& points() const noexcept { return points_; }
-    [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
-    [[nodiscard]] bool empty() const noexcept { return points_.empty(); }
-
-    // Mean of values with t in [t0, t1).
-    [[nodiscard]] double mean_over(double t0, double t1) const noexcept {
-        RunningStats s;
-        for (const auto& p : points_) {
-            if (p.t >= t0 && p.t < t1) s.add(p.value);
-        }
-        return s.mean();
-    }
-
-    [[nodiscard]] double max_value() const noexcept {
-        RunningStats s;
-        for (const auto& p : points_) s.add(p.value);
-        return s.max();
-    }
-
-private:
-    std::vector<Point> points_;
 };
 
 // Empirical quantile (linear interpolation) over a copy of the data.

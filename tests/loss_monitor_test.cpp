@@ -277,23 +277,5 @@ TEST(LossMonitor, DelayRuleCountsDownstreamDrops) {
                   static_cast<double>(tb.bottleneck().departures() + tb.bottleneck().drops()));
 }
 
-TEST(QueueSampler, SamplesAtConfiguredCadence) {
-    scenarios::Testbed tb{testbed_cfg()};
-    QueueSampler sampler{tb.sched(), tb.bottleneck(), milliseconds(10), seconds_i(1)};
-    tb.sched().run_until(seconds_i(2));
-    // 1 s of samples at 10 ms.
-    EXPECT_NEAR(static_cast<double>(sampler.series().size()), 100.0, 2.0);
-    for (const auto& pt : sampler.series().points()) {
-        EXPECT_GE(pt.value, 0.0);
-    }
-}
-
-TEST(QueueSampler, StopsAtHorizon) {
-    scenarios::Testbed tb{testbed_cfg()};
-    QueueSampler sampler{tb.sched(), tb.bottleneck(), milliseconds(10), milliseconds(100)};
-    tb.sched().run_until(seconds_i(5));
-    EXPECT_LE(sampler.series().size(), 11u);
-}
-
 }  // namespace
 }  // namespace bb::measure

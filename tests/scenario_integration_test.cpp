@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/episode_match.h"
+#include "measure/episodes.h"
 #include "scenarios/experiment.h"
+#include "scenarios/spec.h"
 
 namespace bb::scenarios {
 namespace {
@@ -143,6 +146,61 @@ TEST(ScenarioIntegration, TruthIsDeterministicForSeed) {
     EXPECT_EQ(a.episodes, b.episodes);
     EXPECT_DOUBLE_EQ(a.frequency, b.frequency);
     EXPECT_DOUBLE_EQ(a.mean_duration_s, b.mean_duration_s);
+}
+
+// §6.1's marking rules on the 900 s CBR scenario at p = 0.3 (seed 7): the
+// loss-only rule against the loss + (tau, alpha) one-way-delay rule, at the
+// aggregate level (D̂ against the truth) and the episode level (recall,
+// precision and onset error of the marks against the true episodes).  The
+// delay rule fills episode interiors, so D̂ moves from well under the truth
+// to over it, and onsets sharpen at a cost in precision.  It does not raise
+// recall: loss marks alone already find all but one episode in a hundred.
+TEST(ScenarioIntegration, Section61DelayRuleSharpensOnsetsAtAPrecisionCost) {
+    const SpecResult parsed = load_scenario_spec_text(
+        R"({"traffic": {"kind": "cbr_uniform", "duration_s": 900, "episode_ms": 68,
+                        "mean_episode_gap_s": 10},
+            "probe": {"badabing": {"p": 0.3}}})",
+        "section61");
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    const BuiltExperiment built = build_experiment(parsed.spec);
+    Experiment& exp = *built.experiment;
+    exp.run();
+    const probes::BadabingTool& tool = *built.badabing;
+    const measure::TruthSummary truth = exp.truth();
+    const auto intervals =
+        measure::episode_slot_intervals(exp.episodes(), tool.slot_width(), TimeNs::zero());
+
+    struct Scored {
+        double duration_s;
+        core::EpisodeMatchReport match;
+    };
+    const auto score = [&](bool delay_rule) {
+        core::MarkingConfig marking = marking_for(parsed.spec);
+        marking.use_delay_rule = delay_rule;
+        const auto res = tool.analyze(marking);
+        EXPECT_TRUE(res.duration_basic.valid);
+        core::CongestionMarker marker{marking};
+        return Scored{res.duration_basic.seconds(tool.slot_width()),
+                      core::match_episodes(marker.mark(tool.outcomes()), intervals)};
+    };
+    const Scored loss_only = score(false);
+    const Scored full = score(true);
+
+    EXPECT_NEAR(truth.mean_duration_s, 0.074, 0.0005);
+    EXPECT_NEAR(loss_only.duration_s, 0.030, 0.0005);
+    EXPECT_NEAR(full.duration_s, 0.112, 0.0005);
+    EXPECT_LT(loss_only.duration_s, truth.mean_duration_s);
+    EXPECT_GT(full.duration_s, truth.mean_duration_s);
+
+    EXPECT_NEAR(loss_only.match.mean_onset_error_slots, 2.91, 0.005);
+    EXPECT_NEAR(full.match.mean_onset_error_slots, 2.18, 0.005);
+    EXPECT_NEAR(loss_only.match.precision, 1.00, 0.005);
+    EXPECT_NEAR(full.match.precision, 0.86, 0.005);
+
+    EXPECT_NEAR(loss_only.match.recall, 0.99, 0.005);
+    EXPECT_EQ(full.match.recall, loss_only.match.recall);
+    EXPECT_EQ(full.match.probed_recall, 1.0);
+    EXPECT_EQ(loss_only.match.probed_recall, 1.0);
 }
 
 }  // namespace

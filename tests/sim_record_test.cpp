@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "measure/loss_monitor.h"
 #include "obs/control.h"
 #include "obs/metrics.h"
 #include "scenarios/progress.h"
@@ -50,18 +50,32 @@ ReplicaRunner::Config runner_config(std::size_t replicas, std::size_t threads) {
     return cfg;
 }
 
-// The fig4_6 golden equivalence: the recorder's sim.queue.delay_s gauge must
-// reproduce measure::QueueSampler pointwise when the bin budget never forces
-// a merge (each sample lands in its own bin and `last` is the sample).
-TEST(ExperimentRecorder, MatchesQueueSamplerPointwise) {
+// The figure programs' equivalence: the recorder's sim.queue.delay_s gauge
+// equals, pointwise, an event that reschedules itself every interval and
+// reads the bottleneck's queueing delay, when the bin budget never forces a
+// merge (each sample lands in its own bin and `last` is the sample).
+TEST(ExperimentRecorder, DelayGaugeMatchesRescheduledQueueReadsPointwise) {
     ObsOn guard;
     WorkloadConfig wl = short_cbr();
     TruthConfig tc;
     Experiment exp{TestbedConfig{}, wl, tc};
 
     const TimeNs interval = milliseconds(5);
-    measure::QueueSampler sampler{exp.testbed().sched(), exp.testbed().bottleneck(),
-                                  interval, wl.duration};
+    struct Read {
+        double t;
+        double delay;
+    };
+    std::vector<Read> reads;
+    sim::Scheduler& sched = exp.testbed().sched();
+    const sim::QueueBase& queue = exp.testbed().bottleneck();
+    std::function<void()> read_queue = [&] {
+        reads.push_back({sched.now().to_seconds(), queue.queueing_delay().to_seconds()});
+        if (sched.now() + interval <= wl.duration) {
+            sched.schedule_after(interval, [&read_queue] { read_queue(); });
+        }
+    };
+    sched.schedule_after(interval, [&read_queue] { read_queue(); });
+
     SimRecordingConfig rc;
     rc.enabled = true;
     rc.interval = interval;
@@ -74,21 +88,75 @@ TEST(ExperimentRecorder, MatchesQueueSamplerPointwise) {
     ASSERT_NE(ts, nullptr);
     EXPECT_EQ(ts->merges(), 0u);
 
-    const auto& points = sampler.series().points();
-    ASSERT_GT(points.size(), 100u);
+    ASSERT_EQ(reads.size(), 1600u);
     std::size_t k = 0;
-    for (std::size_t i = 0; i < ts->bins().size() && k < points.size(); ++i) {
+    for (std::size_t i = 0; i < ts->bins().size() && k < reads.size(); ++i) {
         const auto& bin = ts->bins()[i];
         if (bin.count == 0) continue;
         const double t =
             static_cast<double>(static_cast<std::int64_t>(i) * ts->bin_width_ns()) * 1e-9;
-        EXPECT_DOUBLE_EQ(t, points[k].t) << "sample " << k;
-        EXPECT_DOUBLE_EQ(bin.last, points[k].value) << "sample " << k;
+        EXPECT_DOUBLE_EQ(t, reads[k].t) << "sample " << k;
+        EXPECT_DOUBLE_EQ(bin.last, reads[k].delay) << "sample " << k;
         ++k;
     }
-    // Every sampler point matched a recorder bin (the recorder may hold one
-    // extra tail sample from finish()).
-    EXPECT_EQ(k, points.size());
+    // Every read matched a recorder bin; the recorder holds one more, the
+    // tail sample finish() takes at the post-drain clock.
+    EXPECT_EQ(k, reads.size());
+    EXPECT_EQ(ts->samples(), reads.size() + 1);
+}
+
+// The cadence: one sample per interval from t = interval to the workload's
+// duration, each in its own bin while the budget holds.
+TEST(ExperimentRecorder, SamplesAtConfiguredCadence) {
+    ObsOn guard;
+    WorkloadConfig wl = short_cbr();
+    wl.duration = seconds_i(1);
+    Experiment exp{TestbedConfig{}, wl, TruthConfig{}};
+    SimRecordingConfig rc;
+    rc.enabled = true;
+    rc.interval = milliseconds(10);
+    rc.budget_bins = 4096;
+    ExperimentRecorder recording{exp, rc};
+    exp.run();  // before finish(): no tail sample yet
+
+    const obs::TimeSeries* ts = recording.recorder().find("sim.queue.delay_s");
+    ASSERT_NE(ts, nullptr);
+    EXPECT_EQ(ts->bin_width_ns(), milliseconds(10).ns());
+    EXPECT_EQ(ts->samples(), 100u);
+    ASSERT_EQ(ts->bins().size(), 101u);
+    EXPECT_EQ(ts->bins()[0].count, 0u);
+    for (std::size_t i = 1; i < ts->bins().size(); ++i) {
+        EXPECT_EQ(ts->bins()[i].count, 1u) << "bin " << i;
+        EXPECT_GE(ts->bins()[i].last, 0.0) << "bin " << i;
+    }
+}
+
+// A recorder with a horizon samples that window only: its last bin is the
+// horizon's, and finish() adds no tail sample after the run.
+TEST(ExperimentRecorder, WindowStopsAtHorizonWithNoTailBin) {
+    ObsOn guard;
+    WorkloadConfig wl = short_cbr();
+    Experiment exp{TestbedConfig{}, wl, TruthConfig{}};
+    SimRecordingConfig rc;
+    rc.enabled = true;
+    rc.interval = milliseconds(10);
+    rc.horizon = milliseconds(100);
+    rc.budget_bins = 4096;
+    ExperimentRecorder recording{exp, rc};
+    exp.run();
+    recording.finish();
+
+    const obs::Recorder& rec = recording.recorder();
+    EXPECT_EQ(rec.samples(), 10u);
+    for (const char* name : {"sim.queue.delay_s", "sim.queue.drops", "sched.executed"}) {
+        const obs::TimeSeries* ts = rec.find(name);
+        ASSERT_NE(ts, nullptr) << name;
+        EXPECT_EQ(ts->samples(), 10u) << name;
+        ASSERT_EQ(ts->bins().size(), 11u) << name;
+        EXPECT_EQ(ts->bins().back().count, 1u) << name;
+    }
+    // The episode annotations still come from the whole run.
+    EXPECT_EQ(rec.annotations().size(), 2 * exp.truth().episodes);
 }
 
 TEST(ExperimentRecorder, SeriesBitIdenticalAcrossThreadCounts) {

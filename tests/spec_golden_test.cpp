@@ -173,6 +173,25 @@ TEST(SpecGolden, ShippedExampleSpecsParseAndExpand) {
     }
 }
 
+// A plain scenario spec (no "base") loads through the sweep loader as a
+// one-cell sweep with no axes, named after its file stem: the path bb sweep
+// takes for a single run.
+TEST(SpecGolden, PlainSpecFileLoadsAsOneCellSweepNamedAfterItsStem) {
+    const std::string path = std::string{BB_TEST_DATA_DIR} + "/cbr_multi_red.json";
+    const auto r = load_sweep_spec_file(path);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.sweep.name, "cbr_multi_red");
+    EXPECT_TRUE(r.sweep.axes.empty());
+    const auto e = expand_sweep(r.sweep, path);
+    ASSERT_TRUE(e.ok) << e.error;
+    ASSERT_EQ(e.cells.size(), 1u);
+    const auto plain = load_scenario_spec_file(path);
+    ASSERT_TRUE(plain.ok) << plain.error;
+    EXPECT_EQ(e.cells[0].spec.workload.kind, TrafficKind::cbr_multi);
+    EXPECT_EQ(e.cells[0].spec.testbed.discipline, plain.spec.testbed.discipline);
+    EXPECT_EQ(e.cells[0].spec.workload.duration, plain.spec.workload.duration);
+}
+
 TEST(SpecGolden, ShippedAblationSweepMatchesHistoricalCellOrder) {
     const auto r = load_sweep_spec_file(std::string{BB_EXAMPLES_DIR} +
                                         "/ablation_aqm_sweep.json");
@@ -270,7 +289,8 @@ void check_badabing_table(const char* name, const char* label,
     if (golden_print()) std::printf("};\n");
 }
 
-// Pinned from the table4/5/6 benches at BB_BENCH_DURATION_S=20 (p = 0.1 .. 0.9).
+// Pinned from the table4/5/6 bench programs (since deleted) run for 20
+// simulated seconds (p = 0.1 .. 0.9).
 const GoldenTableRow kShippedTable4[5] = {
     {{0.0087499999999999991, 0, 0.014999999999999999},
      {0.011914468320138871, 0, 0.025380710659898477},
@@ -824,7 +844,8 @@ void check_zing_table(const char* table, const char* label, const GoldenZingRow 
     expect_zing_row(got[1], want[1], "20 Hz / 64 B");
 }
 
-// Pinned from the table1/2/3 benches at BB_BENCH_DURATION_S=120.
+// Pinned from the table1/2/3 bench programs (since deleted) run for 120
+// simulated seconds.
 const GoldenZingRow kShippedTable1[2] = {
     // 10 Hz, 256 B
     {0.044416666666666667, 0.17908759434482757, 0.0097985523674913658,

@@ -43,23 +43,6 @@ TEST(RunningStats, HandlesNegativeValues) {
     EXPECT_DOUBLE_EQ(s.max(), 3.0);
 }
 
-TEST(TimeSeries, MeanOverWindow) {
-    TimeSeries ts;
-    ts.add(0.0, 1.0);
-    ts.add(1.0, 2.0);
-    ts.add(2.0, 3.0);
-    ts.add(3.0, 100.0);
-    EXPECT_DOUBLE_EQ(ts.mean_over(0.0, 3.0), 2.0);  // half-open window
-    EXPECT_DOUBLE_EQ(ts.max_value(), 100.0);
-    EXPECT_EQ(ts.size(), 4u);
-}
-
-TEST(TimeSeries, EmptyWindowYieldsZero) {
-    TimeSeries ts;
-    ts.add(10.0, 5.0);
-    EXPECT_DOUBLE_EQ(ts.mean_over(0.0, 1.0), 0.0);
-}
-
 TEST(Quantile, EdgeCases) {
     EXPECT_DOUBLE_EQ(quantile({}, 0.5), 0.0);
     EXPECT_DOUBLE_EQ(quantile({7.0}, 0.5), 7.0);

@@ -93,29 +93,17 @@ void print_cell_line(const scenarios::SweepCell& cell, const char* status) {
     std::printf("\n");
 }
 
-// The cells of `spec_path`: a sweep spec, or a plain scenario spec (no
-// "base" key) as a sweep with a single cell, so one schema drives both single
-// runs and grids.  Prints the diagnostic and returns false on error.
+// The cells of `spec_path`: a sweep spec, or a plain scenario spec as a
+// sweep with a single cell, so one schema drives both single runs and grids.
+// Prints the diagnostic and returns false on error.
 bool load_grid(const std::string& spec_path, scenarios::SweepSpec& sweep,
                scenarios::ExpandResult& grid) {
-    JsonParse parsed = json_parse_file(spec_path);
-    if (!parsed.ok) {
-        std::fprintf(stderr, "%s\n", parsed.error.c_str());
+    scenarios::SweepParseResult r = scenarios::load_sweep_spec_file(spec_path);
+    if (!r.ok) {
+        std::fprintf(stderr, "%s\n", r.error.c_str());
         return false;
     }
-    if (parsed.value.is_object() && parsed.value.find("base") == nullptr) {
-        sweep.base = std::move(parsed.value);
-    } else {
-        scenarios::SweepParseResult r = scenarios::parse_sweep_spec(parsed.value, spec_path);
-        if (!r.ok) {
-            std::fprintf(stderr, "%s\n", r.error.c_str());
-            return false;
-        }
-        sweep = std::move(r.sweep);
-    }
-    if (sweep.name.empty() || sweep.name == "sweep") {
-        sweep.name = scenarios::file_stem_or(spec_path, "sweep");
-    }
+    sweep = std::move(r.sweep);
     grid = scenarios::expand_sweep(sweep, spec_path);
     if (!grid.ok) {
         std::fprintf(stderr, "%s\n", grid.error.c_str());
