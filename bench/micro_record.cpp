@@ -176,7 +176,11 @@ int main() {
     w.key("recorder_samples").value_uint(rec.recorder_samples);
     w.key("identical").value(true);
     w.end_object();
-    if (write_text_file(path, w.str() + "\n")) std::printf("json: wrote %s\n", path.c_str());
+    if (!write_text_file(path, w.str() + "\n")) {
+        std::fprintf(stderr, "micro_record: cannot write %s\n", path.c_str());
+        return 1;
+    }
+    std::printf("json: wrote %s\n", path.c_str());
 
     if (gate && overhead > 0.05) {
         std::fprintf(stderr, "micro_record: overhead %.2f%% exceeds the 5%% budget\n",

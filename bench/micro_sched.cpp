@@ -297,7 +297,11 @@ int main() {
     w.end_object();
     w.key("allocs_per_event_small").value_double(allocs_per_event, "%.6f");
     w.end_object();
-    if (write_text_file(path, w.str() + "\n")) std::printf("json: wrote %s\n", path.c_str());
+    if (!write_text_file(path, w.str() + "\n")) {
+        std::fprintf(stderr, "micro_sched: cannot write %s\n", path.c_str());
+        return 1;
+    }
+    std::printf("json: wrote %s\n", path.c_str());
 
     const obs::ProcessStats ps = obs::process_stats();
     std::printf("process: max RSS %lld KiB, cpu %.2fs user %.2fs sys\n",

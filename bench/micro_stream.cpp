@@ -161,7 +161,11 @@ int main() {
     }
     w.end_array();
     w.end_object();
-    if (write_text_file(path, w.str() + "\n")) std::printf("json: wrote %s\n", path.c_str());
+    if (!write_text_file(path, w.str() + "\n")) {
+        std::fprintf(stderr, "micro_stream: cannot write %s\n", path.c_str());
+        return 1;
+    }
+    std::printf("json: wrote %s\n", path.c_str());
     const obs::ProcessStats ps = obs::process_stats();
     std::printf("process: max RSS %lld KiB, cpu %.2fs user %.2fs sys\n",
                 static_cast<long long>(ps.max_rss_kb), ps.user_cpu_s, ps.system_cpu_s);

@@ -38,9 +38,9 @@ Rules (see DESIGN.md §10 for rationale):
                       scenarios::Testbed / Figure3Testbed, or declaring a
                       QueueBase::LinkConfig) is banned outside src/scenarios
                       and src/sim (the defining layers), and so is
-                      constructing a scenarios::Experiment in bench/ and
-                      tools/: experiment wiring goes through the scenario
-                      DSL and the scenarios::build_testbed /
+                      constructing a scenarios::Experiment in bench/,
+                      tools/ and examples/: experiment wiring goes through
+                      the scenario DSL and the scenarios::build_testbed /
                       build_experiment factories, so every run is
                       reproducible from a spec document.
   no-node-container   std::map/multimap/set/multiset/list/forward_list/deque
@@ -55,7 +55,7 @@ Waivers, for the rare justified exception (justify in a trailing comment):
   // bb-lint: allow-file(<rule-id>)   waives the rule for the whole file
 
 Usage:
-  scripts/lint_bb.py                # lint src/ tools/ bench/ under the repo root
+  scripts/lint_bb.py                # lint src/ tools/ bench/ examples/ under the repo root
   scripts/lint_bb.py PATH...        # lint specific files or directories
   scripts/lint_bb.py --self-test    # run the table-driven self-test
 
@@ -69,7 +69,7 @@ import re
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_SCAN = ["src", "tools", "bench"]
+DEFAULT_SCAN = ["src", "tools", "bench", "examples"]
 CXX_EXTENSIONS = (".cpp", ".h")
 
 
@@ -175,7 +175,7 @@ _ADHOC_EXPERIMENT = grep_rule(
 
 def check_adhoc_scenario(path, code_lines, ctx):
     yield from _ADHOC_TESTBED(path, code_lines, ctx)
-    if in_dirs(path, "bench", "tools"):
+    if in_dirs(path, "bench", "tools", "examples"):
         yield from _ADHOC_EXPERIMENT(path, code_lines, ctx)
 
 
@@ -244,10 +244,10 @@ RULES = [
     },
     {
         "id": "no-adhoc-scenario",
-        "scope": lambda p: (in_dirs(p, "src", "tools", "bench")
+        "scope": lambda p: (in_dirs(p, "src", "tools", "bench", "examples")
                             and not in_dirs(p, "src/scenarios", "src/sim")),
         # Constructions only: `Testbed tb{...}`, `Figure3Testbed f{...}`,
-        # `QueueBase::LinkConfig link;` and, in bench/ and tools/,
+        # `QueueBase::LinkConfig link;` and, in bench/, tools/ and examples/,
         # `scenarios::Experiment exp{...}` — references and parameters
         # (`Testbed&`, `const QueueBase::LinkConfig&`, `Experiment&`) stay legal.
         "check": check_adhoc_scenario,
@@ -412,9 +412,16 @@ SELF_TEST_TABLE = [
     ("no-adhoc-scenario", "bench/x.cpp", "const core::Experiment e{slot, kind};", False,
      False),  # the probe design's experiment
     ("no-adhoc-scenario", "src/probes/x.cpp", "scenarios::Experiment exp{tb, wl};", False,
-     False),  # the Experiment ban covers bench/ and tools/ only
+     False),  # the Experiment ban covers bench/, tools/ and examples/ only
     ("no-adhoc-scenario", "bench/x.cpp",
      "scenarios::Experiment exp{tb, wl};  // bb-lint: allow(no-adhoc-scenario)", False, False),
+    ("no-adhoc-scenario", "examples/x.cpp", "scenarios::Testbed tb{cfg};", False, True),
+    ("no-adhoc-scenario", "examples/x.cpp", "Figure3Testbed fig{cfg};", False, True),
+    ("no-adhoc-scenario", "examples/x.cpp",
+     "scenarios::Experiment experiment{testbed, workload, truth_cfg};", False, True),
+    ("no-adhoc-scenario", "examples/x.cpp",
+     "const scenarios::BuiltExperiment built = scenarios::build_experiment(parsed.spec);",
+     False, False),  # the sanctioned factory
     ("no-node-container", "src/sim/x.h", "std::deque<Queued> fifo_;", False, True),
     ("no-node-container", "src/tcp/x.h", "std::map<std::int64_t, std::int64_t> m;", False, True),
     ("no-node-container", "src/tcp/x.cpp", "std::multimap<int, int> m;", False, True),

@@ -1,6 +1,7 @@
 // Experiment driver: testbed + workload + ground truth + optional probers,
-// run end to end.  This is the shared harness behind every table/figure
-// bench and the examples.
+// run end to end.  Outside src/scenarios it is built only from a spec, by
+// scenarios::build_experiment (spec.h): every simulated replica, the figure
+// programs and examples/path_monitor run on it.
 #ifndef BB_SCENARIOS_EXPERIMENT_H
 #define BB_SCENARIOS_EXPERIMENT_H
 
