@@ -28,17 +28,29 @@ struct ProbeProcessConfig {
     double extended_fraction{0.5};  // P(extended | experiment started)
 };
 
+// A config's two Bernoulli draws as thresholds on the raw word, computed
+// once per config (util/rng.h).
+struct StartThresholds {
+    explicit StartThresholds(const ProbeProcessConfig& cfg) noexcept
+        : start{cfg.p}, extended{cfg.extended_fraction}, improved{cfg.improved} {}
+
+    BernoulliThreshold start;
+    BernoulliThreshold extended;
+    bool improved;
+};
+
 // The per-slot start draw every designer makes, in this order: Bernoulli(p)
 // for a start, then — only if one started and the design is improved —
 // Bernoulli(extended_fraction) for its kind.  Returns the kind of the
 // experiment starting at this slot, or nullopt.  Keeping the draw in one
-// place is what makes the batch designer, the streaming scorer and the
-// open-ended tool consume the Rng identically.
+// place is what makes the batch designer and the streaming scorer consume
+// the Rng identically; each draw takes the raw words, and gives the
+// answers, of `uniform01() < p`.
 [[nodiscard]] inline std::optional<ExperimentKind> draw_experiment_start(
-    Rng& rng, const ProbeProcessConfig& cfg) {
-    if (!rng.bernoulli(cfg.p)) return std::nullopt;
-    return cfg.improved && rng.bernoulli(cfg.extended_fraction) ? ExperimentKind::extended
-                                                                : ExperimentKind::basic;
+    Rng& rng, const StartThresholds& t) {
+    if (!rng.bernoulli(t.start)) return std::nullopt;
+    return t.improved && rng.bernoulli(t.extended) ? ExperimentKind::extended
+                                                   : ExperimentKind::basic;
 }
 
 // Draw a full design for `total_slots` slots.
@@ -113,7 +125,7 @@ private:
     static constexpr unsigned kBasic = 1;
     static constexpr unsigned kExtended = 2;
 
-    ProbeProcessConfig cfg_;
+    StartThresholds draw_;
     ReportSink* sink_;
     SlotIndex slot_{0};
     std::uint64_t started_{0};

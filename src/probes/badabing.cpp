@@ -13,7 +13,7 @@ BadabingTool::BadabingTool(sim::Scheduler& sched, const BadabingConfig& cfg,
                            sim::PacketSink& out, Rng rng)
     : sched_{&sched},
       cfg_{cfg},
-      probe_lane_{sched, [this] { emit_probe(); }},
+      probe_lane_{sched, [this](std::size_t k) { emit_probe(k); }},
       train_{sched, out, sim::flow_id_block(0xBA, cfg.flow), cfg.packets_per_probe,
              cfg.intra_probe_gap, cfg.slot_width} {
     core::ProbeProcessConfig pcfg;
@@ -23,14 +23,12 @@ BadabingTool::BadabingTool(sim::Scheduler& sched, const BadabingConfig& cfg,
     design_ = core::design_probe_process(rng, cfg_.total_slots, pcfg);
     records_.resize(design_.probe_slots.size());
 
-    // The design's slots are sorted and unique, so the whole schedule rides
-    // one lane in time order, and the lane's k-th entry probes the k-th slot.
-    for (const core::SlotIndex slot : design_.probe_slots) {
-        probe_lane_.schedule_at(cfg_.start + cfg_.slot_width * slot);
-    }
+    // The design's slots are sorted and unique, so the whole schedule is one
+    // grid lane over them, and the lane's k-th entry probes the k-th slot.
+    probe_lane_.preset(cfg_.start, cfg_.slot_width, design_.probe_slots);
 }
 
-void BadabingTool::emit_probe() {
+void BadabingTool::emit_probe(std::size_t k) {
     ++probes_sent_;
     // bb-det: allow(no-mutable-static) — obs registry cache, telemetry only
     static obs::Counter& sent_ctr = obs::counter("probes.badabing.probes_sent");
@@ -41,7 +39,7 @@ void BadabingTool::emit_probe() {
     pkt.flow = cfg_.flow;
     pkt.kind = sim::PacketKind::probe;
     pkt.size_bytes = cfg_.packet_bytes;
-    pkt.seq = static_cast<std::int64_t>(next_probe_++);  // the record index
+    pkt.seq = static_cast<std::int64_t>(k);  // the record index
     pkt.ecn_ect = cfg_.ecn_probes;
     train_.send(pkt);
 }

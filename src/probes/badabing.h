@@ -116,19 +116,20 @@ public:
 
 private:
     struct SlotRecord {
-        int received{0};
         TimeNs max_owd{TimeNs::zero()};
+        std::int32_t received{0};
         bool ce{false};
     };
+    static_assert(sizeof(SlotRecord) == 16);
 
-    void emit_probe();
+    void emit_probe(std::size_t k);
 
     sim::Scheduler* sched_;
     BadabingConfig cfg_;
-    sim::EventLane probe_lane_;  // the pre-drawn probe schedule
-    ProbeTrain train_;
+    // Declared before the lane that views its probe slots, so it outlives it.
     core::ProbeDesign design_;
-    std::size_t next_probe_{0};  // index into design_.probe_slots
+    sim::GridLane probe_lane_;  // the pre-drawn probe schedule, over design_.probe_slots
+    ProbeTrain train_;
 
     // Parallel to design_.probe_slots: records_[k] is the k-th probe's, and
     // the k-th probe's packets carry k in their `seq`.

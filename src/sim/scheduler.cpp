@@ -79,6 +79,23 @@ std::size_t PacketLane::check_entries() const {
     return check_order();
 }
 
+std::size_t GridLane::check_entries() const {
+    if (size() == 0) {
+        BB_CHECK_MSG(front_.seq == detail::kIdle.seq, "scheduler: empty lane has a front key");
+        return 0;
+    }
+    BB_CHECK_MSG(first_seq_ + idx_.size() <= sched_->seq_,
+                 "scheduler: lane entry sequence from the future");
+    BB_CHECK_MSG(at(next_) >= sched_->now_, "scheduler: lane entry scheduled in the past");
+    const detail::EventKey front = key(next_);
+    BB_CHECK_MSG(front.at == front_.at && front.seq == front_.seq,
+                 "scheduler: lane front key out of date");
+    for (std::size_t k = next_ + 1; k < idx_.size(); ++k) {
+        BB_CHECK_MSG(at(k - 1) <= at(k), "scheduler: lane order violated");
+    }
+    return size();
+}
+
 // --- arena --------------------------------------------------------------
 
 void Scheduler::release_slot(std::uint32_t s) noexcept {
@@ -202,6 +219,23 @@ Lane::Lane(Scheduler& sched) : sched_{&sched} { sched.lanes_.push_back(this); }
 
 Scheduler::~Scheduler() {
     for (Lane* lane : lanes_) lane->sched_ = nullptr;
+}
+
+GridLane::~GridLane() {
+    if (sched_ != nullptr) sched_->lane_close(this, size());
+}
+
+void GridLane::preset(TimeNs origin, TimeNs step, std::span<const std::int64_t> idx) {
+    BB_CHECK_MSG(size() == 0, "scheduler: grid lane preset while entries are pending");
+    BB_CHECK_MSG(step >= TimeNs::zero(), "scheduler: grid lane step goes back in time");
+    BB_DCHECK_MSG(std::is_sorted(idx.begin(), idx.end()), "scheduler: grid lane index unsorted");
+    if (idx.empty()) return;
+    first_seq_ = sched_->lane_admit_block(origin + step * idx.front(), idx.size());
+    idx_ = idx;
+    origin_ = origin;
+    step_ = step;
+    next_ = 0;
+    front_ = key(0);
 }
 
 void Scheduler::lane_close(const Lane* lane, std::size_t dropped) noexcept {

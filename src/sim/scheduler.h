@@ -30,9 +30,12 @@
 //     on a lane: a FIFO ring the owner holds.  A PacketLane carries packets
 //     inline (fixed-delay links, queue propagation, a probe's trailing
 //     packets); an EventLane carries bare (time, seq) keys and runs the one
-//     handler its owner installed (a queue's transmission completion,
-//     BADABING's probe schedule), so its entries take no arena slot and no
-//     closure.  Lane entries take the same
+//     handler its owner installed (a queue's transmission completion), so
+//     its entries take no arena slot and no closure; a GridLane stores no
+//     key at all: its owner presets it over a sorted index list the owner
+//     keeps (BADABING's designed probe slots), entry k is due at
+//     origin + step × idx[k], and the lane takes the whole block of
+//     sequences its entries need at once.  Lane entries take the same
 //     insertion sequence a heap push would, and run_until() dispatches the
 //     (time, seq) minimum over the heap top and every lane front, so
 //     dispatch order is exactly that of one heap.  Lane entries are never
@@ -42,6 +45,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -262,6 +266,7 @@ private:
     friend class Lane;
     template <typename Entry>
     friend class RingLane;
+    friend class GridLane;
 
     static constexpr std::uint32_t kNoFree = 0xFFFF'FFFFu;
 
@@ -325,6 +330,16 @@ private:
         ++live_;
         ++lane_pending_;
         return seq_++;
+    }
+    // Take a block of `n` consecutive insertion sequences for lane entries,
+    // the first at `first`; returns the block's first sequence.
+    std::uint64_t lane_admit_block(TimeNs first, std::size_t n) {
+        check_future(first);
+        live_ += n;
+        lane_pending_ += n;
+        const std::uint64_t seq = seq_;
+        seq_ += n;
+        return seq;
     }
     // `lane` is going away with `dropped` entries still pending.
     void lane_close(const Lane* lane, std::size_t dropped) noexcept;
@@ -430,8 +445,7 @@ private:
 // Occurrences of one recurring event an owner schedules in non-decreasing
 // time order.  Entries are bare (time, seq) keys; each one, when due, runs
 // the handler the owner installed at construction, so the owner keeps
-// whatever state tells occurrences apart (the packet on the wire, the next
-// pre-drawn probe slot).
+// whatever state tells occurrences apart (the packet on the wire).
 class EventLane final : public RingLane<detail::EventKey> {
 public:
     EventLane(Scheduler& sched, Event handler) : RingLane{sched}, handler_{std::move(handler)} {}
@@ -447,6 +461,53 @@ private:
     std::size_t check_entries() const override { return check_order(); }
 
     Event handler_;
+};
+
+// Occurrences of one recurring event at preset times on a grid: entry k is
+// due at origin + step × idx[k], for a sorted index list the owner keeps
+// alive and unchanged while entries are pending (BADABING's designed probe
+// slots).  preset() takes at once the block of insertion sequences that
+// idx.size() consecutive pushes would take, so dispatch, and the hash
+// chain, are exactly those of pushing every entry onto an EventLane at that
+// moment; the lane stores no per-entry key, only a cursor into the list.
+// When due, entry k runs the handler with k.
+class GridLane final : public Lane {
+public:
+    using Handler = UniqueFunction<void(std::size_t)>;
+
+    GridLane(Scheduler& sched, Handler handler) : Lane{sched}, handler_{std::move(handler)} {}
+    ~GridLane();
+
+    // Schedule one entry per element of `idx` (sorted, non-decreasing) at
+    // origin + step × idx[k].  The lane must have no pending entries; an
+    // entry in the past throws std::invalid_argument like schedule_at, and
+    // an empty list takes nothing.
+    void preset(TimeNs origin, TimeNs step, std::span<const std::int64_t> idx);
+
+    // Pending entries.
+    [[nodiscard]] std::size_t size() const noexcept { return idx_.size() - next_; }
+
+private:
+#ifdef BB_TESTING
+    friend struct SchedulerTestAccess;
+#endif
+    [[nodiscard]] TimeNs at(std::size_t k) const noexcept { return origin_ + step_ * idx_[k]; }
+    [[nodiscard]] detail::EventKey key(std::size_t k) const noexcept {
+        return k < idx_.size() ? detail::EventKey{at(k), first_seq_ + k} : detail::kIdle;
+    }
+    void fire_front() override {
+        const std::size_t k = next_++;
+        front_ = key(next_);
+        handler_(k);
+    }
+    std::size_t check_entries() const override;
+
+    Handler handler_;
+    std::span<const std::int64_t> idx_;
+    TimeNs origin_{TimeNs::zero()};
+    TimeNs step_{TimeNs::zero()};
+    std::uint64_t first_seq_{0};  // entry k takes first_seq_ + k
+    std::size_t next_{0};         // index of the front entry
 };
 
 }  // namespace bb::sim

@@ -4,10 +4,12 @@
 // MT19937-64 whose output equals std::mt19937_64's for the same seed, and
 // inline uniform / Bernoulli / exponential / Pareto draws whose results equal
 // std::uniform_real_distribution's and std::exponential_distribution's bit
-// for bit.  normal() and uniform_int() still run the std:: distributions over
-// the same engine.  Each component of an experiment owns its own Rng (usually
-// derived from a master seed), so reordering components does not perturb the
-// random streams of the others.
+// for bit.  A Bernoulli draw repeated with one p can precompute its
+// threshold on the raw word (BernoulliThreshold): the same word, the same
+// answer, without the conversion to double.  normal() and uniform_int()
+// still run the std:: distributions over the same engine.  Each component of
+// an experiment owns its own Rng (usually derived from a master seed), so
+// reordering components does not perturb the random streams of the others.
 #ifndef BB_UTIL_RNG_H
 #define BB_UTIL_RNG_H
 
@@ -94,6 +96,44 @@ private:
     return u < 1.0 ? u : 0x1.fffffffffffffp-1;
 }
 
+// The draw uniform01() < p as a test on the raw word, exact bit for bit.
+// unit_interval is non-decreasing in its word, so the words it maps below p
+// are a prefix [0, below) of the 64-bit range.  `always` stands for the
+// whole range (p >= 1, where `below` would be 2^64); a NaN or non-positive p
+// passes no word, as `u < p` does.  A draw costs the raw word and one
+// integer compare.
+class BernoulliThreshold {
+public:
+    explicit BernoulliThreshold(double p) noexcept {
+        if (!(p > 0.0)) return;
+        if (p > 0x1.fffffffffffffp-1) {
+            always_ = true;
+            return;
+        }
+        // With P = p × 2^64 (exact, and below 2^64 here), the words at or
+        // below the double before P fail and those at or above P pass.  A
+        // word between the two rounds to the nearer one (there is no other
+        // double between them), so the answer flips at their midpoint; the
+        // midpoint itself rounds to even, which one test settles.
+        const double scaled = p * 0x1p64;
+        const auto fails = static_cast<std::uint64_t>(std::nextafter(scaled, 0.0));
+        auto passes = static_cast<std::uint64_t>(scaled);
+        if (u64_to_double(passes) < scaled) ++passes;
+        const std::uint64_t mid = fails + (passes - fails) / 2;
+        below_ = unit_interval(mid) < p ? mid + 1 : mid;
+    }
+
+    [[nodiscard]] constexpr bool operator()(std::uint64_t x) const noexcept {
+        return x < below_ || always_;
+    }
+    [[nodiscard]] constexpr std::uint64_t below() const noexcept { return below_; }
+    [[nodiscard]] constexpr bool always() const noexcept { return always_; }
+
+private:
+    std::uint64_t below_{0};
+    bool always_{false};
+};
+
 // An object that owns an Rng declares it as its last member.  The engine is
 // 2.5 KB that only draws touch; declared between fields, it would put the
 // fields before and after it on cache lines 2.5 KB apart.
@@ -118,6 +158,8 @@ public:
     }
 
     [[nodiscard]] bool bernoulli(double p) { return uniform01() < p; }
+    // The same draw with its threshold precomputed: one word, same answer.
+    [[nodiscard]] bool bernoulli(const BernoulliThreshold& t) { return t(engine_()); }
 
     // Exponential with the given mean (not rate), by inversion with the
     // expression std::exponential_distribution evaluates.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -270,6 +271,55 @@ TEST(Badabing, EmitReportsMatchesLowerBoundOracle) {
         EXPECT_GT(congested_reports, 0u) << "trial " << trial;
         EXPECT_LT(congested_reports, got.size()) << "trial " << trial;
     }
+}
+
+// The probe schedule is one grid lane over the design's slots, and the
+// tool's probe train a packet lane: destroying the tool mid-run drops both
+// lanes' pending entries from the scheduler's books, exactly.
+TEST(Badabing, DestroyedMidRunLeavesExactAccounting) {
+    sim::Scheduler sched;
+    sim::CountingSink out;
+    probes::BadabingConfig cfg;
+    cfg.p = 0.5;
+    cfg.total_slots = 400;
+    auto tool = std::make_unique<probes::BadabingTool>(sched, cfg, out, Rng{3});
+    const std::size_t probes = tool->design().probe_slots.size();
+    ASSERT_GT(probes, 100u);
+    sched.schedule_at(seconds_i(10), [] {});
+    EXPECT_EQ(sched.live_events(), probes + 1);
+    EXPECT_EQ(sched.arena_slots(), 1u);  // the probes take no arena slot
+
+    sched.run_until(milliseconds(1000));
+    const std::uint64_t sent = tool->probes_sent();
+    ASSERT_GT(sent, 0u);
+    ASSERT_LT(sent, probes);
+    sched.check_invariants();
+    tool.reset();
+    EXPECT_EQ(sched.live_events(), 1u);
+    EXPECT_EQ(sched.pending_events(), 1u);
+    sched.check_invariants();
+    const std::uint64_t executed = sched.executed_events();
+    sched.run();
+    EXPECT_EQ(sched.executed_events(), executed + 1);
+    EXPECT_EQ(sched.live_events(), 0u);
+}
+
+// A window too short for any experiment draws an empty design; its probe
+// schedule then takes no event and no insertion sequence.
+TEST(Badabing, EmptyDesignRegistersNothing) {
+    sim::Scheduler sched;
+    sim::CountingSink out;
+    probes::BadabingConfig cfg;
+    cfg.p = 1.0;
+    cfg.total_slots = 1;
+    probes::BadabingTool tool{sched, cfg, out, Rng{4}};
+    EXPECT_TRUE(tool.design().probe_slots.empty());
+    EXPECT_EQ(sched.live_events(), 0u);
+    EXPECT_EQ(sched.pending_events(), 0u);
+    sched.check_invariants();
+    sched.run();
+    EXPECT_EQ(sched.executed_events(), 0u);
+    EXPECT_EQ(tool.probes_sent(), 0u);
 }
 
 }  // namespace

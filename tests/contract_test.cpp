@@ -28,6 +28,7 @@ struct SchedulerTestAccess {
     static auto& ring(RingLane<Entry>& lane) {
         return lane.ring_;
     }
+    static auto& front(GridLane& lane) { return lane.front_; }
 };
 
 }  // namespace bb::sim
@@ -37,6 +38,7 @@ namespace {
 using bb::TimeNs;
 using bb::milliseconds;
 using bb::sim::EventLane;
+using bb::sim::GridLane;
 using bb::sim::PacketLane;
 using bb::sim::PacketPool;
 using bb::sim::Scheduler;
@@ -256,6 +258,45 @@ TEST(ContractDeathTest, WalkerCatchesLaneAccountingDrift) {
     populate_lanes(s, packets, events, sink);
     ++SchedulerTestAccess::lane_pending(s);
     EXPECT_DEATH(s.check_invariants(), "lane accounting drifted");
+}
+
+// A grid lane beside the heap and the ring lanes; `idx` must outlive it.
+void populate_grid(Scheduler& s, GridLane& grid, const std::vector<std::int64_t>& idx) {
+    populate(s);
+    grid.preset(milliseconds(1), milliseconds(1), idx);
+}
+
+TEST(ContractTest, HealthyGridLanePassesInvariants) {
+    Scheduler s;
+    GridLane grid{s, [](std::size_t) {}};
+    const std::vector<std::int64_t> idx{0, 1, 1, 4};
+    populate_grid(s, grid, idx);
+    s.check_invariants();
+    s.run_until(milliseconds(2));
+    s.check_invariants();
+    s.run();
+    s.check_invariants();
+    EXPECT_EQ(s.live_events(), 0U);
+}
+
+TEST(ContractDeathTest, WalkerCatchesStaleGridFront) {
+    Scheduler s;
+    GridLane grid{s, [](std::size_t) {}};
+    const std::vector<std::int64_t> idx{0, 1, 1, 4};
+    populate_grid(s, grid, idx);
+    s.run_until(milliseconds(1));
+    // A front that still names the entry that already ran.
+    --SchedulerTestAccess::front(grid).seq;
+    EXPECT_DEATH(s.check_invariants(), "lane front key out of date");
+}
+
+TEST(ContractDeathTest, WalkerCatchesGridOrderViolation) {
+    Scheduler s;
+    GridLane grid{s, [](std::size_t) {}};
+    std::vector<std::int64_t> idx{0, 1, 2, 4};
+    populate_grid(s, grid, idx);
+    idx[2] = 9;  // the owner broke its promise to keep the list sorted
+    EXPECT_DEATH(s.check_invariants(), "lane order violated");
 }
 
 // --- packet pool walker --------------------------------------------------

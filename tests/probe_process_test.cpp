@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <unordered_set>
@@ -12,6 +14,31 @@
 
 namespace bb::core {
 namespace {
+
+// The start draw as it was made before it became a threshold on the raw
+// word: each Bernoulli draw compares uniform01() with a double.  It is the
+// oracle the threshold draw must equal, word for word.
+std::optional<ExperimentKind> double_start_draw(Rng& rng, const ProbeProcessConfig& cfg) {
+    if (!rng.bernoulli(cfg.p)) return std::nullopt;
+    return cfg.improved && rng.bernoulli(cfg.extended_fraction) ? ExperimentKind::extended
+                                                                : ExperimentKind::basic;
+}
+
+// The designer's loop over double_start_draw, with no reservation.
+ProbeDesign double_draw_design(Rng& rng, SlotIndex total_slots, const ProbeProcessConfig& cfg) {
+    ProbeDesign design;
+    for (SlotIndex i = 0; i < total_slots; ++i) {
+        const auto kind = double_start_draw(rng, cfg);
+        if (!kind) continue;
+        const Experiment e{i, *kind};
+        const SlotIndex end = i + e.probes();
+        if (end > total_slots) continue;
+        design.experiments.push_back(e);
+        SlotIndex s = design.probe_slots.empty() ? i : std::max(i, design.probe_slots.back() + 1);
+        for (; s < end; ++s) design.probe_slots.push_back(s);
+    }
+    return design;
+}
 
 TEST(ProbeProcess, RejectsBadParameters) {
     Rng rng{1};
@@ -23,6 +50,63 @@ TEST(ProbeProcess, RejectsBadParameters) {
     cfg.p = 0.5;
     cfg.extended_fraction = -0.1;
     EXPECT_THROW(design_probe_process(rng, 100, cfg), std::invalid_argument);
+}
+
+// Every comparison with NaN is false, so a range check written as two
+// rejections lets NaN through; a threshold draw would then read a NaN p as
+// "always start".
+TEST(ProbeProcess, RejectsNonFiniteParameters) {
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    VectorSink<ExperimentResult> sink;
+    for (const double bad : {kNaN, -kNaN, kInf, -kInf}) {
+        SCOPED_TRACE(bad);
+        Rng rng{1};
+        ProbeProcessConfig cfg;
+        cfg.p = bad;
+        EXPECT_THROW(design_probe_process(rng, 100, cfg), std::invalid_argument);
+        EXPECT_THROW((StreamingExperimentScorer{Rng{1}, cfg, sink}), std::invalid_argument);
+        cfg.p = 0.5;
+        cfg.improved = true;
+        cfg.extended_fraction = bad;
+        EXPECT_THROW(design_probe_process(rng, 100, cfg), std::invalid_argument);
+        EXPECT_THROW((StreamingExperimentScorer{Rng{1}, cfg, sink}), std::invalid_argument);
+    }
+}
+
+// The designer draws with integer thresholds; over every p that matters
+// (the smallest, the paper's grid, the largest below 1, 1, and values
+// unit_interval itself produces) and every window length class, it must
+// equal the double-draw loop bit for bit: experiments, probe slots, and
+// where it leaves the Rng.
+TEST(ProbeProcess, ThresholdDesignEqualsDoubleDrawOracle) {
+    Rng words{0x7E57};
+    std::vector<double> ps{1e-300, 0.1, 0.3, 0.5, 0.7, 0.9, std::nextafter(1.0, 0.0), 1.0,
+                           unit_interval(std::uint64_t{1} << 62)};
+    for (int i = 0; i < 3; ++i) ps.push_back(unit_interval(words.next_u64()));
+    for (const double p : ps) {
+        for (const bool improved : {false, true}) {
+            for (const SlotIndex slots : {0, 1, 2, 3, 6'000, 24'000}) {
+                SCOPED_TRACE(testing::Message() << "p=" << p << " improved=" << improved
+                                                << " slots=" << slots);
+                ProbeProcessConfig cfg;
+                cfg.p = p;
+                cfg.improved = improved;
+                const std::uint64_t seed = words.next_u64();
+                Rng rng{seed};
+                Rng oracle_rng{seed};
+                const ProbeDesign d = design_probe_process(rng, slots, cfg);
+                const ProbeDesign o = double_draw_design(oracle_rng, slots, cfg);
+                ASSERT_EQ(d.experiments.size(), o.experiments.size());
+                for (std::size_t i = 0; i < o.experiments.size(); ++i) {
+                    ASSERT_EQ(d.experiments[i].start_slot, o.experiments[i].start_slot);
+                    ASSERT_EQ(d.experiments[i].kind, o.experiments[i].kind);
+                }
+                ASSERT_EQ(d.probe_slots, o.probe_slots);
+                EXPECT_EQ(rng.next_u64(), oracle_rng.next_u64());
+            }
+        }
+    }
 }
 
 TEST(ProbeProcess, ExperimentRateMatchesP) {
@@ -140,9 +224,10 @@ TEST(ProbeProcess, DesignerIsALoopOverTheStartDraw) {
     Rng designer_rng{2005};
     Rng loop_rng{2005};
     const ProbeDesign d = design_probe_process(designer_rng, kSlots, cfg);
+    const StartThresholds draw{cfg};
     std::vector<Experiment> expected;
     for (SlotIndex i = 0; i < kSlots; ++i) {
-        const auto kind = draw_experiment_start(loop_rng, cfg);
+        const auto kind = draw_experiment_start(loop_rng, draw);
         if (kind && i + Experiment{i, *kind}.probes() <= kSlots) expected.push_back({i, *kind});
     }
     ASSERT_EQ(d.experiments.size(), expected.size());
@@ -177,10 +262,11 @@ TEST(ProbeProcess, StartDrawOrder) {
         cfg.p = 0.35;
         cfg.improved = improved;
         cfg.extended_fraction = 0.25;
+        const StartThresholds draw{cfg};
         Rng shared{90};
         Rng manual{90};
         for (int i = 0; i < 2'000; ++i) {
-            const auto kind = draw_experiment_start(shared, cfg);
+            const auto kind = draw_experiment_start(shared, draw);
             std::optional<ExperimentKind> expected;
             if (manual.bernoulli(cfg.p)) {
                 expected = improved && manual.bernoulli(cfg.extended_fraction)
@@ -200,11 +286,11 @@ TEST(ProbeProcess, StartDrawHonoursDegenerateProbabilities) {
     Rng rng{91};
     cfg.extended_fraction = 1.0;
     for (int i = 0; i < 500; ++i) {
-        EXPECT_EQ(draw_experiment_start(rng, cfg), ExperimentKind::extended);
+        EXPECT_EQ(draw_experiment_start(rng, StartThresholds{cfg}), ExperimentKind::extended);
     }
     cfg.extended_fraction = 0.0;
     for (int i = 0; i < 500; ++i) {
-        EXPECT_EQ(draw_experiment_start(rng, cfg), ExperimentKind::basic);
+        EXPECT_EQ(draw_experiment_start(rng, StartThresholds{cfg}), ExperimentKind::basic);
     }
     // At p = 1 a basic design starts at every slot that fits the window.
     cfg.improved = false;
@@ -253,7 +339,7 @@ TEST(ProbeProcess, AppendedSlotsMatchSortUniqueOracle) {
         std::vector<Experiment> experiments;
         std::vector<SlotIndex> probe_slots;
         for (SlotIndex i = 0; i < slots; ++i) {
-            const auto kind = draw_experiment_start(oracle_rng, cfg);
+            const auto kind = double_start_draw(oracle_rng, cfg);
             if (!kind) continue;
             const Experiment e{i, *kind};
             if (i + e.probes() > slots) continue;

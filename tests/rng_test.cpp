@@ -10,6 +10,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "util/stats.h"
 
@@ -281,6 +282,82 @@ TEST(RngBits, EveryMethodMatchesStdOracle) {
                 << "fork_seed, round " << i;
             ASSERT_EQ(ours.next_u64(), ref()) << "next_u64, round " << i;
         }
+    }
+}
+
+// A precomputed threshold must answer `unit_interval(x) < p` for every word:
+// at the boundary words T - 1 and T, where the answer flips, and over a
+// million random words per p.  The p list holds the smallest positive
+// double worth naming, the paper's grid, the largest double below 1, 1
+// itself, and values unit_interval produces, where `u < p` is false for the
+// very word that maps to p.
+TEST(RngBits, BernoulliThresholdMatchesUnitIntervalCompare) {
+    std::mt19937_64 src{0x7E57};
+    std::vector<double> ps{1e-300, 0.1, 0.3, 0.5, 0.7, 0.9, std::nextafter(1.0, 0.0), 1.0,
+                           unit_interval(1), unit_interval(kTwo53 + 1), unit_interval(kTwo63),
+                           unit_interval(0xFFFFFFFFFFFFFBFFULL)};
+    for (int i = 0; i < 4; ++i) ps.push_back(unit_interval(src()));
+    for (const double p : ps) {
+        SCOPED_TRACE(testing::Message() << std::hexfloat << p);
+        const BernoulliThreshold t{p};
+        ASSERT_EQ(t.always(), p >= 1.0);
+        if (!t.always()) {
+            const std::uint64_t below = t.below();
+            ASSERT_GT(below, 0U);
+            EXPECT_TRUE(t(below - 1));
+            EXPECT_TRUE(unit_interval(below - 1) < p);
+            EXPECT_FALSE(t(below));
+            EXPECT_FALSE(unit_interval(below) < p);
+        }
+        EXPECT_EQ(t(~std::uint64_t{0}), unit_interval(~std::uint64_t{0}) < p);
+        for (int i = 0; i < 1'000'000; ++i) {
+            const std::uint64_t x = src();
+            ASSERT_EQ(t(x), unit_interval(x) < p) << std::hex << x;
+        }
+    }
+    // No word passes a NaN, zero or negative p; every word passes p > 1.
+    for (const double never : {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.5}) {
+        const BernoulliThreshold t{never};
+        EXPECT_FALSE(t.always());
+        EXPECT_EQ(t.below(), 0U);
+        EXPECT_FALSE(t(0));
+    }
+    EXPECT_TRUE(BernoulliThreshold{1.5}.always());
+}
+
+// The boundary alone pins the threshold (unit_interval is monotone): over
+// p of every magnitude, word T - 1 passes and word T fails.  Powers of two
+// and their neighbours are where the gap below p × 2^64 halves and where
+// the midpoint word ties.
+TEST(RngBits, BernoulliThresholdBoundaryHoldsAcrossMagnitudes) {
+    std::mt19937_64 src{0xB0DA};
+    std::vector<double> ps;
+    for (int i = 0; i < 200'000; ++i) {
+        ps.push_back(i % 2 == 0 ? unit_interval(src() >> (i % 64))
+                                : std::ldexp(unit_interval(src()), -(i % 1000)));
+    }
+    for (int k = 1; k <= 1074; ++k) {
+        const double p = std::ldexp(1.0, -k);
+        ps.insert(ps.end(), {p, std::nextafter(p, 0.0), std::nextafter(p, 1.0)});
+    }
+    for (const double p : ps) {
+        if (!(p > 0.0)) continue;
+        const BernoulliThreshold t{p};
+        ASSERT_FALSE(t.always()) << std::hexfloat << p;
+        ASSERT_GT(t.below(), 0U) << std::hexfloat << p;
+        ASSERT_LT(unit_interval(t.below() - 1), p) << std::hexfloat << p;
+        ASSERT_GE(unit_interval(t.below()), p) << std::hexfloat << p;
+    }
+}
+
+// Rng::bernoulli(threshold) takes the one word bernoulli(p) takes.
+TEST(RngBits, ThresholdBernoulliDrawsLikeDoubleBernoulli) {
+    for (const double p : {0.05, 0.3, 0.5, 0.95, 1.0}) {
+        const BernoulliThreshold t{p};
+        Rng a{99};
+        Rng b{99};
+        for (int i = 0; i < 100'000; ++i) ASSERT_EQ(a.bernoulli(t), b.bernoulli(p)) << i;
+        EXPECT_EQ(a.next_u64(), b.next_u64());
     }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -462,18 +463,24 @@ TEST(SchedulerReschedule, RandomScriptDispatchesLikeCancelPlusSchedule) {
 
 // --- lanes ------------------------------------------------------------------
 
-// Replays one random script of heap events, event-lane events and packet
-// deliveries — either on lanes or, as the reference, every one through
-// schedule_at — and records the dispatch order.  Lane k has a fixed delay
-// of k ms and heap delays are whole milliseconds, so equal times across the
-// heap and several lanes are common.  Fired events spawn more, so the
-// script also covers pushes made mid-run.  An event lane's entries carry no
-// payload, so the script queues each entry's label beside its lane.
+// Replays one random script of heap events, event-lane events, packet
+// deliveries and preset grids, and records the dispatch order.  In `grid`
+// mode everything that can ride a lane does, and each grid is preset on a
+// GridLane; in `lanes` mode each grid entry is instead pushed on an
+// EventLane one by one; in `heap` mode, the reference, every event goes
+// through schedule_at.  Lane k has a fixed delay of k ms, heap delays are
+// whole milliseconds and grid steps are 0.5 or 1 ms with repeated indices,
+// so equal times across the heap and several lanes are common.  Fired
+// events spawn more, so the script also covers pushes and presets made
+// mid-run, a grid's re-preset from inside its own last entry included.  An
+// event lane's entries carry no payload, so the script queues each entry's
+// label beside its lane.
 class LaneScript final : public PacketSink {
 public:
+    enum class Mode { heap, lanes, grid };
     static constexpr int kLanes = 3;
 
-    LaneScript(bool use_lanes, std::uint64_t seed) : use_lanes_{use_lanes}, rng_{seed} {
+    LaneScript(Mode mode, std::uint64_t seed) : mode_{mode}, rng_{seed} {
         for (std::size_t k = 0; k < kLanes; ++k) {
             events_.push_back(std::make_unique<EventLane>(sched_, [this, k] {
                 const std::uint64_t label = labels_[k].front();
@@ -481,6 +488,10 @@ public:
                 fire(label);
             }));
             packets_.push_back(std::make_unique<PacketLane>(sched_));
+            grids_.push_back(std::make_unique<GridLane>(
+                sched_, [this, k](std::size_t j) { fire_grid(k, j); }));
+            grid_pushes_.push_back(std::make_unique<EventLane>(
+                sched_, [this, k] { fire_grid(k, grid_cursor_[k]++); }));
         }
     }
 
@@ -491,6 +502,7 @@ public:
             det::ScopedChain scope{chain};
             for (int i = 0; i < initial; ++i) spawn();
             sched_.run_until(milliseconds(40));
+            sched_.check_invariants();
             sched_.run();
         }
         digest_ = chain.digest();
@@ -501,6 +513,7 @@ public:
     [[nodiscard]] const std::vector<std::uint64_t>& fired() const { return fired_; }
     [[nodiscard]] std::uint64_t digest() const { return digest_; }
     [[nodiscard]] const Scheduler& sched() const { return sched_; }
+    [[nodiscard]] std::size_t grids_preset() const { return grids_preset_; }
 
 private:
     void fire(std::uint64_t label) {
@@ -510,17 +523,51 @@ private:
         for (std::int64_t i = 0; i < spawns; ++i) spawn();
     }
 
+    void fire_grid(std::size_t k, std::size_t j) {
+        --grid_pending_[k];
+        fire(grid_labels_[k][j]);
+    }
+
+    // A grid of 1..8 entries at lane k's delay, once the last one drained.
+    void preset_grid(std::size_t k, std::uint64_t label) {
+        if (grid_pending_[k] != 0) return;
+        const auto n = static_cast<std::size_t>(rng_.uniform_int(1, 8));
+        const TimeNs step = microseconds(500) * rng_.uniform_int(1, 2);
+        const TimeNs origin = sched_.now() + milliseconds(static_cast<std::int64_t>(k));
+        std::vector<std::int64_t>& idx = grid_idx_[k];
+        idx.assign(1, rng_.uniform_int(0, 2));
+        while (idx.size() < n) idx.push_back(idx.back() + rng_.uniform_int(0, 2));
+        grid_labels_[k].assign(1, label);
+        while (grid_labels_[k].size() < n) grid_labels_[k].push_back(next_label_++);
+        grid_pending_[k] = n;
+        grid_cursor_[k] = 0;
+        ++grids_preset_;
+        switch (mode_) {
+            case Mode::grid:
+                grids_[k]->preset(origin, step, idx);
+                break;
+            case Mode::lanes:
+                for (const std::int64_t i : idx) grid_pushes_[k]->schedule_at(origin + step * i);
+                break;
+            case Mode::heap:
+                for (std::size_t j = 0; j < n; ++j) {
+                    sched_.schedule_at(origin + step * idx[j], [this, k, j] { fire_grid(k, j); });
+                }
+                break;
+        }
+    }
+
     void spawn() {
         const std::uint64_t label = next_label_++;
         const auto k = static_cast<std::size_t>(rng_.uniform_int(0, kLanes - 1));
         const TimeNs lane_delay = milliseconds(static_cast<std::int64_t>(k));
-        switch (rng_.uniform_int(0, 3)) {
+        switch (rng_.uniform_int(0, 4)) {
             case 0:
                 ids_.push_back(sched_.schedule_after(milliseconds(rng_.uniform_int(0, 3)),
                                                      [this, label] { fire(label); }));
                 break;
             case 1:
-                if (use_lanes_) {
+                if (mode_ != Mode::heap) {
                     labels_[k].push_back(label);
                     events_[k]->schedule_after(lane_delay);
                 } else {
@@ -530,13 +577,16 @@ private:
             case 2: {
                 Packet pkt;
                 pkt.id = label;
-                if (use_lanes_) {
+                if (mode_ != Mode::heap) {
                     packets_[k]->deliver_after(lane_delay, pkt, *this);
                 } else {
                     sched_.schedule_after(lane_delay, [this, pkt] { accept(pkt); });
                 }
                 break;
             }
+            case 3:
+                preset_grid(k, label);
+                break;
             default:
                 if (!ids_.empty()) {
                     const auto i = rng_.uniform_int(0, static_cast<std::int64_t>(ids_.size()) - 1);
@@ -546,12 +596,21 @@ private:
         }
     }
 
-    bool use_lanes_;
+    Mode mode_;
     Rng rng_;
     Scheduler sched_;
     std::deque<std::uint64_t> labels_[kLanes];
     std::vector<std::unique_ptr<EventLane>> events_;
     std::vector<std::unique_ptr<PacketLane>> packets_;
+    std::vector<std::unique_ptr<GridLane>> grids_;
+    std::vector<std::unique_ptr<EventLane>> grid_pushes_;
+    // Per grid: its index list (alive while entries pend), entry labels,
+    // pending count and, for per-entry pushes, the next entry to fire.
+    std::vector<std::int64_t> grid_idx_[kLanes];
+    std::vector<std::uint64_t> grid_labels_[kLanes];
+    std::size_t grid_pending_[kLanes]{};
+    std::size_t grid_cursor_[kLanes]{};
+    std::size_t grids_preset_{0};
     std::vector<EventId> ids_;
     std::vector<std::uint64_t> fired_;
     std::uint64_t next_label_{0};
@@ -562,18 +621,27 @@ private:
 TEST(SchedulerLanes, RandomScriptDispatchesLikeOneHeap) {
     for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 20051021ULL}) {
         SCOPED_TRACE(seed);
-        LaneScript lanes{true, seed};
-        LaneScript heap{false, seed};
+        LaneScript grid{LaneScript::Mode::grid, seed};
+        LaneScript lanes{LaneScript::Mode::lanes, seed};
+        LaneScript heap{LaneScript::Mode::heap, seed};
+        grid.run(200, 5000);
         lanes.run(200, 5000);
         heap.run(200, 5000);
         ASSERT_GT(heap.fired().size(), 1000u);
+        ASSERT_GT(heap.grids_preset(), 30u);
+        // A preset grid dispatches, and folds the chain, exactly as the same
+        // entries pushed one by one on an event lane, and both as one heap.
+        EXPECT_EQ(grid.fired(), lanes.fired());
+        EXPECT_EQ(grid.digest(), lanes.digest());
         EXPECT_EQ(lanes.fired(), heap.fired());
         EXPECT_EQ(lanes.digest(), heap.digest());
-        EXPECT_EQ(lanes.sched().executed_events(), heap.sched().executed_events());
-        EXPECT_EQ(lanes.sched().cancelled_events(), heap.sched().cancelled_events());
-        EXPECT_EQ(lanes.sched().now(), heap.sched().now());
-        EXPECT_LT(lanes.sched().arena_slots(), heap.sched().arena_slots());
-        lanes.sched().check_invariants();
+        for (const LaneScript* run : {&grid, &lanes}) {
+            EXPECT_EQ(run->sched().executed_events(), heap.sched().executed_events());
+            EXPECT_EQ(run->sched().cancelled_events(), heap.sched().cancelled_events());
+            EXPECT_EQ(run->sched().now(), heap.sched().now());
+            EXPECT_LT(run->sched().arena_slots(), heap.sched().arena_slots());
+            run->sched().check_invariants();
+        }
     }
 }
 
@@ -686,6 +754,98 @@ TEST(SchedulerLanesDeathTest, LanePushBackInTimeAborts) {
     packets.deliver_after(milliseconds(5), Packet{}, sink);
     EXPECT_DEATH(packets.deliver_after(milliseconds(3), Packet{}, sink),
                  "lane push goes back in time");
+}
+
+TEST(SchedulerGridLane, DispatchesAtGridTimesWithTheEntryIndex) {
+    Scheduler s;
+    std::vector<std::pair<std::size_t, TimeNs>> fired;
+    GridLane grid{s, [&](std::size_t k) { fired.emplace_back(k, s.now()); }};
+    const std::vector<std::int64_t> idx{0, 2, 2, 7};
+    grid.preset(milliseconds(3), milliseconds(5), idx);
+    EXPECT_EQ(grid.size(), 4u);
+    EXPECT_EQ(s.live_events(), 4u);
+    EXPECT_EQ(s.pending_events(), 4u);
+    EXPECT_EQ(s.arena_slots(), 0u);
+    s.check_invariants();
+    s.run();
+    const std::vector<std::pair<std::size_t, TimeNs>> expected{
+        {0, milliseconds(3)}, {1, milliseconds(13)}, {2, milliseconds(13)}, {3, milliseconds(38)}};
+    EXPECT_EQ(fired, expected);
+    EXPECT_EQ(grid.size(), 0u);
+    EXPECT_EQ(s.executed_events(), 4u);
+    s.check_invariants();
+
+    // Drained, the lane takes a new grid.
+    grid.preset(milliseconds(40), milliseconds(1), idx);
+    s.run();
+    EXPECT_EQ(fired.size(), 8u);
+    EXPECT_EQ(fired.back(), (std::pair<std::size_t, TimeNs>{3, milliseconds(47)}));
+}
+
+TEST(SchedulerGridLane, EmptyGridTakesNothing) {
+    // The hash chain folds every dispatch's (time, seq), so an empty preset
+    // that took a sequence number would move the later heap event's fold.
+    const auto digest = [](bool with_grid) {
+        det::Chain chain;
+        det::ScopedChain scope{chain};
+        Scheduler s;
+        GridLane grid{s, [](std::size_t) {}};
+        if (with_grid) {
+            grid.preset(milliseconds(1), milliseconds(5), std::span<const std::int64_t>{});
+            EXPECT_EQ(grid.size(), 0u);
+            EXPECT_EQ(s.live_events(), 0u);
+            EXPECT_EQ(s.pending_events(), 0u);
+            s.check_invariants();
+        }
+        s.schedule_at(milliseconds(2), [] {});
+        s.run();
+        EXPECT_EQ(s.executed_events(), 1u);
+        return chain.digest();
+    };
+    EXPECT_EQ(digest(true), digest(false));
+}
+
+TEST(SchedulerGridLane, DestroyedMidRunKeepsAccountingExact) {
+    Scheduler s;
+    int fired = 0;
+    const std::vector<std::int64_t> idx{1, 2, 3, 4, 5, 6};
+    auto grid = std::make_unique<GridLane>(s, [&](std::size_t) { ++fired; });
+    grid->preset(TimeNs::zero(), milliseconds(1), idx);
+    s.schedule_at(milliseconds(10), [] {});
+    EXPECT_EQ(s.live_events(), 7u);
+    s.run_until(milliseconds(3));
+    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(s.live_events(), 4u);
+    grid.reset();
+    EXPECT_EQ(s.live_events(), 1u);
+    EXPECT_EQ(s.pending_events(), 1u);
+    s.check_invariants();
+    s.run();
+    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(s.executed_events(), 4u);
+    EXPECT_EQ(s.live_events(), 0u);
+    s.check_invariants();
+}
+
+TEST(SchedulerGridLane, PresetIntoThePastThrowsLikeScheduleAt) {
+    Scheduler s;
+    GridLane grid{s, [](std::size_t) {}};
+    s.schedule_at(milliseconds(10), [] {});
+    s.run();
+    const std::vector<std::int64_t> idx{1, 2};
+    EXPECT_THROW(grid.preset(TimeNs::zero(), milliseconds(5), idx), std::invalid_argument);
+    EXPECT_EQ(s.live_events(), 0u);
+    EXPECT_EQ(grid.size(), 0u);
+    s.check_invariants();
+}
+
+TEST(SchedulerGridLaneDeathTest, PresetWhileEntriesPendAborts) {
+    Scheduler s;
+    GridLane grid{s, [](std::size_t) {}};
+    const std::vector<std::int64_t> idx{1, 2};
+    grid.preset(TimeNs::zero(), milliseconds(5), idx);
+    EXPECT_DEATH(grid.preset(TimeNs::zero(), milliseconds(5), idx),
+                 "grid lane preset while entries are pending");
 }
 
 TEST(PacketPool, PutTakeRoundTripsAndReuses) {

@@ -211,7 +211,7 @@ TEST(StreamingEquivalence, ScorerCountersMatchPendingListOracleEveryStep) {
         for (SlotIndex s = 0; s < slots; ++s) {
             const bool congested = meta.bernoulli(rho);
             scorer.step(congested);
-            oracle.step(draw_experiment_start(oracle_rng, cfg), congested);
+            oracle.step(draw_experiment_start(oracle_rng, StartThresholds{cfg}), congested);
             ASSERT_EQ(scorer.experiments_started(), oracle.started())
                 << "trial " << trial << " slot " << s;
             ASSERT_EQ(scorer.experiments_completed(), oracle.completed())
